@@ -3,7 +3,7 @@ store, equivocation-excluding total ordering, leader election, the per-miner
 protocol, and a deterministic adversarial network simulator."""
 
 from .blocks import Block, Keyring, block_id, decode_block, encode_block, make_block
-from .leaders import CoinOracle, CoinSchedule, LeaderSchedule, RevealedCoinSchedule
+from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import (
     ASYNC_PARAMS,
@@ -26,7 +26,6 @@ __all__ = [
     "BlockStore",
     "ByzSpec",
     "CoinOracle",
-    "CoinSchedule",
     "DeliveryLog",
     "ES_PARAMS",
     "Keyring",
@@ -34,7 +33,6 @@ __all__ = [
     "MinerState",
     "Package",
     "ProtocolConfig",
-    "RevealedCoinSchedule",
     "Scenario",
     "Transcript",
     "WaveParams",

@@ -26,19 +26,6 @@ class Verdict:
                 "detail": self.detail, "applicable": self.applicable}
 
 
-class FixedSchedule:
-    """Leader view reconstructed from a transcript's coin reveals."""
-
-    def __init__(self, revealed: dict[int, int], stride: int):
-        self.revealed = revealed
-        self.stride = stride
-
-    def leader_at(self, d: int) -> int | None:
-        if d <= 0 or d % self.stride != 0:
-            return None
-        return self.revealed.get(d)
-
-
 class RunView:
     """Decoded view of one transcript: block registry, per-miner accept
     order, delivered sequences, and the leader schedule in force."""
@@ -87,10 +74,10 @@ class RunView:
             self.delivered[mid] = [r["block"] for r in log["records"]]
             self.suppressed[mid] = list(log["suppressed"])
 
-    def schedule(self):
-        if self.model == MODEL_ES:
-            return LeaderSchedule(self.n, self.params.leader_stride)
-        return FixedSchedule(self.revealed, self.params.leader_stride)
+    def schedule(self) -> LeaderSchedule:
+        """Round-robin leaders, or the coin values the transcript revealed."""
+        lookup = None if self.model == MODEL_ES else self.revealed.get
+        return LeaderSchedule(self.n, self.params.leader_stride, lookup)
 
     def rebuild_store(self, mid: int) -> BlockStore:
         store = BlockStore(self.n, self.f)

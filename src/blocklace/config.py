@@ -56,10 +56,14 @@ def _scenario_from(doc: dict, path: str) -> Scenario:
         batch=doc.get("batch"),
         payload_size=int(doc.get("payload_size", 64)),
     )
+    return _validated(scenario, path)
+
+
+def _validated(scenario: Scenario, where: str) -> Scenario:
     try:
         scenario.validate()
     except ScenarioError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     return scenario
 
 
@@ -114,6 +118,5 @@ def expand_sweep(cfg: RunConfig) -> list[Scenario]:
                         batch=sweep.get("batch", base.batch),
                         payload_size=base.payload_size,
                     )
-                    sc.validate()
-                    out.append(sc)
+                    out.append(_validated(sc, f"sweep point n={n} {model} seed={seed}"))
     return out

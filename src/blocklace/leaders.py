@@ -4,7 +4,7 @@ shared random coin for asynchrony."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from typing import Callable
 
 from .blocks import MinerId
 
@@ -13,25 +13,26 @@ class CoinError(Exception):
     pass
 
 
-def _prf(seed: int, r: int, n: int) -> int:
-    h = hashlib.sha256(b"blocklace/coin/" + seed.to_bytes(8, "big", signed=False)
-                       + r.to_bytes(8, "big")).digest()
-    return int.from_bytes(h[:8], "big") % n
-
-
 class LeaderSchedule:
-    """Pure function (round, n) -> miner for leader rounds, or None."""
+    """Leader of each leader round (a positive multiple of stride); None for
+    every other round.
 
-    mode = "deterministic"
+    Leaders rotate round-robin over the n miners unless a lookup is given;
+    then the leader of round d is lookup(d), which may be None while that
+    round's leader is unknown (a coin not yet revealed)."""
 
-    def __init__(self, n: int, stride: int):
+    def __init__(self, n: int, stride: int,
+                 lookup: Callable[[int], MinerId | None] | None = None):
         self.n = n
         self.stride = stride
+        self.lookup = lookup
 
     def leader_at(self, d: int) -> MinerId | None:
         if d <= 0 or d % self.stride != 0:
             return None
-        return (d // self.stride) % self.n
+        if self.lookup is None:
+            return (d // self.stride) % self.n
+        return self.lookup(d)
 
 
 class CoinOracle:
@@ -49,7 +50,9 @@ class CoinOracle:
         self.peek_log: list[tuple[int, bool]] = []  # adversary guard queries
 
     def value(self, r: int) -> MinerId:
-        return _prf(self.seed, r, self.n)
+        h = hashlib.sha256(b"blocklace/coin/" + self.seed.to_bytes(8, "big", signed=False)
+                           + r.to_bytes(8, "big")).digest()
+        return int.from_bytes(h[:8], "big") % self.n
 
     def request(self, p: MinerId, r: int) -> MinerId | None:
         """Register p's invocation for round r; returns the value once at
@@ -78,35 +81,3 @@ class CoinOracle:
         ok = r in self.revealed
         self.peek_log.append((r, ok))
         return ok
-
-
-class CoinSchedule:
-    """Schedule view over an oracle: unrevealed rounds have no leader yet."""
-
-    mode = "coin"
-
-    def __init__(self, oracle: CoinOracle):
-        self.oracle = oracle
-        self.n = oracle.n
-        self.stride = oracle.stride
-
-    def leader_at(self, d: int) -> MinerId | None:
-        if d <= 0 or d % self.stride != 0:
-            return None
-        return self.oracle.revealed_value(d)
-
-
-@dataclass
-class RevealedCoinSchedule:
-    """Offline view with every coin value treated as revealed. For analysis
-    and generated-blocklace tests, never for live miners."""
-
-    seed: int
-    n: int
-    stride: int
-    mode: str = field(default="coin", init=False)
-
-    def leader_at(self, d: int) -> MinerId | None:
-        if d <= 0 or d % self.stride != 0:
-            return None
-        return _prf(self.seed, d, self.n)

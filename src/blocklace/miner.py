@@ -1,10 +1,10 @@
 """Per-miner protocol state machine: buffering and acceptance of received
-packages, cordial block creation, history-based backlog dissemination, and
+packages, cordial block creation, evidence-based backlog dissemination, and
 responsiveness tracking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blocks import Block, Keyring, MinerId, block_id, encode_package
 from .leaders import CoinOracle
@@ -43,8 +43,8 @@ class Package:
 
 
 class MinerState:
-    """One protocol participant: a store, a delivery log, per-peer
-    communication history, and the timer used by the eventual-synchrony
+    """One protocol participant: a store, a delivery log, per-peer evidence
+    of what each peer knows, and the timer used by the eventual-synchrony
     instance of the proceed rule."""
 
     def __init__(self, mid: MinerId, config: ProtocolConfig, schedule,
@@ -55,8 +55,6 @@ class MinerState:
         self.oracle = oracle
         self.store = BlockStore(config.n, config.f, keyring)
         self.log = DeliveryLog()
-        # history[q]: ids sent to q or received from q; history[self.id] unused.
-        self.history: list[set[bytes]] = [set() for _ in range(config.n)]
         # Blocks q provably knows (closures of blocks q created) or was sent.
         self._evidence: list[int] = [0] * config.n
         self._sent_own: list[list[bytes]] = [[] for _ in range(config.n)]
@@ -71,8 +69,9 @@ class MinerState:
     def on_receive(self, pkg: Package) -> list[bytes]:
         """Buffer and accept-cascade a package; returns newly accepted ids.
 
-        Per accepted block: extend the creator's history, invoke the coin
-        when a new leader round becomes electable, and re-run delivery.
+        Per accepted block: extend the evidence of what its creator knows,
+        invoke the coin when a new leader round becomes electable, and re-run
+        delivery.
         """
         accepted: list[bytes] = []
         for block in pkg.blocks:
@@ -88,7 +87,6 @@ class MinerState:
     def _note_accept(self, bid: bytes) -> None:
         creator = self.store.creator_of(bid)
         if creator != self.id:
-            self.history[creator].add(bid)
             self._evidence[creator] |= self.store.closure_mask(bid)
         self.outbox.append({"e": "accept", "id": bid})
         self._maybe_request_coins()
@@ -186,33 +184,41 @@ class MinerState:
         peers: they are still in flight from their own creators and are
         relayed one round later if evidence is still missing.
         """
-        top = self.store.depth_of(bid)
-        if self.responsive(q):
-            mask = self.store.closure_mask(bid) & ~self._evidence[q]
-            ids = [x for x in self.store.ids_in_mask(mask)
-                   if x == bid or self.store.depth_of(x) <= top - 2]
-            ids.sort(key=lambda b: (self.store.depth_of(b), b))
-        else:
-            ids = [bid]
-        self.history[q].update(ids)
-        for x in ids:
-            self._evidence[q] |= 1 << self.store.index_of(x)
-        self._sent_own[q].append(bid)
-        self._heard_since_send[q] = False
-        return Package(tuple(self.store.get(i) for i in ids))
+        if not self.responsive(q):
+            return self._package(q, 1 << self.store.index_of(bid), bid)
+        # Depth falls along every pointer, so the only closure blocks one
+        # round below bid are its direct pointees.
+        mask = self.store.closure_mask(bid)
+        below = self.store.depth_of(bid) - 1
+        for p in self.store.get(bid).pointers:
+            if self.store.depth_of(p) == below:
+                mask &= ~(1 << self.store.index_of(p))
+        return self._package(q, mask, bid)
+
+    def closure_package(self, q: MinerId, bid: bytes) -> Package:
+        """The whole closure of own block bid that q has shown no evidence
+        of knowing, whether or not q is responsive."""
+        return self._package(q, self.store.closure_mask(bid), bid)
 
     def flush_package(self, q: MinerId) -> Package | None:
         """Anti-entropy fallback: everything accepted that q has shown no
         evidence of knowing, parents-first; None when nothing is missing.
         Used only when the network is otherwise quiescent."""
-        mask = ((1 << len(self.store)) - 1) & ~self._evidence[q]
-        if not mask:
-            return None
+        pkg = self._package(q, (1 << len(self.store)) - 1)
+        return pkg if pkg.blocks else None
+
+    def _package(self, q: MinerId, mask: int, own: bytes | None = None) -> Package:
+        """The blocks of mask that q has shown no evidence of knowing,
+        parents-first, counted as known to q from now on. own, when given, is
+        the new own block this send carries: q's responsiveness is judged
+        against it from now on."""
+        mask &= ~self._evidence[q]
+        self._evidence[q] |= mask
+        if own is not None:
+            self._sent_own[q].append(own)
+            self._heard_since_send[q] = False
         ids = sorted(self.store.ids_in_mask(mask),
                      key=lambda b: (self.store.depth_of(b), b))
-        self.history[q].update(ids)
-        for x in ids:
-            self._evidence[q] |= 1 << self.store.index_of(x)
         return Package(tuple(self.store.get(i) for i in ids))
 
     def responsive(self, q: MinerId) -> bool:

@@ -54,15 +54,6 @@ def topo_sorted(store: BlockStore, ids) -> list[bytes]:
     return sorted(ids, key=topo_key(store))
 
 
-def leader_blocks(store: BlockStore, schedule) -> list[bytes]:
-    """Accepted blocks whose creator is the leader of their depth."""
-    out = []
-    for bid in store.accepted_ids():
-        if schedule.leader_at(store.depth_of(bid)) == store.creator_of(bid):
-            out.append(bid)
-    return out
-
-
 def leader_blocks_at(store: BlockStore, schedule, d: int) -> list[bytes]:
     lead = schedule.leader_at(d)
     if lead is None:

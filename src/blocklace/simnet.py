@@ -11,7 +11,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .blocks import Keyring, block_id, encode_block, make_block
-from .leaders import CoinOracle, CoinSchedule, LeaderSchedule
+from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
 
@@ -235,23 +235,11 @@ class EquivocateBehavior(Behavior):
         peers = [q for q in range(self.sim.scenario.n) if q != m.id]
         half = (len(peers) + 1) // 2
         for q in peers[:half]:
-            self.sim.send(now, m.id, q, self._eager_package(q, bid))
+            self.sim.send(now, m.id, q, m.closure_package(q, bid))
         for q in peers[half:]:
-            self.sim.send(now, m.id, q, self._eager_package(q, tid))
+            self.sim.send(now, m.id, q, m.closure_package(q, tid))
         m.last_send = now
         return True
-
-    def _eager_package(self, q: int, bid: bytes) -> Package:
-        m = self.m
-        mask = m.store.closure_mask(bid) & ~m._evidence[q]
-        ids = sorted(m.store.ids_in_mask(mask),
-                     key=lambda b: (m.store.depth_of(b), b))
-        m.history[q].update(ids)
-        for x in ids:
-            m._evidence[q] |= 1 << m.store.index_of(x)
-        m._sent_own[q].append(bid)
-        m._heard_since_send[q] = False
-        return Package(tuple(m.store.get(i) for i in ids))
 
 
 def make_behavior(sim: "Simulation", miner: MinerState, spec: ByzSpec | None,
@@ -317,13 +305,13 @@ class Simulation:
         self.scenario = scenario
         self.params = scenario.params
         self.keyring = Keyring(scenario.seed, scenario.n)
+        stride = self.params.leader_stride
         if scenario.model == MODEL_ASYNC:
-            self.oracle = CoinOracle(scenario.seed, scenario.n, scenario.f,
-                                     self.params.leader_stride)
-            self.schedule = CoinSchedule(self.oracle)
+            self.oracle = CoinOracle(scenario.seed, scenario.n, scenario.f, stride)
+            self.schedule = LeaderSchedule(scenario.n, stride, self.oracle.revealed_value)
         else:
             self.oracle = None
-            self.schedule = LeaderSchedule(scenario.n, self.params.leader_stride)
+            self.schedule = LeaderSchedule(scenario.n, stride)
         config = ProtocolConfig(scenario.n, scenario.f, self.params, scenario.delta)
         self.miners = [MinerState(i, config, self.schedule, self.keyring, self.oracle)
                        for i in range(scenario.n)]

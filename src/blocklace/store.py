@@ -266,9 +266,6 @@ class BlockStore:
         ia, ib = self._idx(a), self._idx(b)
         return ia != ib and bool((self._closure[ia] >> ib) & 1)
 
-    def acknowledges_eq(self, a: bytes, b: bytes) -> bool:
-        return bool((self._closure[self._idx(a)] >> self._idx(b)) & 1)
-
     def closure(self, roots) -> set[bytes]:
         """All blocks reachable from the roots, roots included."""
         mask = 0
@@ -303,12 +300,6 @@ class BlockStore:
         if i1 == i2 or self._creator[i1] != self._creator[i2]:
             return False
         return not ((self._closure[i1] >> i2) & 1 or (self._closure[i2] >> i1) & 1)
-
-    def is_equivocator(self, q: MinerId) -> bool:
-        return q in self._equivocators
-
-    def equivocators(self) -> set[int]:
-        return set(self._equivocators)
 
     def _partner_mask(self, i: int) -> int:
         """Bitmask of accepted blocks forming an equivocation with block i."""
@@ -364,27 +355,10 @@ class BlockStore:
                 creators.add(self._creator[i])
         return creators
 
-    def is_cordial_block(self, block: Block | bytes) -> bool:
-        """Depth-1 blocks are cordial; deeper ones need >= 2f+1 distinct
-        creators at the preceding depth inside their closure."""
-        if isinstance(block, (bytes, bytearray)):
-            i = self._idx(bytes(block))
-            depth, mask = self._depth[i], self._closure[i]
-            if depth == 1:
-                return True
-            creators = set()
-            for j in self._by_depth.get(depth - 1, ()):
-                if (mask >> j) & 1:
-                    creators.add(self._creator[j])
-            return len(creators) >= self.quorum
-        if any(p not in self._index for p in block.pointers):
-            raise UnknownBlock("pointers not resolvable")
-        return self._cordial(block)
-
     def is_faulty(self, q: MinerId) -> bool:
-        if q in self._equivocators:
-            return True
-        return any(not self.is_cordial_block(b) for b in self.blocks_by(q))
+        """q equivocated. Non-cordial blocks never enter the store, so
+        equivocation is the only fault the accepted set can show."""
+        return q in self._equivocators
 
     def cordial_round(self, p: MinerId) -> int | None:
         """Deepest round with a >= 2f+1 non-equivocator quorum that p has not

@@ -12,7 +12,7 @@ import time
 
 import blocklace as bl
 from blocklace import checks
-from blocklace.leaders import LeaderSchedule, RevealedCoinSchedule
+from blocklace.leaders import CoinOracle, LeaderSchedule
 from blocklace.ordering import (
     ASYNC_PARAMS,
     ES_PARAMS,
@@ -156,7 +156,8 @@ def test_criterion_06_order_monotone_and_oracle_equal():
                 if params.model == "eventual-synchrony":
                     sched = LeaderSchedule(n, params.leader_stride)
                 else:
-                    sched = RevealedCoinSchedule(seed, n, params.leader_stride)
+                    sched = LeaderSchedule(n, params.leader_stride,
+                                           CoinOracle(seed, n, f, params.leader_stride).value)
                 store, keyring = fresh_store(n=n, f=f, seed=seed)
                 rng = random.Random(seed * 7 + n)
                 log = DeliveryLog()
@@ -231,7 +232,8 @@ def test_criterion_08_super_ratification_finality():
                 if params.model == "eventual-synchrony":
                     sched = LeaderSchedule(n, params.leader_stride)
                 else:
-                    sched = RevealedCoinSchedule(seed, n, params.leader_stride)
+                    sched = LeaderSchedule(n, params.leader_stride,
+                                           CoinOracle(seed, n, f, params.leader_stride).value)
                 store, keyring = fresh_store(n=n, f=f, seed=seed)
                 rng = random.Random(seed * 11 + n + params.beta)
                 eq = {n - 1: 0.4} if seed % 4 == 0 else {}
@@ -256,7 +258,7 @@ def test_criterion_08_super_ratification_finality():
                         kind = "at-beta" if gap == params.beta else "deeper"
                         for deeper in leader_blocks_at(store, sched, r2):
                             if (kind == "at-beta"
-                                    and store.is_equivocator(store.creator_of(deeper))):
+                                    and store.is_faulty(store.creator_of(deeper))):
                                 continue
                             coverage[kind] += 1
                             if not store.ratifies(cand, deeper, params.alpha):

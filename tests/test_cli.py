@@ -53,6 +53,14 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_sweep_rejects_point_invalid_for_its_n(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=7, f=2, byzantine={"6": {"behavior": "silent"}},
+                       sweep={"n": [4, 7]})
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "out of range" in err
+
+
 def test_run_is_reproducible(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0

@@ -6,13 +6,8 @@ import math
 
 import pytest
 
-from blocklace.leaders import (
-    CoinError,
-    CoinOracle,
-    CoinSchedule,
-    LeaderSchedule,
-    RevealedCoinSchedule,
-)
+import blocklace
+from blocklace.leaders import CoinError, CoinOracle, LeaderSchedule
 
 
 def test_deterministic_examples():
@@ -21,6 +16,7 @@ def test_deterministic_examples():
     assert sched.leader_at(2) == 1
     assert sched.leader_at(8) == 0
     assert sched.leader_at(0) is None
+    assert all(hasattr(blocklace, name) for name in blocklace.__all__)
 
 
 def test_deterministic_is_pure():
@@ -57,7 +53,7 @@ def test_non_leader_round_rejected():
 
 def test_schedule_respects_reveal_gating():
     oracle = CoinOracle(seed=3, n=4, f=1, stride=5)
-    sched = CoinSchedule(oracle)
+    sched = LeaderSchedule(4, 5, oracle.revealed_value)
     assert sched.leader_at(5) is None
     oracle.request(0, 5)
     oracle.request(1, 5)
@@ -101,7 +97,7 @@ def test_adversary_peek_guard():
 
 def test_revealed_schedule_matches_oracle_values():
     oracle = CoinOracle(seed=21, n=7, f=2, stride=5)
-    offline = RevealedCoinSchedule(21, 7, 5)
+    offline = LeaderSchedule(7, 5, CoinOracle(seed=21, n=7, f=2, stride=5).value)
     for r in range(5, 60, 5):
         assert offline.leader_at(r) == oracle.value(r)
     assert offline.leader_at(7) is None

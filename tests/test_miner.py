@@ -166,10 +166,3 @@ def test_responsive_by_acknowledgement():
     miner.store.insert(store.get(made[(1, 2)]))
     assert miner.responsive(1)
 
-
-def test_history_tracks_only_sent_or_received():
-    a = make_miner(0)
-    blk, sends = a.step(0, b"a1")
-    for q, pkg in sends:
-        assert a.history[q] == {block_id(blk)}
-    assert a.history[0] == set()  # own slot unused

@@ -8,14 +8,14 @@ import random
 import pytest
 
 from blocklace.blocks import block_id
-from blocklace.leaders import LeaderSchedule, RevealedCoinSchedule
+from blocklace.leaders import CoinOracle, LeaderSchedule
 from blocklace.ordering import (
     ASYNC_PARAMS,
     ES_PARAMS,
     DeliveryLog,
     WaveParams,
     extend_delivery,
-    leader_blocks,
+    leader_blocks_at,
     prev_ratified_leader,
     reference_order,
     super_ratified_leader,
@@ -61,14 +61,14 @@ def test_topo_sort_respects_acknowledgement():
 
 def test_leader_blocks(full_lattice):
     store, made = full_lattice
-    got = set(leader_blocks(store, ES_SCHED))
-    assert got == {made[(1, 2)], made[(2, 4)]}
+    got = [leader_blocks_at(store, ES_SCHED, d) for d in range(1, 5)]
+    assert got == [[], [made[(1, 2)]], [], [made[(2, 4)]]]
 
 
 def test_no_leader_rounds_no_leaders():
     store, _ = fresh_store()
     grow_full(store, 1)
-    assert leader_blocks(store, ES_SCHED) == []
+    assert leader_blocks_at(store, ES_SCHED, 1) == []
 
 
 def test_super_ratified_needs_beta_rounds():
@@ -218,7 +218,8 @@ def test_reference_prefix_monotone_on_snapshots(n, f, params):
         store, keyring, snapshots = _grown_store(seed, n, f, rounds=9,
                                                  equivocate=seed % 2 == 0)
         if params.model == "asynchrony":
-            sched = RevealedCoinSchedule(seed, n, params.leader_stride)
+            coin = CoinOracle(seed, n, f, params.leader_stride)
+            sched = LeaderSchedule(n, params.leader_stride, coin.value)
         else:
             sched = LeaderSchedule(n, params.leader_stride)
         ids = store.accepted_ids()

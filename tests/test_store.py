@@ -110,7 +110,6 @@ def test_acknowledges_one_edge_and_irreflexive(full_lattice):
     store, made = full_lattice
     assert store.acknowledges(made[(0, 2)], made[(0, 1)])
     assert not store.acknowledges(made[(0, 1)], made[(0, 1)])
-    assert store.acknowledges_eq(made[(0, 1)], made[(0, 1)])
 
 
 def test_every_round3_acknowledges_every_round1(full_lattice):
@@ -198,7 +197,7 @@ def test_chain_is_not_equivocation(full_lattice):
 def test_fork_fixture_is_equivocation(fork_fixture):
     store = fork_fixture["store"]
     assert store.is_equivocation(fork_fixture["e1"], fork_fixture["e2"])
-    assert store.is_equivocator(3)
+    assert store.is_faulty(3)
     pointers, creators = graph_of(store)
     assert bf_equivocation(pointers, creators, fork_fixture["e1"], fork_fixture["e2"])
 
@@ -212,7 +211,7 @@ def test_single_half_no_equivocator():
     store, keyring = fresh_store()
     made = grow_full(store, 1)
     forge(store, keyring, 3, b"fork-a", [made[(p, 1)] for p in range(4)])
-    assert not store.is_equivocator(3)
+    assert not store.is_faulty(3)
 
 
 def test_approves_direct(full_lattice):
@@ -283,9 +282,9 @@ def test_ratifies_false_outside_closure(full_lattice):
 # -- cordiality --------------------------------------------------------------
 
 def test_depth_one_always_cordial():
-    store, _ = fresh_store()
-    blk = store.create_block(2, b"x", set())
-    assert store.is_cordial_block(block_id(blk))
+    store, keyring = fresh_store()
+    blk = keyring.sign(make_block(2, b"x", []))
+    assert store.insert(blk).status == "accepted"
 
 
 def test_cordial_three_of_four(full_lattice):
@@ -294,9 +293,10 @@ def test_cordial_three_of_four(full_lattice):
     three = [made[(p, 1)] for p in range(3)]
     ok = keyring.sign(make_block(3, b"three", three + [made[(3, 1)]][:0]))
     # 3 distinct creators at depth 1 meets 2f+1.
-    assert store.is_cordial_block(ok)
+    assert store.insert(ok).status == "accepted"
     thin = keyring.sign(make_block(3, b"two", three[:2]))
-    assert not store.is_cordial_block(thin)
+    res = store.insert(thin)
+    assert (res.status, res.reason) == ("rejected", "non-cordial")
 
 
 def test_cordial_round_walkthrough():
@@ -428,7 +428,7 @@ def test_no_honest_miner_approves_both_halves():
                  if a < b and store.is_equivocation(a, b)]
         for a, b in pairs:
             for q in range(4):
-                if store.is_equivocator(q):
+                if store.is_faulty(q):
                     continue
                 appr_a = any(store.approves(a, x) for x in store.blocks_by(q))
                 appr_b = any(store.approves(b, x) for x in store.blocks_by(q))
