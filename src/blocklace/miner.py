@@ -57,7 +57,7 @@ class MinerState:
         self.log = DeliveryLog()
         # Blocks q provably knows (closures of blocks q created) or was sent.
         self._evidence: list[int] = [0] * config.n
-        self._sent_own: list[list[bytes]] = [[] for _ in range(config.n)]
+        self._last_sent: list[bytes | None] = [None] * config.n  # own block
         self._heard_since_send: list[bool] = [False] * config.n
         self.last_send: int = 0  # timer reset at startup
         self.outbox: list[dict] = []  # protocol events drained by the simulator
@@ -163,7 +163,7 @@ class MinerState:
         r = self.can_proceed(now, max_depth)
         if r is None:
             return None, []
-        blk = self.store.create_block(self.id, payload, self.store.blocks_prefix(r), share)
+        blk = self.store.create_block(self.id, payload, r, share)
         bid = block_id(blk)
         self.note_own_block(bid)
         sends = []
@@ -215,7 +215,7 @@ class MinerState:
         mask &= ~self._evidence[q]
         self._evidence[q] |= mask
         if own is not None:
-            self._sent_own[q].append(own)
+            self._last_sent[q] = own
             self._heard_since_send[q] = False
         ids = sorted(self.store.ids_in_mask(mask),
                      key=lambda b: (self.store.depth_of(b), b))
@@ -226,13 +226,11 @@ class MinerState:
         arrived from q since, or an accepted q-block acknowledges the last
         own block sent (own blocks form a chain, so the last one decides).
         Vacuously true before any send."""
-        sent = self._sent_own[q]
-        if not sent:
-            return True
-        if self._heard_since_send[q]:
+        sent = self._last_sent[q]
+        if sent is None or self._heard_since_send[q]:
             return True
         ack = self.store.creator_ack_mask(q)
-        return bool((ack >> self.store.index_of(sent[-1])) & 1)
+        return bool((ack >> self.store.index_of(sent)) & 1)
 
     def drain_outbox(self) -> list[dict]:
         out = self.outbox

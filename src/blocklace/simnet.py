@@ -171,38 +171,37 @@ class Adversary:
 
 
 class Behavior:
-    """Default (correct) stepping."""
+    """Default (correct) stepping. A behavior keeps only its miner and is
+    handed the simulation on each call, so a finished run holds no cycle."""
 
-    def __init__(self, sim: "Simulation", miner: MinerState):
-        self.sim = sim
+    def __init__(self, miner: MinerState):
         self.m = miner
 
-    def attempt(self, now: int) -> bool:
-        blk, sends = self.m.step(now, self.sim.next_payload(self.m.id),
-                                 self.sim.create_cap)
+    def attempt(self, sim: "Simulation", now: int) -> bool:
+        blk, sends = self.m.step(now, sim.next_payload(self.m.id), sim.create_cap)
         if blk is None:
             return False
-        self.sim.record_create(now, self.m, blk)
+        sim.record_create(now, self.m, blk)
         for q, pkg in sends:
-            self.sim.send(now, self.m.id, q, pkg)
+            sim.send(now, self.m.id, q, pkg)
         return True
 
 
 class SilentBehavior(Behavior):
-    def attempt(self, now: int) -> bool:
+    def attempt(self, sim: "Simulation", now: int) -> bool:
         return False
 
 
 class CrashBehavior(Behavior):
-    def __init__(self, sim, miner, crash_round: int):
-        super().__init__(sim, miner)
+    def __init__(self, miner, crash_round: int):
+        super().__init__(miner)
         self.crash_round = crash_round
 
-    def attempt(self, now: int) -> bool:
-        r = self.m.can_proceed(now, self.sim.create_cap)
+    def attempt(self, sim: "Simulation", now: int) -> bool:
+        r = self.m.can_proceed(now, sim.create_cap)
         if r is None or r + 1 > self.crash_round:
             return False
-        return super().attempt(now)
+        return super().attempt(sim, now)
 
 
 class EquivocateBehavior(Behavior):
@@ -210,47 +209,46 @@ class EquivocateBehavior(Behavior):
     blocks at the same depth to disjoint peer halves; disseminates its
     closure eagerly so both halves spread and detection is prompt."""
 
-    def __init__(self, sim, miner, rate: float, rng: random.Random):
-        super().__init__(sim, miner)
+    def __init__(self, miner, rate: float, rng: random.Random):
+        super().__init__(miner)
         self.rate = rate
         self.rng = rng
 
-    def attempt(self, now: int) -> bool:
+    def attempt(self, sim: "Simulation", now: int) -> bool:
         m = self.m
-        r = m.can_proceed(now, self.sim.create_cap)
+        r = m.can_proceed(now, sim.create_cap)
         if r is None:
             return False
         if self.rng.random() >= self.rate:
-            return super().attempt(now)
-        prefix = m.store.blocks_prefix(r)
-        blk = m.store.create_block(m.id, self.sim.next_payload(m.id), prefix)
-        twin = make_block(m.id, self.sim.next_payload(m.id), blk.pointers)
-        twin = self.sim.keyring.sign(twin)
+            return super().attempt(sim, now)
+        blk = m.store.create_block(m.id, sim.next_payload(m.id), r)
+        twin = make_block(m.id, sim.next_payload(m.id), blk.pointers)
+        twin = sim.keyring.sign(twin)
         m.store.insert(twin)
         bid, tid = block_id(blk), block_id(twin)
         m.note_own_block(bid)
-        self.sim.record_create(now, m, blk)
+        sim.record_create(now, m, blk)
         m.note_own_block(tid)
-        self.sim.record_create(now, m, twin)
-        peers = [q for q in range(self.sim.scenario.n) if q != m.id]
+        sim.record_create(now, m, twin)
+        peers = [q for q in range(sim.scenario.n) if q != m.id]
         half = (len(peers) + 1) // 2
         for q in peers[:half]:
-            self.sim.send(now, m.id, q, m.closure_package(q, bid))
+            sim.send(now, m.id, q, m.closure_package(q, bid))
         for q in peers[half:]:
-            self.sim.send(now, m.id, q, m.closure_package(q, tid))
+            sim.send(now, m.id, q, m.closure_package(q, tid))
         m.last_send = now
         return True
 
 
-def make_behavior(sim: "Simulation", miner: MinerState, spec: ByzSpec | None,
+def make_behavior(miner: MinerState, spec: ByzSpec | None,
                   rng: random.Random) -> Behavior:
     if spec is None:
-        return Behavior(sim, miner)
+        return Behavior(miner)
     if spec.behavior == "silent":
-        return SilentBehavior(sim, miner)
+        return SilentBehavior(miner)
     if spec.behavior == "crash":
-        return CrashBehavior(sim, miner, spec.round)
-    return EquivocateBehavior(sim, miner, spec.rate, rng)
+        return CrashBehavior(miner, spec.round)
+    return EquivocateBehavior(miner, spec.rate, rng)
 
 
 # -- transcript and metrics ---------------------------------------------------
@@ -318,7 +316,7 @@ class Simulation:
         self.adversary = Adversary(scenario, self.schedule,
                                    random.Random(f"{scenario.seed}:adversary"))
         self.behaviors = [
-            make_behavior(self, self.miners[i], scenario.byzantine.get(i),
+            make_behavior(self.miners[i], scenario.byzantine.get(i),
                           random.Random(f"{scenario.seed}:byz:{i}"))
             for i in range(scenario.n)
         ]
@@ -475,7 +473,7 @@ class Simulation:
         did = False
         for m in self.miners:
             behavior = self.behaviors[m.id]
-            while behavior.attempt(t):
+            while behavior.attempt(self, t):
                 did = True
             self._maybe_schedule_timer(t, m)
         return did

@@ -5,6 +5,7 @@ ratification, cordiality) that everything else is built on."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .blocks import (
     Block,
@@ -65,9 +66,12 @@ class BlockStore:
         self._blocks: list[Block] = []
         self._creator: list[int] = []
         self._depth: list[int] = []
-        self._parents: list[tuple[int, ...]] = []
+        self._pointed_from: list[float] = []  # shallowest depth pointing here
         self._closure: list[int] = []  # bitmask over indices, includes self
         self._index: dict[bytes, int] = {}
+        # A creator not in _equivocators has one chain, and its last block in
+        # acceptance order is its latest: a pointee is accepted before its
+        # pointer, and a block acknowledging another is deeper than it.
         self._by_creator: dict[int, list[int]] = {}
         self._by_depth: dict[int, list[int]] = {}
         self._creator_ack: dict[int, int] = {}  # OR of closures of creator's blocks
@@ -135,13 +139,16 @@ class BlockStore:
             out.add(c)
         return out
 
-    def latest_by(self, q: MinerId) -> bytes | None:
-        """The most recently accepted q-block (deepest, for a correct q)."""
+    def _latest(self, q: MinerId) -> int | None:
+        """Index of q's (depth, id)-greatest block: the chain's last one
+        unless q equivocated."""
         idxs = self._by_creator.get(q)
         if not idxs:
             return None
-        best = max(idxs, key=lambda i: (self._depth[i], self._ids[i]))
-        return self._ids[best]
+        return idxs[-1] if q not in self._equivocators else max(idxs, key=self._rank)
+
+    def _rank(self, i: int) -> tuple[int, bytes]:
+        return self._depth[i], self._ids[i]
 
     def blocks_by(self, q: MinerId) -> list[bytes]:
         return [self._ids[i] for i in self._by_creator.get(q, ())]
@@ -227,17 +234,19 @@ class BlockStore:
         self._blocks.append(block)
         self._creator.append(block.creator)
         self._depth.append(depth)
-        self._parents.append(parent_idx)
+        self._pointed_from.append(float("inf"))
+        for i in parent_idx:
+            self._pointed_from[i] = min(self._pointed_from[i], depth)
         self._closure.append(mask)
         self._index[bid] = idx
         self._by_depth.setdefault(depth, []).append(idx)
         self._max_depth = max(self._max_depth, depth)
         siblings = self._by_creator.setdefault(block.creator, [])
-        for s in siblings:
-            # Older same-creator blocks can never acknowledge the newcomer,
-            # so one direction decides the pair.
-            if not (mask >> s) & 1:
-                self._equivocators.add(block.creator)
+        # The chain's last block cannot acknowledge the newcomer, and the
+        # newcomer acknowledges the whole chain iff it acknowledges that one.
+        if (siblings and block.creator not in self._equivocators
+                and not (mask >> siblings[-1]) & 1):
+            self._equivocators.add(block.creator)
         siblings.append(idx)
         self._creator_ack[block.creator] = self._creator_ack.get(block.creator, 0) | mask
 
@@ -276,22 +285,23 @@ class BlockStore:
     def closure_mask(self, bid: bytes) -> int:
         return self._closure[self._idx(bid)]
 
-    def mask_of(self, ids) -> int:
-        mask = 0
-        for r in ids:
-            mask |= self._closure[self._idx(r)]
-        return mask
-
     def ids_in_mask(self, mask: int) -> list[bytes]:
         return [self._ids[i] for i in _bits(mask)]
 
-    def tips(self, ids) -> set[bytes]:
-        """Members of ids with no incoming pointer from within ids."""
-        chosen = {self._idx(b) for b in ids}
-        pointed: set[int] = set()
-        for i in chosen:
-            pointed.update(p for p in self._parents[i] if p in chosen)
-        return {self._ids[i] for i in chosen - pointed}
+    def tips(self, r: int) -> dict[int, bytes]:
+        """Creator -> its (depth, id)-greatest block of depth <= r that no
+        block of depth <= r points at. On a chain only the deepest block of
+        depth <= r can qualify: a later one reaches it by a path of depth
+        <= r."""
+        out: dict[int, bytes] = {}
+        for c, idxs in self._by_creator.items():
+            below = (i for i in reversed(idxs) if self._depth[i] <= r)
+            if c not in self._equivocators:
+                below = islice(below, 1)
+            tips = [i for i in below if self._pointed_from[i] > r]
+            if tips:
+                out[c] = self._ids[max(tips, key=self._rank)]
+        return out
 
     # -- fault analysis ------------------------------------------------
 
@@ -304,7 +314,9 @@ class BlockStore:
     def _partner_mask(self, i: int) -> int:
         """Bitmask of accepted blocks forming an equivocation with block i."""
         c = self._creator[i]
-        siblings = self._by_creator.get(c, ())
+        if c not in self._equivocators:
+            return 0
+        siblings = self._by_creator[c]
         cached = self._partner_cache.get(i)
         if cached and cached[0] == len(siblings):
             return cached[1]
@@ -363,8 +375,8 @@ class BlockStore:
     def cordial_round(self, p: MinerId) -> int | None:
         """Deepest round with a >= 2f+1 non-equivocator quorum that p has not
         built past; 0 authorizes p's initial block; None if p must wait."""
-        own = self._by_creator.get(p, ())
-        own_max = max((self._depth[i] for i in own), default=0)
+        latest = self._latest(p)
+        own_max = 0 if latest is None else self._depth[latest]
         for d in range(self._max_depth, max(own_max, 1) - 1, -1):
             creators = self.creators_at(d, exclude_equivocators=True)
             if len(creators) >= self.quorum:
@@ -373,35 +385,26 @@ class BlockStore:
 
     # -- block creation ------------------------------------------------
 
-    def create_block(self, p: MinerId, payload: bytes, prefix,
+    def create_block(self, p: MinerId, payload: bytes, r: int,
                      share: bytes = b"") -> Block:
-        """Create, sign and accept a new p-block over the given prefix.
+        """Create, sign and accept a new p-block over the depth-<=r prefix.
 
         Points at the prefix tips (one per creator) and chains to p's latest
         block; raises WouldEquivocate rather than fork p's chain.
         """
-        prefix = set(prefix)
-        tip_ids = sorted(self.tips(prefix))
-        per_creator: dict[int, bytes] = {}
-        for t in tip_ids:
-            c = self.creator_of(t)
-            cur = per_creator.get(c)
-            if cur is None or (self.depth_of(t), t) > (self.depth_of(cur), cur):
-                per_creator[c] = t
-        chosen = sorted(per_creator.values())
-        latest = self.latest_by(p)
+        tips = self.tips(r)
+        chosen = [self._index[t] for t in tips.values()]
+        latest = self._latest(p)
         if latest is not None:
-            prefix_depth = max((self.depth_of(t) for t in chosen), default=0)
-            if self.depth_of(latest) > prefix_depth:
+            if self._depth[latest] > max((self._depth[i] for i in chosen), default=0):
                 raise WouldEquivocate(
                     f"miner {p} already has a block deeper than the prefix")
-            covered = self.mask_of(chosen) if chosen else 0
-            if not (covered >> self._idx(latest)) & 1:
-                if p in per_creator:
+            if not any((self._closure[i] >> latest) & 1 for i in chosen):
+                if p in tips:
                     raise WouldEquivocate(
                         f"prefix tip by miner {p} is not its latest block")
-                chosen = sorted(chosen + [latest])
-        blk = make_block(p, payload, chosen, share)
+                chosen.append(latest)
+        blk = make_block(p, payload, [self._ids[i] for i in chosen], share)
         if self.keyring is not None:
             blk = self.keyring.sign(blk)
         res = self.insert(blk)

@@ -21,8 +21,7 @@ def grow_full(store: BlockStore, rounds: int) -> dict[tuple[int, int], bytes]:
     made = {}
     for d in range(1, rounds + 1):
         for p in range(store.n):
-            blk = store.create_block(p, f"p{p}r{d}".encode(),
-                                     store.blocks_prefix(d - 1))
+            blk = store.create_block(p, f"p{p}r{d}".encode(), d - 1)
             made[(p, d)] = block_id(blk)
     return made
 
@@ -55,7 +54,7 @@ def fork_fixture():
     e2 = forge(store, keyring, 3, b"fork-b", round1)
     r2 = {}
     for p in range(3):
-        blk = store.create_block(p, f"p{p}r2".encode(), store.blocks_prefix(1))
+        blk = store.create_block(p, f"p{p}r2".encode(), 1)
         r2[p] = block_id(blk)
     sees_e1 = forge(store, keyring, 0, b"sees-e1", [r2[0], r2[1], r2[2], e1])
     sees_e2 = forge(store, keyring, 1, b"sees-e2", [r2[0], r2[1], r2[2], e2])

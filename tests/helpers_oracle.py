@@ -113,3 +113,48 @@ def bf_super_ratified(pointers: dict, creators: dict, leader_at, params,
             if creators[b] == leader_at(r + params.beta):
                 lead_ok = True
     return len(ratifiers) >= quorum and lead_ok
+
+
+def bf_depths(pointers: dict) -> dict:
+    """bf_depth of every block, with one shared memo."""
+    memo: dict = {}
+
+    def go(x):
+        if x not in memo:
+            memo[x] = 1 + max((go(p) for p in pointers[x] if p in pointers), default=0)
+        return memo[x]
+
+    return {b: go(b) for b in pointers}
+
+
+def bf_tips(pointers: dict, creators: dict, r: int) -> dict:
+    """Creator -> its (depth, id)-greatest tip of the depth-<=r set: a
+    member no member points at."""
+    depth = bf_depths(pointers)
+    prefix = {b for b in pointers if depth[b] <= r}
+    pointed = {p for b in prefix for p in pointers[b]}
+    out: dict = {}
+    for t in prefix - pointed:
+        c = creators[t]
+        if c not in out or (depth[t], t) > (depth[out[c]], out[c]):
+            out[c] = t
+    return out
+
+
+def bf_create_pointers(pointers: dict, creators: dict, p, r: int):
+    """The pointer tuple of a new p-block over the depth-<=r set: its tips,
+    one per creator, chained to p's (depth, id)-greatest block when they do
+    not reach it. None where that block would fork p's chain."""
+    depth = bf_depths(pointers)
+    tips = bf_tips(pointers, creators, r)
+    chosen = set(tips.values())
+    own = [b for b in pointers if creators[b] == p]
+    if own:
+        latest = max(own, key=lambda b: (depth[b], b))
+        if depth[latest] > max((depth[t] for t in chosen), default=0):
+            return None
+        if latest not in bf_closure(pointers, chosen):
+            if p in tips:
+                return None
+            chosen.add(latest)
+    return tuple(sorted(chosen))

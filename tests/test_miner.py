@@ -112,7 +112,7 @@ def test_step_ships_backlog_to_responsive_peer():
     made = grow_full(store, 2)
     r3 = {}
     for p in (0, 1, 3):
-        blk = store.create_block(p, f"r3-{p}".encode(), store.blocks_prefix(2))
+        blk = store.create_block(p, f"r3-{p}".encode(), 2)
         r3[p] = block_id(blk)
     miner = make_miner(0)
     miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())))
@@ -158,7 +158,7 @@ def test_responsive_by_acknowledgement():
     miner = make_miner(0)
     own_r1 = store.get(made[(0, 1)])
     miner.store.insert(own_r1)
-    miner._sent_own[1].append(made[(0, 1)])
+    miner._last_sent[1] = made[(0, 1)]
     assert not miner.responsive(1)
     for p in (1, 2, 3):
         miner.store.insert(store.get(made[(p, 1)]))

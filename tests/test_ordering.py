@@ -96,9 +96,9 @@ def test_super_ratified_requires_round_beta_leader_block():
         partial.insert(store.get(bid))
     # Round 4 filled by everyone except leader(4) = miner 2.
     for p in (0, 1, 3):
-        partial.create_block(p, f"r4p{p}".encode(), partial.blocks_prefix(3))
+        partial.create_block(p, f"r4p{p}".encode(), 3)
     assert super_ratified_leader(partial, ES_SCHED, ES_PARAMS) is None
-    partial.create_block(2, b"r4p2", partial.blocks_prefix(3))
+    partial.create_block(2, b"r4p2", 3)
     got = super_ratified_leader(partial, ES_SCHED, ES_PARAMS)
     assert got == made[(1, 2)]
 
@@ -140,7 +140,7 @@ def test_incremental_matches_reference_full_growth():
 
     for d in range(1, 9):
         for p in range(4):
-            store.create_block(p, f"p{p}r{d}".encode(), store.blocks_prefix(d - 1))
+            store.create_block(p, f"p{p}r{d}".encode(), d - 1)
             check(d)
 
 
@@ -153,8 +153,7 @@ def test_equivocation_suppressed_not_delivered():
     from conftest import forge
     e1 = forge(store, keyring, 3, b"fork-a", round1)
     e2 = forge(store, keyring, 3, b"fork-b", round1)
-    r2 = {p: block_id(store.create_block(p, f"p{p}r2".encode(),
-                                         store.blocks_prefix(1)))
+    r2 = {p: block_id(store.create_block(p, f"p{p}r2".encode(), 1))
           for p in range(3)}
     # Round 3 covers both halves through different miners.
     r3 = {
@@ -189,7 +188,7 @@ def test_prev_ratified_leader_chain(full_lattice):
     # Extend to 6 full rounds so leader(4) is ratified by round-6 blocks.
     for d in (5, 6):
         for p in range(4):
-            store.create_block(p, f"x{p}{d}".encode(), store.blocks_prefix(d - 1))
+            store.create_block(p, f"x{p}{d}".encode(), d - 1)
     anchor = super_ratified_leader(store, ES_SCHED, ES_PARAMS)
     assert store.depth_of(anchor) == 4
     prev = prev_ratified_leader(store, ES_SCHED, ES_PARAMS, anchor)

@@ -3,6 +3,8 @@ adversaries, and scenario validation."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from blocklace import checks
@@ -193,3 +195,16 @@ def test_es_timer_paces_rounds():
     assert t.metrics["decided_rounds"] == [2, 4, 6, 8, 10]
     assert t.metrics["commit_latencies"] == [3] * 5
     assert t.metrics["end_time"] >= 4 * 10  # rounds paced by the timer
+
+
+def test_finished_run_leaves_no_cyclic_garbage():
+    """A run's objects are freed by reference counting alone, so memory
+    does not pile up across back-to-back runs between collections."""
+    gc.collect()
+    gc.disable()
+    try:
+        run(Scenario(n=7, f=2, rounds=12, seed=3,
+                     byzantine={6: ByzSpec("equivocate", rate=0.5)}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -28,7 +28,7 @@ from helpers_oracle import (
 
 def test_initial_block_accepted_at_depth_one():
     store, _ = fresh_store()
-    blk = store.create_block(0, b"init", set())
+    blk = store.create_block(0, b"init", 0)
     assert store.depth_of(block_id(blk)) == 1
     assert blk.pointers == ()
 
@@ -65,7 +65,7 @@ def test_non_cordial_block_rejected():
 
 def test_insert_idempotent():
     store, _ = fresh_store()
-    blk = store.create_block(0, b"x", set())
+    blk = store.create_block(0, b"x", 0)
     res = store.insert(blk)
     assert res.status == "accepted"
     assert res.newly_accepted == ()
@@ -165,11 +165,21 @@ def test_closure_is_closed(full_lattice):
 
 def test_tips(full_lattice):
     store, made = full_lattice
-    two_rounds = store.blocks_prefix(2)
-    assert store.tips(two_rounds) == {made[(p, 2)] for p in range(4)}
-    chain = [made[(0, 1)], made[(0, 2)], made[(0, 3)]]
-    assert store.tips(chain) == {made[(0, 3)]}
-    assert store.tips([made[(1, 1)]]) == {made[(1, 1)]}
+    assert store.tips(2) == {p: made[(p, 2)] for p in range(4)}
+    assert store.tips(0) == {}
+
+
+def test_tips_use_the_shallowest_pointer():
+    """A block pointed at from depth 2 and later from depth 3 is no tip of
+    the depth-2 prefix."""
+    store, keyring = fresh_store()
+    made = grow_full(store, 1)
+    a = [made[(p, 1)] for p in range(4)]
+    b0 = forge(store, keyring, 0, b"b0", a)
+    b1 = forge(store, keyring, 1, b"b1", a[:3])
+    b2 = forge(store, keyring, 2, b"b2", a[:3])
+    forge(store, keyring, 1, b"c1", [b0, b1, b2, a[3]])
+    assert store.tips(2) == {0: b0, 1: b1, 2: b2}
 
 
 def test_blocks_prefix(full_lattice):
@@ -304,19 +314,19 @@ def test_cordial_round_walkthrough():
     grow_full(store, 2)
     # Miner 0 sits at depth 2 over a full round 2: it may build depth 3.
     assert store.cordial_round(0) == 2
-    blk = store.create_block(0, b"r3", store.blocks_prefix(2))
+    blk = store.create_block(0, b"r3", 2)
     assert store.depth_of(block_id(blk)) == 3
     # Alone in round 3, miner 0 must wait.
     assert store.cordial_round(0) is None
     for p in (1, 2, 3):
-        store.create_block(p, f"r3p{p}".encode(), store.blocks_prefix(2))
+        store.create_block(p, f"r3p{p}".encode(), 2)
     assert store.cordial_round(0) == 3
 
 
 def test_cordial_round_bootstrap():
     store, _ = fresh_store()
     assert store.cordial_round(2) == 0
-    store.create_block(2, b"init", set())
+    store.create_block(2, b"init", 0)
     assert store.cordial_round(2) is None
 
 
@@ -356,7 +366,7 @@ def test_rejected_non_cordial_does_not_mark_faulty():
 
 def test_create_block_over_full_round(full_lattice):
     store, made = full_lattice
-    blk = store.create_block(0, b"r5", store.blocks_prefix(4))
+    blk = store.create_block(0, b"r5", 4)
     assert len(blk.pointers) == 4
     assert store.depth_of(block_id(blk)) == 5
 
@@ -366,7 +376,7 @@ def test_create_block_no_duplicate_own_pointer():
     grow_full(store, 2)
     # Tips of rounds 1-2 are the round-2 blocks; miner 0's round-1 block is
     # inside their closure, so no extra same-miner pointer appears.
-    blk = store.create_block(0, b"r3", store.blocks_prefix(2))
+    blk = store.create_block(0, b"r3", 2)
     creators = {store.creator_of(p) for p in blk.pointers}
     assert len(creators) == len(blk.pointers)
 
@@ -374,15 +384,15 @@ def test_create_block_no_duplicate_own_pointer():
 def test_create_block_refuses_to_equivocate(full_lattice):
     store, made = full_lattice
     with pytest.raises(WouldEquivocate):
-        store.create_block(0, b"again", store.blocks_prefix(2))
+        store.create_block(0, b"again", 2)
 
 
 def test_create_block_picks_one_tip_per_creator(fork_fixture):
     store = fork_fixture["store"]
-    prefix = store.blocks_prefix(2)
-    # Both fork halves are tips of the prefix; only one may be pointed at.
-    assert {fork_fixture["e1"], fork_fixture["e2"]} <= store.tips(prefix)
-    blk = store.create_block(3, b"over-fork", prefix)
+    # Both fork halves are tips of the depth-2 prefix; only one may be
+    # pointed at.
+    assert store.tips(2)[3] == max(fork_fixture["e1"], fork_fixture["e2"])
+    blk = store.create_block(3, b"over-fork", 2)
     creators = [store.creator_of(p) for p in blk.pointers]
     assert len(creators) == len(set(creators))
 
