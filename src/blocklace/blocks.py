@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 
 DIGEST_SIZE = 32
 MAX_POINTERS = 0xFFFF
@@ -24,7 +25,8 @@ class Block:
 
     Pointers are unique 32-byte digests kept in sorted order so that two
     structurally equal blocks encode identically. The signature covers the
-    canonical encoding and is excluded from it.
+    canonical encoding and is excluded from it. A block is never mutated, so
+    its encoding and id are built once, on first use, and then kept.
     """
 
     creator: MinerId
@@ -35,6 +37,23 @@ class Block:
 
     def is_initial(self) -> bool:
         return not self.pointers
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        parts = [
+            self.creator.to_bytes(4, "big"),
+            len(self.payload).to_bytes(4, "big"),
+            self.payload,
+            len(self.pointers).to_bytes(2, "big"),
+        ]
+        parts.extend(self.pointers)
+        parts.append(len(self.share).to_bytes(2, "big"))
+        parts.append(self.share)
+        return b"".join(parts)
+
+    @cached_property
+    def _id(self) -> bytes:
+        return hashlib.sha256(self._encoding).digest()
 
 
 def make_block(creator: MinerId, payload: bytes, pointers, share: bytes = b"") -> Block:
@@ -71,20 +90,12 @@ def encode_block(b: Block) -> bytes:
     Layout: creator u32be | payload-len u32be | payload | pointer-count u16be |
     sorted pointer digests | share-len u16be | share.
     """
-    parts = [
-        b.creator.to_bytes(4, "big"),
-        len(b.payload).to_bytes(4, "big"),
-        b.payload,
-        len(b.pointers).to_bytes(2, "big"),
-    ]
-    parts.extend(b.pointers)
-    parts.append(len(b.share).to_bytes(2, "big"))
-    parts.append(b.share)
-    return b"".join(parts)
+    return b._encoding
 
 
 def block_id(b: Block) -> bytes:
-    return hashlib.sha256(encode_block(b)).digest()
+    """SHA-256 of the canonical encoding."""
+    return b._id
 
 
 def decode_block(data: bytes, signature: bytes = b"") -> Block:

@@ -193,23 +193,18 @@ def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes,
 def reference_order(store: BlockStore, schedule,
                     params: WaveParams) -> tuple[list[bytes], set[bytes]]:
     """From-scratch recomputation of the whole output sequence, with no
-    caching: recurse from the last super-ratified leader through ratified
-    leaders and stitch the fragments back-to-front."""
-    anchor = super_ratified_leader(store, schedule, params)
-    if anchor is None:
-        return [], set()
-
-    def recurse(b1: bytes) -> tuple[list[bytes], set[bytes]]:
-        b2 = prev_ratified_leader(store, schedule, params, b1)
-        if b2 is None:
-            head: list[bytes] = []
-            sup: set[bytes] = set()
-            frag = store.closure([b1])
-        else:
-            head, sup = recurse(b2)
-            frag = store.closure([b1]) - store.closure([b2])
-        good = [x for x in topo_sorted(store, frag) if store.approves(x, b1)]
-        sup = sup | {x for x in frag if not store.approves(x, b1)}
-        return head + good, sup
-
-    return recurse(anchor)
+    caching: walk back from the last super-ratified leader through ratified
+    leaders, then stitch the fragments front to back."""
+    chain: list[bytes] = []
+    cur = super_ratified_leader(store, schedule, params)
+    while cur is not None:
+        chain.append(cur)
+        cur = prev_ratified_leader(store, schedule, params, cur)
+    chain.reverse()
+    order: list[bytes] = []
+    suppressed: set[bytes] = set()
+    for b2, b1 in zip([None, *chain], chain):
+        frag = store.closure([b1]) - store.closure([b2] if b2 else [])
+        order += [x for x in topo_sorted(store, frag) if store.approves(x, b1)]
+        suppressed |= {x for x in frag if not store.approves(x, b1)}
+    return order, suppressed

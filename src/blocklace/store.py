@@ -168,20 +168,15 @@ class BlockStore:
         if bid in self.buffer:
             return AcceptResult("buffered")
         reason = self._screen(bid, block)
+        if not reason:
+            if any(p not in self._index for p in block.pointers):
+                self.buffer[bid] = block
+                return AcceptResult("buffered")
+            reason = self._admit(bid, block)
         if reason:
             self.violations.append((bid, reason))
             return AcceptResult("rejected", reason=reason)
-        if any(p not in self._index for p in block.pointers):
-            self.buffer[bid] = block
-            return AcceptResult("buffered")
-        reason = self._final_checks(block)
-        if reason:
-            self.violations.append((bid, reason))
-            return AcceptResult("rejected", reason=reason)
-        newly = [bid]
-        self._accept(bid, block)
-        newly.extend(self._cascade())
-        return AcceptResult("accepted", tuple(newly))
+        return AcceptResult("accepted", (bid, *self._cascade()))
 
     def _screen(self, bid: bytes, block: Block) -> str | None:
         problem = structural_error(block)
@@ -195,48 +190,31 @@ class BlockStore:
             return REJECT_SELF_POINTER
         return None
 
-    def _final_checks(self, block: Block) -> str | None:
-        """Checks that need resolved pointers: pointee uniqueness, cordiality."""
-        seen = set()
-        for p in block.pointers:
-            c = self._creator[self._index[p]]
-            if c in seen:
-                return REJECT_DUPLICATE_CREATOR
-            seen.add(c)
-        if not self._cordial(block):
+    def _admit(self, bid: bytes, block: Block) -> str | None:
+        """Accept a screened block whose pointees are all accepted, or return
+        why it is rejected.
+
+        Depth falls by at least one along every pointer, so the closure's
+        blocks one round below the new block are exactly its direct pointees
+        there, whose creators are distinct once the duplicate check passes:
+        cordiality counts them.
+        """
+        pointees = [self._index[p] for p in block.pointers]
+        if len({self._creator[i] for i in pointees}) < len(pointees):
+            return REJECT_DUPLICATE_CREATOR
+        depth = 1 + max((self._depth[i] for i in pointees), default=0)
+        if pointees and sum(self._depth[i] == depth - 1 for i in pointees) < self.quorum:
             return REJECT_NON_CORDIAL
-        return None
-
-    def _cordial(self, block: Block) -> bool:
-        if not block.pointers:
-            return True  # depth-1 blocks are unconditionally cordial
-        parent_idx = [self._index[p] for p in block.pointers]
-        depth = 1 + max(self._depth[i] for i in parent_idx)
-        mask = 0
-        for i in parent_idx:
-            mask |= self._closure[i]
-        creators = set()
-        for i in self._by_depth.get(depth - 1, ()):
-            if (mask >> i) & 1:
-                creators.add(self._creator[i])
-                if len(creators) >= self.quorum:
-                    return True
-        return False
-
-    def _accept(self, bid: bytes, block: Block) -> None:
         idx = len(self._ids)
-        parent_idx = tuple(self._index[p] for p in block.pointers)
-        depth = 1 + max((self._depth[i] for i in parent_idx), default=0)
         mask = 1 << idx
-        for i in parent_idx:
+        for i in pointees:
             mask |= self._closure[i]
+            self._pointed_from[i] = min(self._pointed_from[i], depth)
         self._ids.append(bid)
         self._blocks.append(block)
         self._creator.append(block.creator)
         self._depth.append(depth)
         self._pointed_from.append(float("inf"))
-        for i in parent_idx:
-            self._pointed_from[i] = min(self._pointed_from[i], depth)
         self._closure.append(mask)
         self._index[bid] = idx
         self._by_depth.setdefault(depth, []).append(idx)
@@ -249,6 +227,7 @@ class BlockStore:
             self._equivocators.add(block.creator)
         siblings.append(idx)
         self._creator_ack[block.creator] = self._creator_ack.get(block.creator, 0) | mask
+        return None
 
     def _cascade(self) -> list[bytes]:
         accepted: list[bytes] = []
@@ -259,11 +238,10 @@ class BlockStore:
                 if any(p not in self._index for p in blk.pointers):
                     continue
                 del self.buffer[bid]
-                reason = self._final_checks(blk)
+                reason = self._admit(bid, blk)
                 if reason:
                     self.violations.append((bid, reason))
                 else:
-                    self._accept(bid, blk)
                     accepted.append(bid)
                 progress = True
         return accepted

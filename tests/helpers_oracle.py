@@ -158,3 +158,18 @@ def bf_create_pointers(pointers: dict, creators: dict, p, r: int):
                 return None
             chosen.add(latest)
     return tuple(sorted(chosen))
+
+
+def bf_admission(pointers: dict, creators: dict, block_pointers,
+                 quorum: int) -> str | None:
+    """Why a block over the given pointees, all in the graph, is rejected,
+    or None when it is admitted: two pointees by one creator, else fewer
+    than quorum distinct creators one round below it in its closure."""
+    if len({creators[p] for p in block_pointers}) < len(block_pointers):
+        return "duplicate-pointer-creator"
+    if not block_pointers:
+        return None
+    depth = 1 + max(bf_depth(pointers, p) for p in block_pointers)
+    below = {creators[b] for b in bf_closure(pointers, block_pointers)
+             if bf_depth(pointers, b) == depth - 1}
+    return None if len(below) >= quorum else "non-cordial"

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklace.blocks import (
     Block,
@@ -118,3 +124,72 @@ def test_package_roundtrip():
     back = decode_package(wire)
     assert [block_id(b) for b in back] == [block_id(b) for b in blocks]
     assert [b.signature for b in back] == [b.signature for b in blocks]
+
+
+@st.composite
+def random_blocks(draw):
+    """Signed blocks with random fields within the structural limits."""
+    keyring = Keyring(draw(st.integers(0, 2 ** 16)), 8)
+    pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
+    blk = make_block(draw(st.integers(0, 7)), draw(st.binary(max_size=64)),
+                     pointers, share=draw(st.binary(max_size=16)))
+    return keyring, keyring.sign(blk)
+
+
+def layout_encoding(blk: Block) -> bytes:
+    """The documented layout, built independently of encode_block."""
+    return (struct.pack(">II", blk.creator, len(blk.payload)) + blk.payload
+            + struct.pack(">H", len(blk.pointers)) + b"".join(blk.pointers)
+            + struct.pack(">H", len(blk.share)) + blk.share)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_blocks())
+def test_cached_id_is_hash_of_documented_layout(case):
+    _, blk = case
+    want = layout_encoding(blk)
+    for _ in range(2):  # computed, then cached
+        assert encode_block(blk) == want
+        assert block_id(blk) == hashlib.sha256(want).digest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_blocks())
+def test_equality_and_hash_ignore_the_cached_id(case):
+    _, blk = case
+    twin = dataclasses.replace(blk)
+    block_id(blk)
+    assert blk == twin and twin == blk
+    assert hash(blk) == hash(twin)
+    assert twin in {blk}
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_blocks(), st.data())
+def test_rebuilt_block_gets_a_fresh_id(case, data):
+    keyring, blk = case
+    old_id, old_enc = block_id(blk), encode_block(blk)
+    field = data.draw(st.sampled_from(["creator", "payload", "pointers", "share"]))
+    if field == "creator":
+        value = (blk.creator + data.draw(st.integers(1, 7))) % 8
+    elif field == "pointers":
+        value = tuple(sorted(set(blk.pointers) ^ {bytes(32)}))  # toggle one
+    else:
+        value = getattr(blk, field) + b"!"
+    rebuilt = dataclasses.replace(blk, **{field: value})
+    assert rebuilt.signature == blk.signature
+    assert encode_block(rebuilt) == layout_encoding(rebuilt) != old_enc
+    assert block_id(rebuilt) != old_id
+    assert not keyring.verify(rebuilt)
+    assert keyring.verify(blk)
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_blocks())
+def test_deepcopy_keeps_the_id(case):
+    _, blk = case
+    bid = block_id(blk)
+    again = copy.deepcopy(blk)
+    assert again == blk
+    assert block_id(again) == bid
+    assert encode_block(again) == encode_block(blk)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 
 from blocklace import checks
 from blocklace.simnet import ByzSpec, Scenario, run
@@ -102,3 +103,17 @@ def test_equivocator_run_reports_suppressed():
                      byzantine={0: ByzSpec("equivocate", rate=0.7)}))
     assert checks.all_passed(checks.run_all_checks(t))
     assert any(t.logs[m]["suppressed"] for m in t.logs)
+
+
+def test_verification_leaves_no_cyclic_garbage():
+    """The verifiers' rebuilt stores, and the reference ordering run over
+    them, are freed by reference counting alone."""
+    t = run(Scenario(model="asynchrony", rounds=16, seed=1,
+                     byzantine={3: ByzSpec("crash", round=5)}))
+    gc.collect()
+    gc.disable()
+    try:
+        assert checks.all_passed(checks.run_all_checks(t))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

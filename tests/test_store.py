@@ -63,6 +63,19 @@ def test_non_cordial_block_rejected():
     assert (block_id(bad), "non-cordial") in store.violations
 
 
+def test_non_cordial_block_rejected_when_the_cascade_releases_it():
+    src, keyring = fresh_store()
+    made = grow_full(src, 1)
+    thin = keyring.sign(make_block(2, b"thin", [made[(0, 1)], made[(1, 1)]]))
+    store, _ = fresh_store()
+    assert store.insert(thin).status == "buffered"
+    store.insert(src.get(made[(0, 1)]))
+    res = store.insert(src.get(made[(1, 1)]))
+    assert (res.status, res.newly_accepted) == ("accepted", (made[(1, 1)],))
+    assert store.violations == [(block_id(thin), "non-cordial")]
+    assert block_id(thin) not in store and not store.buffer
+
+
 def test_insert_idempotent():
     store, _ = fresh_store()
     blk = store.create_block(0, b"x", 0)
