@@ -7,11 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import decode_block
+from .blocks import block_id, decode_block
 from .leaders import LeaderSchedule
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for, reference_order
 from .simnet import Transcript
 from .store import BlockStore
+
+
+class ReplayError(ValueError):
+    """A miner's accept order cannot be replayed into a fresh store."""
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ class RunView:
         for hid in self.accepts[mid]:
             res = store.insert(self.blocks[hid])
             if res.status != "accepted":
-                raise ValueError(f"transcript replay failed for miner {mid}: "
-                                 f"{hid[:12]} -> {res.status} {res.reason}")
+                raise ReplayError(f"transcript replay failed for miner {mid}: "
+                                  f"{hid[:12]} -> {res.status} {res.reason}")
         return store
 
     def union_store(self) -> BlockStore:
@@ -153,23 +157,44 @@ def check_convergence(view: RunView, horizon: int | None = None) -> Verdict:
 
 def check_ordering_equivalence(view: RunView) -> Verdict:
     """Each miner's cumulative incremental delivery must equal the
-    from-scratch reference recomputation on its final store."""
+    from-scratch reference recomputation on its final store. That order is a
+    function of the accepted set, so each distinct set is replayed once."""
     schedule = view.schedule()
+    reference: dict[frozenset, tuple[list[str], set[str]]] = {}
     for mid in view.correct:
-        store = view.rebuild_store(mid)
-        seq, suppressed = reference_order(store, schedule, view.params)
-        want = [b.hex() for b in seq]
+        key = frozenset(view.accepts[mid])
+        try:
+            if key in reference:
+                _check_parents_first(view, mid)
+            else:
+                seq, sup = reference_order(view.rebuild_store(mid), schedule, view.params)
+                reference[key] = [b.hex() for b in seq], {b.hex() for b in sup}
+        except ReplayError as exc:
+            return Verdict("ordering-equivalence", False, str(exc))
+        want, suppressed = reference[key]
         got = view.delivered.get(mid, [])
         if want != got:
             k = prefix_divergence(want, got)
             return Verdict("ordering-equivalence", False,
                            f"miner {mid}: incremental/"
                            f"reference mismatch at {k} ({len(got)} vs {len(want)})")
-        if {b.hex() for b in suppressed} != set(view.suppressed.get(mid, [])):
+        if suppressed != set(view.suppressed.get(mid, [])):
             return Verdict("ordering-equivalence", False,
                            f"miner {mid}: suppressed-set mismatch")
     return Verdict("ordering-equivalence", True,
                    f"{len(view.correct)} miners match the reference order")
+
+
+def _check_parents_first(view: RunView, mid: int) -> None:
+    """Raise what `rebuild_store(mid)` would for a block accepted before a pointee."""
+    seen: set[bytes] = set()
+    for hid in view.accepts[mid]:
+        blk = view.blocks[hid]
+        bid = block_id(blk)
+        if bid not in seen and any(p not in seen for p in blk.pointers):
+            raise ReplayError(f"transcript replay failed for miner {mid}: "
+                              f"{hid[:12]} -> buffered None")
+        seen.add(bid)
 
 
 def check_coin_blindness(view: RunView) -> Verdict:

@@ -2,10 +2,15 @@
 
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
-sharing no code with the store's bitmask machinery.
+sharing no code with the store's bitmask machinery. The one exception is
+`bf_ordering_equivalence`, a verbatim copy of a retired verifier loop kept
+to check its replacement.
 """
 
 from __future__ import annotations
+
+from blocklace.checks import Verdict, prefix_divergence
+from blocklace.ordering import reference_order
 
 
 def graph_of(store) -> tuple[dict, dict]:
@@ -173,3 +178,25 @@ def bf_admission(pointers: dict, creators: dict, block_pointers,
     below = {creators[b] for b in bf_closure(pointers, block_pointers)
              if bf_depth(pointers, b) == depth - 1}
     return None if len(below) >= quorum else "non-cordial"
+
+
+def bf_ordering_equivalence(view):
+    """The ordering-equivalence verifier as it was before it replayed each
+    distinct accepted set once: one store rebuild and one reference order
+    per correct miner. A replay failure raises."""
+    schedule = view.schedule()
+    for mid in view.correct:
+        store = view.rebuild_store(mid)
+        seq, suppressed = reference_order(store, schedule, view.params)
+        want = [b.hex() for b in seq]
+        got = view.delivered.get(mid, [])
+        if want != got:
+            k = prefix_divergence(want, got)
+            return Verdict("ordering-equivalence", False,
+                           f"miner {mid}: incremental/"
+                           f"reference mismatch at {k} ({len(got)} vs {len(want)})")
+        if {b.hex() for b in suppressed} != set(view.suppressed.get(mid, [])):
+            return Verdict("ordering-equivalence", False,
+                           f"miner {mid}: suppressed-set mismatch")
+    return Verdict("ordering-equivalence", True,
+                   f"{len(view.correct)} miners match the reference order")

@@ -5,8 +5,11 @@ from __future__ import annotations
 import copy
 import gc
 
+import pytest
+
 from blocklace import checks
 from blocklace.simnet import ByzSpec, Scenario, run
+from helpers_oracle import bf_ordering_equivalence
 
 
 def healthy_transcript(model="eventual-synchrony", **kw):
@@ -64,6 +67,95 @@ def test_ordering_equivalence_catches_reordered_log():
         rec[0]["block"], rec[1]["block"] = rec[1]["block"], rec[0]["block"]
     v = checks.check_ordering_equivalence(checks.RunView(broken))
     assert not v.passed
+
+
+def shared_set_view():
+    """A healthy run whose correct miners all end on one accepted set, so
+    every miner after the first is checked against that set's cached order."""
+    view = checks.RunView(healthy_transcript())
+    assert len({frozenset(view.accepts[m]) for m in view.correct}) == 1
+    return view, view.correct[-1]
+
+
+def test_ordering_equivalence_checks_last_miner_delivery():
+    view, last = shared_set_view()
+    rec = view.delivered[last]
+    rec[2], rec[3] = rec[3], rec[2]
+    v = checks.check_ordering_equivalence(view)
+    assert not v.passed
+    assert v.detail.startswith(f"miner {last}: incremental/reference mismatch at 2")
+
+
+def test_ordering_equivalence_checks_last_miner_suppressed_set():
+    view, last = shared_set_view()
+    view.suppressed[last].append(view.delivered[last][0])
+    v = checks.check_ordering_equivalence(view)
+    assert not v.passed
+    assert v.detail == f"miner {last}: suppressed-set mismatch"
+
+
+def test_ordering_equivalence_checks_last_miner_accept_order():
+    view, last = shared_set_view()
+    acc = view.accepts[last]
+    acc.insert(0, acc.pop())  # the deepest block now precedes its pointees
+    v = checks.check_ordering_equivalence(view)
+    assert not v.passed
+    assert v.detail == (f"transcript replay failed for miner {last}: "
+                        f"{acc[0][:12]} -> buffered None")
+
+
+def oracle_verdict(view):
+    try:
+        return bf_ordering_equivalence(view)
+    except ValueError as exc:
+        return checks.Verdict("ordering-equivalence", False, str(exc))
+
+
+def tampered_views(view):
+    """The view itself plus copies with one miner's accept order, accepted
+    set, delivered list or suppressed set changed."""
+    first, mid, last = view.correct[0], view.correct[1], view.correct[-1]
+
+    def variant(field, miner, value):
+        out = copy.copy(view)
+        setattr(out, field, {**getattr(view, field), miner: value})
+        return out
+
+    acc, got = view.accepts[mid], view.delivered[last]
+    yield view
+    yield variant("accepts", first, view.accepts[first][:-1])
+    yield variant("accepts", mid, sorted(acc, key=lambda h: (view.block_depth[h], h[::-1])))
+    yield variant("accepts", mid, acc[-1:] + acc[:-1])  # deepest block first
+    yield variant("accepts", last, view.accepts[last][:-1])
+    if len(got) >= 2:
+        yield variant("delivered", last, [got[1], got[0], *got[2:]])
+    yield variant("delivered", mid, view.delivered[mid][:-1])
+    yield variant("suppressed", last, [*view.suppressed[last], acc[0]])
+
+
+def oracle_scenarios():
+    behaviors = ("crash", "silent", "equivocate")
+    for k in range(30):
+        n, f = (4, 1) if k % 2 == 0 else (7, 2)
+        asynchrony = k % 4 >= 2
+        byzantine = {(k + 3 * j) % n: ByzSpec(behaviors[(k // 4 + j) % 3], rate=0.5,
+                                            round=3 + k % 4)
+                     for j in range(f if k % 3 else 0)}
+        yield Scenario(n=n, f=f, seed=k, byzantine=byzantine,
+                       model="asynchrony" if asynchrony else "eventual-synchrony",
+                       rounds=15 if asynchrony else 12,
+                       delays={"kind": "uniform", "min": 1, "max": 3},
+                       adversary={"kind": "reorder", "lag": 2} if asynchrony
+                       else {"kind": "corrupt-leader"})
+
+
+@pytest.mark.parametrize("sc", list(oracle_scenarios()), ids=lambda sc: f"seed{sc.seed}")
+def test_ordering_equivalence_matches_per_miner_oracle(sc):
+    """One replay per distinct accepted set gives the verdict that one
+    replay per correct miner gives, replay failures included."""
+    view = checks.RunView(run(sc))
+    for tampered in tampered_views(view):
+        assert checks.check_ordering_equivalence(tampered) == oracle_verdict(tampered)
 
 
 def test_model_conformance_catches_unmatched_delivery():

@@ -110,6 +110,25 @@ def test_check_detects_corruption(tmp_path, capsys):
     assert report["all_passed"] is False
 
 
+def test_check_reports_unreplayable_accept_order(tmp_path, capsys):
+    """A miner's accept order that no fresh store can replay is a failing
+    ordering-equivalence verdict in the report, not a traceback."""
+    cfg = write_config(tmp_path, rounds=16, seed=0)
+    main(["run", cfg])
+    path = tmp_path / "out" / "transcript.jsonl"
+    rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+    mine = [r for r in rows if r.get("e") == "accept" and r["m"] == 3]
+    mine[0]["id"], mine[-1]["id"] = mine[-1]["id"], mine[0]["id"]
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                            for r in rows))
+    assert main(["check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    verdict = {v["name"]: v for v in report["transcripts"][str(path)]}["ordering-equivalence"]
+    assert not verdict["passed"]
+    assert verdict["detail"].startswith("transcript replay failed for miner 3: ")
+
+
 def test_trace_dot_output(tmp_path, capsys):
     cfg = write_config(tmp_path, rounds=4)
     main(["run", cfg])

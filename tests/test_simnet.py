@@ -67,6 +67,18 @@ def test_crash_keeps_protocol_live():
         assert v.passed, (v.name, v.detail)
 
 
+@pytest.mark.xfail(strict=True, reason="known stall: an equivocator at n=4 can leave every "
+                   "correct miner without a round to build on (FOUND line on "
+                   "BlockStore.cordial_round in CHANGES.md)")
+def test_n4_equivocator_run_stays_live():
+    sc = Scenario(n=4, f=1, model="asynchrony", seed=527296187, rounds=30,
+                  delays={"kind": "uniform", "min": 1, "max": 3},
+                  adversary={"kind": "reorder", "lag": 2},
+                  byzantine={2: ByzSpec("equivocate", rate=0.5)})
+    v = checks.check_liveness(checks.RunView(run(sc)))
+    assert v.passed, v.detail
+
+
 def test_crashed_miner_blocks_still_delivered():
     sc = Scenario(rounds=20, seed=2, byzantine={1: ByzSpec("crash", round=5)})
     t = run(sc)
