@@ -35,9 +35,6 @@ class Block:
     share: bytes = b""
     signature: bytes = b""
 
-    def is_initial(self) -> bool:
-        return not self.pointers
-
     @cached_property
     def _encoding(self) -> bytes:
         parts = [

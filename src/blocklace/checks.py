@@ -83,9 +83,17 @@ class RunView:
         lookup = None if self.model == MODEL_ES else self.revealed.get
         return LeaderSchedule(self.n, self.params.leader_stride, lookup)
 
+    def accepted(self, mid: int) -> list[str]:
+        """Miner mid's accepted ids in accept order; raises ReplayError on
+        an id that no create event defines."""
+        for hid in self.accepts[mid]:
+            if hid not in self.blocks:
+                raise ReplayError(f"miner {mid} accepted undefined block {hid[:12]}")
+        return self.accepts[mid]
+
     def rebuild_store(self, mid: int) -> BlockStore:
         store = BlockStore(self.n, self.f)
-        for hid in self.accepts[mid]:
+        for hid in self.accepted(mid):
             res = store.insert(self.blocks[hid])
             if res.status != "accepted":
                 raise ReplayError(f"transcript replay failed for miner {mid}: "
@@ -141,9 +149,11 @@ def check_convergence(view: RunView, horizon: int | None = None) -> Verdict:
     """At quiescence, correct miners hold identical accepted sets inside the
     measured horizon."""
     horizon = view.horizon if horizon is None else horizon
-    sets = {}
-    for mid in view.correct:
-        sets[mid] = {h for h in view.accepts[mid] if view.block_depth[h] <= horizon}
+    try:
+        sets = {mid: {h for h in view.accepted(mid) if view.block_depth[h] <= horizon}
+                for mid in view.correct}
+    except ReplayError as exc:
+        return Verdict("convergence", False, str(exc))
     base = sets[view.correct[0]]
     for mid in view.correct[1:]:
         if sets[mid] != base:
@@ -188,7 +198,7 @@ def check_ordering_equivalence(view: RunView) -> Verdict:
 def _check_parents_first(view: RunView, mid: int) -> None:
     """Raise what `rebuild_store(mid)` would for a block accepted before a pointee."""
     seen: set[bytes] = set()
-    for hid in view.accepts[mid]:
+    for hid in view.accepted(mid):
         blk = view.blocks[hid]
         bid = block_id(blk)
         if bid not in seen and any(p not in seen for p in blk.pointers):

@@ -21,9 +21,15 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _log(args, msg: str) -> None:
+def _log(msg: str) -> None:
     if os.environ.get("BLOCKLACE_LOG", "info") != "quiet":
         print(msg, file=sys.stderr)
+
+
+def _log_verdicts(prefix: str, verdicts) -> None:
+    for v in verdicts:
+        state = ("pass" if v.passed else "FAIL") if v.applicable else "n/a"
+        _log(f"{prefix}{v.name}: {state} ({v.detail})")
 
 
 def cmd_run(args) -> int:
@@ -43,18 +49,14 @@ def cmd_run(args) -> int:
         _write(os.path.join(out, f"deliveries-{mid}.jsonl"),
                "\n".join(lines) + ("\n" if lines else ""))
     verdicts = checks.run_all_checks(transcript)
-    for v in verdicts:
-        state = "pass" if v.passed else "FAIL"
-        if not v.applicable:
-            state = "n/a"
-        _log(args, f"check {v.name}: {state} ({v.detail})")
+    _log_verdicts("check ", verdicts)
     report = {"checks": [v.to_dict() for v in verdicts],
               "all_passed": checks.all_passed(verdicts)}
     _write(os.path.join(out, "checks.json"),
            json.dumps(report, sort_keys=True, indent=2) + "\n")
     mean = transcript.metrics.get("mean_commit_latency")
-    _log(args, f"run complete: {transcript.metrics['decisions']} decisions, "
-               f"mean latency {mean}")
+    _log(f"run complete: {transcript.metrics['decisions']} decisions, "
+         f"mean latency {mean}")
     return 0 if report["all_passed"] else 1
 
 
@@ -99,7 +101,7 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    _log(args, f"sweep complete: {len(points)} runs -> {out}")
+    _log(f"sweep complete: {len(points)} runs -> {out}")
     return 0
 
 
@@ -144,11 +146,7 @@ def cmd_check(args) -> int:
             return 2
         verdicts = checks.run_all_checks(transcript)
         report[path] = [v.to_dict() for v in verdicts]
-        for v in verdicts:
-            state = "pass" if v.passed else "FAIL"
-            if not v.applicable:
-                state = "n/a"
-            _log(args, f"{path}: {v.name}: {state} ({v.detail})")
+        _log_verdicts(f"{path}: ", verdicts)
         all_ok = all_ok and checks.all_passed(verdicts)
     print(json.dumps({"transcripts": report, "all_passed": all_ok},
                      sort_keys=True, indent=2))

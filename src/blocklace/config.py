@@ -3,15 +3,13 @@ paths and sweep axes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
 from .simnet import ByzSpec, Scenario, ScenarioError
 
-SCENARIO_KEYS = {
-    "n", "f", "model", "seed", "rounds", "settle_rounds", "delta", "gst",
-    "delay_bound", "delays", "adversary", "byzantine", "batch", "payload_size",
-}
+SCENARIO_KEYS = {f.name for f in dataclasses.fields(Scenario)}
 TOP_KEYS = SCENARIO_KEYS | {"out_dir", "sweep"}
 SWEEP_KEYS = {"n", "model", "seeds", "seed_count", "adversary", "batch"}
 
@@ -27,34 +25,54 @@ class RunConfig:
     sweep: dict
 
 
+def _number(value, kind, where: str):
+    """kind(value), or a ConfigError naming where the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _optional_int(value, where: str) -> int | None:
+    return None if value is None else _number(value, int, where)
+
+
 def _scenario_from(doc: dict, path: str) -> Scenario:
     byz = {}
-    for key, spec in doc.get("byzantine", {}).items():
+    byzantine = doc.get("byzantine", {})
+    if not isinstance(byzantine, dict):
+        raise ConfigError(f"{path}: byzantine must be an object")
+    for key, spec in byzantine.items():
         try:
             mid = int(key)
         except ValueError:
             raise ConfigError(f"{path}: byzantine key {key!r} is not a miner index")
         if not isinstance(spec, dict) or "behavior" not in spec:
             raise ConfigError(f"{path}: byzantine[{key}] needs a behavior")
-        byz[mid] = ByzSpec(behavior=spec["behavior"],
-                           rate=float(spec.get("rate", 0.0)),
-                           round=int(spec.get("round", 0)))
-    n = int(doc.get("n", 4))
+        byz[mid] = ByzSpec(
+            behavior=spec["behavior"],
+            rate=_number(spec.get("rate", 0.0), float, f"{path}: byzantine[{key}].rate"),
+            round=_number(spec.get("round", 0), int, f"{path}: byzantine[{key}].round"))
+
+    def num(key, default):
+        return _number(doc.get(key, default), int, f"{path}: {key}")
+
+    n = num("n", 4)
     scenario = Scenario(
         n=n,
-        f=int(doc.get("f", (n - 1) // 3)),
+        f=num("f", (n - 1) // 3),
         model=doc.get("model", "eventual-synchrony"),
-        seed=int(doc.get("seed", 0)),
-        rounds=int(doc.get("rounds", 30)),
-        settle_rounds=doc.get("settle_rounds"),
-        delta=int(doc.get("delta", 0)),
-        gst=int(doc.get("gst", 0)),
-        delay_bound=int(doc.get("delay_bound", 16)),
+        seed=num("seed", 0),
+        rounds=num("rounds", 30),
+        settle_rounds=_optional_int(doc.get("settle_rounds"), f"{path}: settle_rounds"),
+        delta=num("delta", 0),
+        gst=num("gst", 0),
+        delay_bound=num("delay_bound", 16),
         delays=doc.get("delays", {"kind": "fixed", "ticks": 1}),
         adversary=doc.get("adversary", {"kind": "none"}),
         byzantine=byz,
-        batch=doc.get("batch"),
-        payload_size=int(doc.get("payload_size", 64)),
+        batch=_optional_int(doc.get("batch"), f"{path}: batch"),
+        payload_size=num("payload_size", 64),
     )
     return _validated(scenario, path)
 
@@ -92,31 +110,30 @@ def expand_sweep(cfg: RunConfig) -> list[Scenario]:
     to n payloads per block."""
     base = cfg.scenario
     sweep = cfg.sweep
-    ns = sweep.get("n", [base.n])
+    ns = [_number(n, int, "sweep n") for n in sweep.get("n", [base.n])]
     models = sweep.get("model", [base.model])
     adversaries = sweep.get("adversary", [base.adversary])
     if "seeds" in sweep:
-        seeds = list(sweep["seeds"])
+        seeds = [_number(s, int, "sweep seeds") for s in sweep["seeds"]]
     elif "seed_count" in sweep:
-        seeds = list(range(base.seed, base.seed + int(sweep["seed_count"])))
+        count = _number(sweep["seed_count"], int, "sweep seed_count")
+        seeds = list(range(base.seed, base.seed + count))
     else:
         seeds = [base.seed]
+    batch = _optional_int(sweep.get("batch", base.batch), "sweep batch")
     out = []
     for n in ns:
         for model in models:
             for adv in adversaries:
                 for seed in seeds:
-                    sc = Scenario(
-                        n=n, f=(n - 1) // 3, model=model, seed=seed,
-                        rounds=base.rounds, settle_rounds=base.settle_rounds,
-                        delta=base.delta if model == "eventual-synchrony" else 0,
-                        gst=base.gst if model == "eventual-synchrony" else 0,
-                        delay_bound=base.delay_bound,
+                    es = model == "eventual-synchrony"
+                    sc = dataclasses.replace(
+                        base, n=n, f=(n - 1) // 3, model=model, seed=seed,
+                        delta=base.delta if es else 0, gst=base.gst if es else 0,
                         delays=dict(base.delays),
                         adversary=dict(adv) if isinstance(adv, dict) else {"kind": adv},
                         byzantine=dict(base.byzantine),
-                        batch=sweep.get("batch", base.batch),
-                        payload_size=base.payload_size,
+                        batch=batch,
                     )
                     out.append(_validated(sc, f"sweep point n={n} {model} seed={seed}"))
     return out

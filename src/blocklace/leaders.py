@@ -70,9 +70,6 @@ class CoinOracle:
             return v
         return None
 
-    def is_revealed(self, r: int) -> bool:
-        return r in self.revealed
-
     def revealed_value(self, r: int) -> MinerId | None:
         return self.revealed.get(r)
 

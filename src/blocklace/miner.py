@@ -24,10 +24,6 @@ class ProtocolConfig:
     params: WaveParams
     delta: int = 0
 
-    def __post_init__(self):
-        if self.n < 3 * self.f + 1:
-            raise ValueError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
-
 
 @dataclass(frozen=True)
 class Package:
@@ -37,9 +33,6 @@ class Package:
 
     def wire(self) -> bytes:
         return encode_package(self.blocks)
-
-    def ids(self) -> list[bytes]:
-        return [block_id(b) for b in self.blocks]
 
 
 class MinerState:
@@ -79,12 +72,14 @@ class MinerState:
             if res.status != "rejected" and block.creator != self.id:
                 self._heard_since_send[block.creator] = True
             for bid in res.newly_accepted:
-                self._note_accept(bid)
+                self.note_accept(bid)
                 accepted.append(bid)
         self._flush_violations()
         return accepted
 
-    def _note_accept(self, bid: bytes) -> None:
+    def note_accept(self, bid: bytes) -> None:
+        """Bookkeeping for a newly accepted block, received or own; an own
+        block adds nothing to the evidence of what peers know."""
         creator = self.store.creator_of(bid)
         if creator != self.id:
             self._evidence[creator] |= self.store.closure_mask(bid)
@@ -96,12 +91,6 @@ class MinerState:
         for bid, reason in self.store.violations[self._violations_seen:]:
             self.outbox.append({"e": "reject", "id": bid, "reason": reason})
         self._violations_seen = len(self.store.violations)
-
-    def note_own_block(self, bid: bytes) -> None:
-        """Bookkeeping for a block this miner created and accepted itself."""
-        self.outbox.append({"e": "accept", "id": bid})
-        self._maybe_request_coins()
-        self._run_delivery(self.store.depth_of(bid))
 
     def poke(self) -> None:
         """Re-check delivery without a new block (after a coin reveal)."""
@@ -159,41 +148,44 @@ class MinerState:
              share: bytes = b"") -> tuple[Block | None, list[tuple[int, Package]]]:
         """Create a cordial block if possible and build per-peer packages:
         the closure backlog for responsive peers, the bare block otherwise,
-        nothing for peers observed faulty."""
+        nothing for peers observed faulty.
+
+        The backlog is the new block's closure less its pointees one round
+        below (depth falls along every pointer, so those are the only
+        closure blocks there); it is built once and each peer's evidence is
+        applied to it."""
         r = self.can_proceed(now, max_depth)
         if r is None:
             return None, []
         blk = self.store.create_block(self.id, payload, r, share)
         bid = block_id(blk)
-        self.note_own_block(bid)
+        self.note_accept(bid)
+        backlog = self.store.closure_mask(bid)
+        below = self.store.depth_of(bid) - 1
+        for p in blk.pointers:
+            if self.store.depth_of(p) == below:
+                backlog &= ~(1 << self.store.index_of(p))
         sends = []
         for q in range(self.config.n):
             if q == self.id or self.store.is_faulty(q):
                 continue
-            sends.append((q, self.package_for(q, bid)))
+            sends.append((q, self.package_for(q, bid, backlog)))
         self.last_send = now
         self._flush_violations()
         return blk, sends
 
-    def package_for(self, q: MinerId, bid: bytes) -> Package:
+    def package_for(self, q: MinerId, bid: bytes, backlog: int) -> Package:
         """Build and record the package carrying bid to q: for a responsive
-        peer, the new block plus every backlog block q has shown no evidence
-        of knowing; for a nonresponsive peer, the bare block.
+        peer, every block of the backlog mask q has shown no evidence of
+        knowing; for a nonresponsive peer, the bare block.
 
-        Blocks of the round just built on travel bare even to responsive
-        peers: they are still in flight from their own creators and are
-        relayed one round later if evidence is still missing.
+        Blocks of the round just built on are not in the backlog: they are
+        still in flight from their own creators and are relayed one round
+        later if evidence is still missing.
         """
         if not self.responsive(q):
             return self._package(q, 1 << self.store.index_of(bid), bid)
-        # Depth falls along every pointer, so the only closure blocks one
-        # round below bid are its direct pointees.
-        mask = self.store.closure_mask(bid)
-        below = self.store.depth_of(bid) - 1
-        for p in self.store.get(bid).pointers:
-            if self.store.depth_of(p) == below:
-                mask &= ~(1 << self.store.index_of(p))
-        return self._package(q, mask, bid)
+        return self._package(q, backlog, bid)
 
     def closure_package(self, q: MinerId, bid: bytes) -> Package:
         """The whole closure of own block bid that q has shown no evidence

@@ -45,13 +45,10 @@ def params_for(model: str) -> WaveParams:
     raise ValueError(f"unknown model {model!r}")
 
 
-def topo_key(store: BlockStore):
-    """Fixed topological tie-break: depth, then creator index, then id bytes."""
-    return lambda bid: (store.depth_of(bid), store.creator_of(bid), bid)
-
-
 def topo_sorted(store: BlockStore, ids) -> list[bytes]:
-    return sorted(ids, key=topo_key(store))
+    """ids in the fixed topological order: depth, then creator index, then
+    id bytes."""
+    return sorted(ids, key=lambda b: (store.depth_of(b), store.creator_of(b), b))
 
 
 def leader_blocks_at(store: BlockStore, schedule, d: int) -> list[bytes]:
@@ -59,12 +56,6 @@ def leader_blocks_at(store: BlockStore, schedule, d: int) -> list[bytes]:
     if lead is None:
         return []
     return sorted(b for b in store.blocks_at(d) if store.creator_of(b) == lead)
-
-
-def ratifier_creators(store: BlockStore, cand: bytes, depth: int, alpha: int) -> set[int]:
-    """Creators of depth-`depth` blocks that ratify cand."""
-    return {store.creator_of(b) for b in store.blocks_at(depth)
-            if store.ratifies(cand, b, alpha)}
 
 
 def super_ratified_leader(store: BlockStore, schedule, params: WaveParams,
@@ -84,18 +75,11 @@ def super_ratified_leader(store: BlockStore, schedule, params: WaveParams,
     return None
 
 
-def is_super_ratified(store: BlockStore, schedule, params: WaveParams,
-                      cand: bytes) -> bool:
-    """Whether one specific leader block meets the decision rule."""
-    r = store.depth_of(cand)
-    if schedule.leader_at(r) != store.creator_of(cand):
-        return False
-    return _super_ratified(store, schedule, params, cand, r)
-
-
 def _super_ratified(store: BlockStore, schedule, params: WaveParams,
                     cand: bytes, r: int) -> bool:
-    creators = ratifier_creators(store, cand, r + params.beta, params.alpha)
+    """Whether leader block cand of round r meets the decision rule."""
+    creators = {store.creator_of(b) for b in store.blocks_at(r + params.beta)
+                if store.ratifies(cand, b, params.alpha)}
     if len(creators) < store.quorum:
         return False
     if params.alpha == 1:

@@ -72,6 +72,17 @@ class Scenario:
                 raise ScenarioError(f"byzantine miner {mid} out of range")
             if spec.behavior not in BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {spec.behavior!r}")
+        for name, keys in (("delays", ("ticks", "min", "max")),
+                           ("adversary", ("lag", "max_delay"))):
+            section = getattr(self, name)
+            if not isinstance(section, dict):
+                raise ScenarioError(f"{name} must be an object")
+            for key in keys:  # read with int() by Adversary
+                try:
+                    int(section.get(key, 0))
+                except (TypeError, ValueError):
+                    raise ScenarioError(f"{name}.{key} must be an integer, "
+                                        f"got {section[key]!r}") from None
         if self.delays.get("kind") not in DELAY_KINDS:
             raise ScenarioError(f"unknown delay kind {self.delays.get('kind')!r}")
         if self.adversary.get("kind") not in ADVERSARIES:
@@ -226,9 +237,9 @@ class EquivocateBehavior(Behavior):
         twin = sim.keyring.sign(twin)
         m.store.insert(twin)
         bid, tid = block_id(blk), block_id(twin)
-        m.note_own_block(bid)
+        m.note_accept(bid)
         sim.record_create(now, m, blk)
-        m.note_own_block(tid)
+        m.note_accept(tid)
         sim.record_create(now, m, twin)
         peers = [q for q in range(sim.scenario.n) if q != m.id]
         half = (len(peers) + 1) // 2
@@ -364,7 +375,7 @@ class Simulation:
         ids = [block_id(b).hex() for b in pkg.blocks]
         self.events.append({"e": "send", "t": now, "from": frm, "to": to,
                             "ids": ids, "bytes": len(wire)})
-        self._push(now + delay, "pkg", (frm, to, pkg))
+        self._push(now + delay, "pkg", (frm, to, pkg, ids))
 
     def _push(self, t: int, kind: str, payload) -> None:
         heapq.heappush(self.heap, (t, self._seq, kind, payload))
@@ -456,10 +467,10 @@ class Simulation:
             _, _, kind, payload = heapq.heappop(self.heap)
             did = True
             if kind == "pkg":
-                frm, to, pkg = payload
+                frm, to, pkg, ids = payload
                 m = self.miners[to]
                 self.events.append({"e": "deliver", "t": t, "from": frm, "to": to,
-                                    "ids": [i.hex() for i in pkg.ids()]})
+                                    "ids": ids})
                 m.on_receive(pkg)
                 self._drain_protocol_events(t, m)
             elif kind == "poke":

@@ -76,7 +76,6 @@ class BlockStore:
         self._by_depth: dict[int, list[int]] = {}
         self._creator_ack: dict[int, int] = {}  # OR of closures of creator's blocks
         self._equivocators: set[int] = set()
-        self._partner_cache: dict[int, tuple[int, int]] = {}
         self.buffer: dict[bytes, Block] = {}
         self.violations: list[tuple[bytes, str]] = []  # rejected (id, reason)
         self._max_depth = 0
@@ -149,9 +148,6 @@ class BlockStore:
 
     def _rank(self, i: int) -> tuple[int, bytes]:
         return self._depth[i], self._ids[i]
-
-    def blocks_by(self, q: MinerId) -> list[bytes]:
-        return [self._ids[i] for i in self._by_creator.get(q, ())]
 
     # -- insertion -----------------------------------------------------
 
@@ -294,27 +290,22 @@ class BlockStore:
         c = self._creator[i]
         if c not in self._equivocators:
             return 0
-        siblings = self._by_creator[c]
-        cached = self._partner_cache.get(i)
-        if cached and cached[0] == len(siblings):
-            return cached[1]
         mask = 0
         mine = self._closure[i]
-        for s in siblings:
+        for s in self._by_creator[c]:
             if s == i:
                 continue
             if not ((mine >> s) & 1 or (self._closure[s] >> i) & 1):
                 mask |= 1 << s
-        self._partner_cache[i] = (len(siblings), mask)
         return mask
 
     def approves(self, b1: bytes, b: bytes) -> bool:
         """b acknowledges b1 and none of b1's equivocation partners."""
-        i1, ib = self._idx(b1), self._idx(b)
+        return self._approves(self._idx(b1), self._idx(b))
+
+    def _approves(self, i1: int, ib: int) -> bool:
         m = self._closure[ib]
-        if not (m >> i1) & 1:
-            return False
-        return not (m & self._partner_mask(i1))
+        return bool((m >> i1) & 1) and not (m & self._partner_mask(i1))
 
     def ratifies(self, b1: bytes, b2: bytes, alpha: int) -> bool:
         """b2 acknowledges blocks at depth(b1)+alpha approving b1 by >= 2f+1
@@ -326,24 +317,11 @@ class BlockStore:
         for i in self._by_depth.get(target, ()):
             if not (m2 >> i) & 1:
                 continue
-            if self.approves(b1, self._ids[i]):
+            if self._approves(i1, i):
                 creators.add(self._creator[i])
                 if len(creators) >= self.quorum:
                     return True
         return False
-
-    def approval_creators(self, b1: bytes, depth: int | None = None) -> set[int]:
-        """Distinct creators of accepted blocks approving b1, optionally at
-        one fixed depth."""
-        creators: set[int] = set()
-        if depth is None:
-            rows = [i for idxs in self._by_depth.values() for i in idxs]
-        else:
-            rows = self._by_depth.get(depth, ())
-        for i in rows:
-            if self.approves(b1, self._ids[i]):
-                creators.add(self._creator[i])
-        return creators
 
     def is_faulty(self, q: MinerId) -> bool:
         """q equivocated. Non-cordial blocks never enter the store, so

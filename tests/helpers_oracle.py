@@ -2,15 +2,16 @@
 
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
-sharing no code with the store's bitmask machinery. The one exception is
+sharing no code with the store's bitmask machinery. The exceptions are
 `bf_ordering_equivalence`, a verbatim copy of a retired verifier loop kept
-to check its replacement.
+to check its replacement, and the store queries at the end, which only tests
+need and which read a store through its public API.
 """
 
 from __future__ import annotations
 
 from blocklace.checks import Verdict, prefix_divergence
-from blocklace.ordering import reference_order
+from blocklace.ordering import _super_ratified, reference_order
 
 
 def graph_of(store) -> tuple[dict, dict]:
@@ -200,3 +201,26 @@ def bf_ordering_equivalence(view):
                            f"miner {mid}: suppressed-set mismatch")
     return Verdict("ordering-equivalence", True,
                    f"{len(view.correct)} miners match the reference order")
+
+
+# -- store queries only tests use -------------------------------------------
+
+
+def blocks_by(store, q) -> list:
+    """q's accepted blocks in acceptance order."""
+    return [b for b in store.accepted_ids() if store.creator_of(b) == q]
+
+
+def approval_creators(store, b1, depth: int | None = None) -> set:
+    """Distinct creators of accepted blocks approving b1, optionally at one
+    fixed depth."""
+    rows = store.accepted_ids() if depth is None else store.blocks_at(depth)
+    return {store.creator_of(b) for b in rows if store.approves(b1, b)}
+
+
+def is_super_ratified(store, schedule, params, cand) -> bool:
+    """Whether one specific leader block meets the library's decision rule."""
+    r = store.depth_of(cand)
+    if schedule.leader_at(r) != store.creator_of(cand):
+        return False
+    return _super_ratified(store, schedule, params, cand, r)

@@ -18,14 +18,19 @@ from blocklace.ordering import (
     ES_PARAMS,
     DeliveryLog,
     extend_delivery,
-    is_super_ratified,
     leader_blocks_at,
     reference_order,
 )
 from blocklace.simnet import ByzSpec, Scenario, run
 
 from conftest import fresh_store, grow_random
-from helpers_oracle import bf_approval_creators, graph_of
+from helpers_oracle import (
+    approval_creators,
+    bf_approval_creators,
+    blocks_by,
+    graph_of,
+    is_super_ratified,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -200,14 +205,14 @@ def test_criterion_07_no_supermajority_for_both_halves():
             if use_oracle:
                 pmap, creators = graph_of(store)
             for q in eq:
-                halves = store.blocks_by(q)
+                halves = blocks_by(store, q)
                 for i, a in enumerate(halves):
                     for b in halves[i + 1:]:
                         if not store.is_equivocation(a, b):
                             continue
                         pairs += 1
-                        ca = store.approval_creators(a)
-                        cb = store.approval_creators(b)
+                        ca = approval_creators(store, a)
+                        cb = approval_creators(store, b)
                         if len(ca) >= store.quorum and len(cb) >= store.quorum:
                             violations += 1
                         if use_oracle:

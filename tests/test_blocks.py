@@ -117,15 +117,6 @@ def test_keyring_sign_and_verify():
     assert not keyring.verify(tampered)
 
 
-def test_package_roundtrip():
-    keyring = Keyring(1, 4)
-    blocks = [keyring.sign(make_block(i % 4, bytes([i]) * i, [])) for i in range(5)]
-    wire = encode_package(blocks)
-    back = decode_package(wire)
-    assert [block_id(b) for b in back] == [block_id(b) for b in blocks]
-    assert [b.signature for b in back] == [b.signature for b in blocks]
-
-
 @st.composite
 def random_blocks(draw):
     """Signed blocks with random fields within the structural limits."""
@@ -193,3 +184,32 @@ def test_deepcopy_keeps_the_id(case):
     assert again == blk
     assert block_id(again) == bid
     assert encode_block(again) == encode_block(blk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(random_blocks(), max_size=5))
+def test_package_roundtrip(cases):
+    blocks = [blk for _, blk in cases]
+    back = decode_package(encode_package(blocks))
+    assert [block_id(b) for b in back] == [block_id(b) for b in blocks]
+    assert [b.signature for b in back] == [b.signature for b in blocks]
+
+
+@st.composite
+def spliced_wire(draw):
+    """A valid block or package encoding with a random span replaced."""
+    blocks = [blk for _, blk in draw(st.lists(random_blocks(), min_size=1, max_size=3))]
+    wire = draw(st.sampled_from([encode_block(blocks[0]), encode_package(blocks)]))
+    i = draw(st.integers(0, len(wire)))
+    j = draw(st.integers(i, len(wire)))
+    return wire[:i] + draw(st.binary(max_size=8)) + wire[j:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=200), spliced_wire()))
+def test_arbitrary_bytes_decode_or_raise_block_error(data):
+    for decode in (decode_block, decode_package):
+        try:
+            decode(data)
+        except BlockError:
+            pass

@@ -53,6 +53,30 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"rounds": "x"},
+    {"batch": "x"},
+    {"byzantine": {"1": {"behavior": "crash", "round": "soon"}}},
+    {"delays": {"kind": "uniform", "min": "a"}},
+], ids=["rounds", "batch", "byzantine-round", "delays-min"])
+def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
+    """A value the run would later pass to int() is checked at load time."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("sweep", [
+    {"seed_count": "x"},
+    {"n": ["x"]},
+    {"adversary": [{"kind": "corrupt-leader", "lag": "x"}]},
+], ids=["seed_count", "n", "adversary-lag"])
+def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, sweep=sweep)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_sweep_rejects_point_invalid_for_its_n(tmp_path, capsys):
     cfg = write_config(tmp_path, n=7, f=2, byzantine={"6": {"behavior": "silent"}},
                        sweep={"n": [4, 7]})
@@ -127,6 +151,25 @@ def test_check_reports_unreplayable_accept_order(tmp_path, capsys):
     verdict = {v["name"]: v for v in report["transcripts"][str(path)]}["ordering-equivalence"]
     assert not verdict["passed"]
     assert verdict["detail"].startswith("transcript replay failed for miner 3: ")
+
+
+def test_check_reports_undefined_accept(tmp_path, capsys):
+    """An accept event whose id no create event defines is a failing
+    verdict naming the miner and the id, not a traceback."""
+    cfg = write_config(tmp_path, rounds=8, seed=0)
+    main(["run", cfg])
+    path = tmp_path / "out" / "transcript.jsonl"
+    rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+    next(r for r in rows if r.get("e") == "accept" and r["m"] == 1)["id"] = "00" * 32
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                            for r in rows))
+    assert main(["check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    verdicts = {v["name"]: v for v in report["transcripts"][str(path)]}
+    for name in ("convergence", "ordering-equivalence"):
+        assert not verdicts[name]["passed"]
+        assert verdicts[name]["detail"] == "miner 1 accepted undefined block " + "0" * 12
 
 
 def test_trace_dot_output(tmp_path, capsys):

@@ -28,10 +28,10 @@ def test_deterministic_is_pure():
 def test_coin_pending_until_quorum_of_callers():
     oracle = CoinOracle(seed=9, n=4, f=1, stride=5)
     assert oracle.request(0, 5) is None  # first of f+1 callers
-    assert not oracle.is_revealed(5)
+    assert oracle.revealed_value(5) is None
     v = oracle.request(1, 5)
     assert v is not None
-    assert oracle.is_revealed(5)
+    assert oracle.revealed_value(5) is not None
     # Agreement and idempotence: everyone sees the same value forever.
     assert oracle.request(2, 5) == v
     assert oracle.request(0, 5) == v
@@ -42,7 +42,7 @@ def test_repeat_calls_by_one_miner_do_not_reveal():
     oracle = CoinOracle(seed=9, n=4, f=1, stride=5)
     for _ in range(5):
         assert oracle.request(3, 10) is None
-    assert not oracle.is_revealed(10)
+    assert oracle.revealed_value(10) is None
 
 
 def test_non_leader_round_rejected():

@@ -10,6 +10,8 @@ import pytest
 from blocklace import checks
 from blocklace.simnet import ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run
 
+from helpers_oracle import blocks_by
+
 
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
@@ -116,7 +118,7 @@ def test_equivocator_halves_never_both_delivered():
     for i in sc.correct_miners():
         store = sim.miners[i].store
         log = sim.miners[i].log
-        halves = store.blocks_by(0)
+        halves = blocks_by(store, 0)
         for a in halves:
             for b in halves:
                 if a < b and store.is_equivocation(a, b):
@@ -183,7 +185,7 @@ def test_correct_miners_emit_one_block_per_depth():
     sim.run()
     for i in sc.correct_miners():
         m = sim.miners[i]
-        own = m.store.blocks_by(i)
+        own = blocks_by(m.store, i)
         depths = [m.store.depth_of(b) for b in own]
         assert len(depths) == len(set(depths))
         ordered = sorted(own, key=m.store.depth_of)

@@ -20,6 +20,7 @@ from helpers_oracle import (
     bf_depth,
     bf_equivocation,
     bf_ratifies,
+    blocks_by,
     graph_of,
 )
 
@@ -447,14 +448,14 @@ def test_no_honest_miner_approves_both_halves():
         store, keyring = fresh_store(n=4, f=1, seed=seed)
         rng = random.Random(seed)
         grow_random(store, keyring, rng, rounds=6, equivocators={2: 0.5})
-        pairs = [(a, b) for a in store.blocks_by(2) for b in store.blocks_by(2)
+        pairs = [(a, b) for a in blocks_by(store, 2) for b in blocks_by(store, 2)
                  if a < b and store.is_equivocation(a, b)]
         for a, b in pairs:
             for q in range(4):
                 if store.is_faulty(q):
                     continue
-                appr_a = any(store.approves(a, x) for x in store.blocks_by(q))
-                appr_b = any(store.approves(b, x) for x in store.blocks_by(q))
+                appr_a = any(store.approves(a, x) for x in blocks_by(store, q))
+                appr_b = any(store.approves(b, x) for x in blocks_by(store, q))
                 assert not (appr_a and appr_b)
 
 
@@ -470,7 +471,7 @@ def test_no_supermajority_for_both_halves():
             grow_random(store, keyring, rng, rounds=6, equivocators=eq)
             pointers, creators = graph_of(store)
             for q in eq:
-                halves = store.blocks_by(q)
+                halves = blocks_by(store, q)
                 for a, b in itertools.combinations(halves, 2):
                     if not store.is_equivocation(a, b):
                         continue
