@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .blocks import block_id, decode_block
 from .leaders import LeaderSchedule
-from .ordering import MODEL_ASYNC, MODEL_ES, params_for, reference_order
+from .ordering import MODEL_ASYNC, MODEL_ES, reference_order
 from .simnet import Transcript
 from .store import BlockStore
 
@@ -35,20 +35,13 @@ class RunView:
     order, delivered sequences, and the leader schedule in force."""
 
     def __init__(self, transcript: Transcript):
-        self.transcript = transcript
-        sc = transcript.header["scenario"]
-        self.scenario = sc
-        self.n = sc["n"]
-        self.f = sc["f"]
-        self.model = sc["model"]
-        self.params = params_for(self.model)
-        self.horizon = sc["rounds"]
-        self.byzantine = {int(k) for k in sc.get("byzantine", {})}
-        self.correct = [i for i in range(self.n) if i not in self.byzantine]
+        self.scenario = transcript.scenario
+        self.params = self.scenario.params
+        self.correct = self.scenario.correct_miners()
         self.blocks = {}
         self.block_depth = {}
         self.block_creator = {}
-        self.accepts: dict[int, list[str]] = {i: [] for i in range(self.n)}
+        self.accepts: dict[int, list[str]] = {i: [] for i in range(self.scenario.n)}
         self.revealed: dict[int, int] = {}
         self.sends: list[dict] = []
         self.delivers: list[dict] = []
@@ -80,8 +73,8 @@ class RunView:
 
     def schedule(self) -> LeaderSchedule:
         """Round-robin leaders, or the coin values the transcript revealed."""
-        lookup = None if self.model == MODEL_ES else self.revealed.get
-        return LeaderSchedule(self.n, self.params.leader_stride, lookup)
+        lookup = None if self.scenario.model == MODEL_ES else self.revealed.get
+        return LeaderSchedule(self.scenario.n, self.params.leader_stride, lookup)
 
     def accepted(self, mid: int) -> list[str]:
         """Miner mid's accepted ids in accept order; raises ReplayError on
@@ -92,7 +85,7 @@ class RunView:
         return self.accepts[mid]
 
     def rebuild_store(self, mid: int) -> BlockStore:
-        store = BlockStore(self.n, self.f)
+        store = BlockStore(self.scenario.n, self.scenario.f)
         for hid in self.accepted(mid):
             res = store.insert(self.blocks[hid])
             if res.status != "accepted":
@@ -101,7 +94,7 @@ class RunView:
         return store
 
     def union_store(self) -> BlockStore:
-        store = BlockStore(self.n, self.f)
+        store = BlockStore(self.scenario.n, self.scenario.f)
         for hid, blk in self.blocks.items():
             store.insert(blk)
         return store
@@ -109,10 +102,7 @@ class RunView:
 
 def prefix_divergence(a: list, b: list) -> int | None:
     """Index of the first disagreement, or None if one is a prefix of the other."""
-    for k in range(min(len(a), len(b))):
-        if a[k] != b[k]:
-            return k
-    return None
+    return next((k for k in range(min(len(a), len(b))) if a[k] != b[k]), None)
 
 
 def check_safety(view: RunView) -> Verdict:
@@ -125,11 +115,10 @@ def check_safety(view: RunView) -> Verdict:
     return Verdict("safety", True, f"{len(view.correct)} correct miners consistent")
 
 
-def check_liveness(view: RunView, horizon: int | None = None) -> Verdict:
+def check_liveness(view: RunView) -> Verdict:
     """Every correct-miner block created at least two waves before the
     horizon must be delivered by every correct miner."""
-    horizon = view.horizon if horizon is None else horizon
-    cutoff = horizon - 2 * view.params.wave_length
+    cutoff = view.scenario.rounds - 2 * view.params.wave_length
     due = [hid for hid, c in view.block_creator.items()
            if c in view.correct and view.block_depth[hid] <= cutoff]
     missing = []
@@ -145,10 +134,10 @@ def check_liveness(view: RunView, horizon: int | None = None) -> Verdict:
                    f"{len(due)} blocks due by round {cutoff} delivered everywhere")
 
 
-def check_convergence(view: RunView, horizon: int | None = None) -> Verdict:
+def check_convergence(view: RunView) -> Verdict:
     """At quiescence, correct miners hold identical accepted sets inside the
     measured horizon."""
-    horizon = view.horizon if horizon is None else horizon
+    horizon = view.scenario.rounds
     try:
         sets = {mid: {h for h in view.accepted(mid) if view.block_depth[h] <= horizon}
                 for mid in view.correct}
@@ -209,7 +198,7 @@ def _check_parents_first(view: RunView, mid: int) -> None:
 
 def check_coin_blindness(view: RunView) -> Verdict:
     """No adversary peek may observe a leader before its reveal."""
-    if view.model != MODEL_ASYNC:
+    if view.scenario.model != MODEL_ASYNC:
         return Verdict("coin-blindness", True, "deterministic leaders", applicable=False)
     for ev in view.peeks:
         if ev["revealed"] and view.reveal_times.get(ev["r"], ev["t"] + 1) > ev["t"]:
@@ -225,42 +214,36 @@ def check_model_conformance(view: RunView) -> Verdict:
     pending: dict[tuple, list[int]] = {}
     for ev in view.sends:
         pending.setdefault((ev["from"], ev["to"], tuple(ev["ids"])), []).append(ev["t"])
-    gst = view.scenario.get("gst", 0)
-    bound = view.scenario.get("delay_bound", 0)
+    sc = view.scenario
     for ev in view.delivers:
         key = (ev["from"], ev["to"], tuple(ev["ids"]))
         times = pending.get(key)
         if not times:
             return Verdict("model-conformance", False, f"delivery without send: {key[:2]}")
         t0 = times.pop(0)
-        if view.model == MODEL_ES and t0 >= gst and ev["t"] - t0 > bound:
+        if sc.model == MODEL_ES and t0 >= sc.gst and ev["t"] - t0 > sc.delay_bound:
             return Verdict("model-conformance", False,
-                           f"post-GST delay {ev['t'] - t0} exceeds bound {bound}")
+                           f"post-GST delay {ev['t'] - t0} exceeds bound {sc.delay_bound}")
     left = sum(len(v) for v in pending.values())
     if left:
         return Verdict("model-conformance", False, f"{left} sends never delivered")
     return Verdict("model-conformance", True, f"{len(view.delivers)} deliveries matched")
 
 
-def check_common_core(view: RunView, leader_round: int | None = None) -> Verdict:
+def check_common_core(view: RunView) -> Verdict:
     """Asynchrony: for each completed leader round r there must exist block
     sets U at r+2 and V at r+5, each with >= 2f+1 distinct creators, with
     every member of V acknowledging every member of U."""
-    if view.model != MODEL_ASYNC:
+    if view.scenario.model != MODEL_ASYNC:
         return Verdict("common-core", True, "asynchrony only", applicable=False)
     store = view.union_store()
-    quorum = 2 * view.f + 1
-    stride = view.params.leader_stride
-    if leader_round is not None:
-        rounds = [leader_round]
-    else:
-        rounds = [r for r in range(stride, view.horizon + 1, stride)]
     checked = 0
-    for r in rounds:
+    for r in range(view.params.leader_stride, view.scenario.rounds + 1,
+                   view.params.leader_stride):
         if r + 5 > store.max_depth():
             continue
         checked += 1
-        if not _common_core_at(store, r, quorum):
+        if not _common_core_at(store, r):
             return Verdict("common-core", False, f"no common core at round {r}")
     if checked == 0:
         return Verdict("common-core", True, "no completed leader rounds",
@@ -268,7 +251,8 @@ def check_common_core(view: RunView, leader_round: int | None = None) -> Verdict
     return Verdict("common-core", True, f"{checked} leader rounds have a common core")
 
 
-def _common_core_at(store: BlockStore, r: int, quorum: int) -> bool:
+def _common_core_at(store: BlockStore, r: int) -> bool:
+    quorum = store.quorum
     shallow = store.blocks_at(r + 2)
     deep = store.blocks_at(r + 5)
     by_creator: dict[int, list[bytes]] = {}
@@ -279,19 +263,11 @@ def _common_core_at(store: BlockStore, r: int, quorum: int) -> bool:
         return False
     # Per deep creator keep the block that acknowledges the most shallow
     # creators, then search creator combinations for a joint core.
-    best: dict[int, set[int]] = {}
-    for c, blocks in by_creator.items():
-        cover = max(
-            ({store.creator_of(u) for u in shallow if store.acknowledges(v, u)}
-             for v in blocks),
-            key=len,
-        )
-        best[c] = cover
-    for combo in combinations(creators, quorum):
-        core = set.intersection(*(best[c] for c in combo))
-        if len(core) >= quorum:
-            return True
-    return False
+    best = {c: max(({store.creator_of(u) for u in shallow if store.acknowledges(v, u)}
+                    for v in blocks), key=len)
+            for c, blocks in by_creator.items()}
+    return any(len(set.intersection(*(best[c] for c in combo))) >= quorum
+               for combo in combinations(creators, quorum))
 
 
 def run_all_checks(transcript: Transcript) -> list[Verdict]:

@@ -7,9 +7,7 @@ from .blocks import block_id
 from .store import BlockStore
 
 
-def render_dot(store: BlockStore, schedule, max_round: int | None = None) -> str:
-    if max_round is None:
-        max_round = store.max_depth()
+def render_dot(store: BlockStore, schedule, max_round: int) -> str:
     chosen = [bid for bid in store.accepted_ids()
               if store.depth_of(bid) <= max_round]
     chosen_set = set(chosen)

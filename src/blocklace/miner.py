@@ -48,8 +48,9 @@ class MinerState:
         self.oracle = oracle
         self.store = BlockStore(config.n, config.f, keyring)
         self.log = DeliveryLog()
-        # Blocks q provably knows (closures of blocks q created) or was sent.
-        self._evidence: list[int] = [0] * config.n
+        # Blocks sent to q; with the closures of q's own blocks
+        # (store.creator_ack_mask), what q has shown evidence of knowing.
+        self._sent: list[int] = [0] * config.n
         self._last_sent: list[bytes | None] = [None] * config.n  # own block
         self._heard_since_send: list[bool] = [False] * config.n
         self.last_send: int = 0  # timer reset at startup
@@ -62,9 +63,8 @@ class MinerState:
     def on_receive(self, pkg: Package) -> list[bytes]:
         """Buffer and accept-cascade a package; returns newly accepted ids.
 
-        Per accepted block: extend the evidence of what its creator knows,
-        invoke the coin when a new leader round becomes electable, and re-run
-        delivery.
+        Per accepted block: invoke the coin when a new leader round becomes
+        electable, and re-run delivery.
         """
         accepted: list[bytes] = []
         for block in pkg.blocks:
@@ -78,11 +78,7 @@ class MinerState:
         return accepted
 
     def note_accept(self, bid: bytes) -> None:
-        """Bookkeeping for a newly accepted block, received or own; an own
-        block adds nothing to the evidence of what peers know."""
-        creator = self.store.creator_of(bid)
-        if creator != self.id:
-            self._evidence[creator] |= self.store.closure_mask(bid)
+        """Bookkeeping for a newly accepted block, received or own."""
         self.outbox.append({"e": "accept", "id": bid})
         self._maybe_request_coins()
         self._run_delivery(self.store.depth_of(bid))
@@ -110,7 +106,7 @@ class MinerState:
             self.outbox.append({"e": "coin-call", "r": r})
             self._coin_next = r + stride
 
-    def _run_delivery(self, trigger_depth: int | None) -> list[bytes]:
+    def _run_delivery(self, trigger_depth: int | None) -> None:
         before = self.log.current_leader
         new = extend_delivery(self.store, self.log, self.schedule, self.config.params)
         if self.log.current_leader != before:
@@ -123,7 +119,6 @@ class MinerState:
                 "trigger": trigger_depth,
                 "delivered": len(new),
             })
-        return new
 
     # -- proceeding --------------------------------------------------------
 
@@ -144,8 +139,8 @@ class MinerState:
             return None
         return r
 
-    def step(self, now: int, payload: bytes, max_depth: int | None = None,
-             share: bytes = b"") -> tuple[Block | None, list[tuple[int, Package]]]:
+    def step(self, now: int, payload: bytes,
+             max_depth: int | None = None) -> tuple[Block | None, list[tuple[int, Package]]]:
         """Create a cordial block if possible and build per-peer packages:
         the closure backlog for responsive peers, the bare block otherwise,
         nothing for peers observed faulty.
@@ -157,7 +152,7 @@ class MinerState:
         r = self.can_proceed(now, max_depth)
         if r is None:
             return None, []
-        blk = self.store.create_block(self.id, payload, r, share)
+        blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
         self.note_accept(bid)
         backlog = self.store.closure_mask(bid)
@@ -204,8 +199,8 @@ class MinerState:
         parents-first, counted as known to q from now on. own, when given, is
         the new own block this send carries: q's responsiveness is judged
         against it from now on."""
-        mask &= ~self._evidence[q]
-        self._evidence[q] |= mask
+        mask &= ~(self._sent[q] | self.store.creator_ack_mask(q))
+        self._sent[q] |= mask
         if own is not None:
             self._last_sent[q] = own
             self._heard_since_send[q] = False

@@ -8,7 +8,7 @@ import heapq
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .blocks import Keyring, block_id, encode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
@@ -28,6 +28,14 @@ DELAY_KINDS = ("zero", "fixed", "uniform")
 
 class ScenarioError(ValueError):
     pass
+
+
+def as_number(value, kind, where: str):
+    """kind(value), or a ScenarioError naming where the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: expected {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,30 @@ class Scenario:
     batch: int | None = None
     payload_size: int = 64
 
+    @classmethod
+    def from_dict(cls, doc) -> "Scenario":
+        """The validated scenario a JSON object describes; the inverse of
+        to_dict. An absent key takes the field's default, except f, which
+        defaults to (n-1)//3."""
+        if not isinstance(doc, dict):
+            raise ScenarioError("scenario must be an object")
+        unknown = set(doc) - {fl.name for fl in fields(cls)}
+        if unknown:
+            raise ScenarioError(f"unknown keys {sorted(unknown)}")
+        values = {}
+        for key, value in doc.items():
+            if key == "byzantine":
+                value = _byzantine_from(value)
+            elif key not in ("model", "delays", "adversary") and not (
+                    value is None and key in ("settle_rounds", "batch")):
+                value = as_number(value, int, key)
+            values[key] = value
+        scenario = cls(**values)
+        if "f" not in doc:
+            scenario.f = (scenario.n - 1) // 3
+        scenario.validate()
+        return scenario
+
     def validate(self) -> None:
         if self.n < 3 * self.f + 1:
             raise ScenarioError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
@@ -72,25 +104,41 @@ class Scenario:
                 raise ScenarioError(f"byzantine miner {mid} out of range")
             if spec.behavior not in BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {spec.behavior!r}")
-        for name, keys in (("delays", ("ticks", "min", "max")),
-                           ("adversary", ("lag", "max_delay"))):
-            section = getattr(self, name)
-            if not isinstance(section, dict):
+        for name in ("delays", "adversary"):
+            if not isinstance(getattr(self, name), dict):
                 raise ScenarioError(f"{name} must be an object")
-            for key in keys:  # read with int() by Adversary
-                try:
-                    int(section.get(key, 0))
-                except (TypeError, ValueError):
-                    raise ScenarioError(f"{name}.{key} must be an integer, "
-                                        f"got {section[key]!r}") from None
         if self.delays.get("kind") not in DELAY_KINDS:
             raise ScenarioError(f"unknown delay kind {self.delays.get('kind')!r}")
         if self.adversary.get("kind") not in ADVERSARIES:
             raise ScenarioError(f"unknown adversary kind {self.adversary.get('kind')!r}")
+        v = self.adversary_settings()
+        if self.delays["kind"] == "uniform" and v["min"] > v["max"]:
+            raise ScenarioError(f"delays.min {v['min']} exceeds delays.max {v['max']}")
+        if self.adversary["kind"] == "pre-gst" and v["max_delay"] < 1:
+            raise ScenarioError("adversary.max_delay must be at least 1")
+        if self.adversary["kind"] == "corrupt-leader" and v["miner"] not in range(self.n):
+            raise ScenarioError(f"adversary.miner must be a miner index, got {v['miner']!r}")
+        if min(self.delta, self.delay_bound) < 0:
+            raise ScenarioError("negative delta or delay_bound")
         if self.rounds < 1:
             raise ScenarioError("rounds must be positive")
         if self.payload_size < 0 or (self.batch is not None and self.batch < 0):
             raise ScenarioError("negative batch or payload size")
+
+    def adversary_settings(self) -> dict:
+        """What the adversary reads from delays and adversary, absent keys
+        taking their defaults: the corrupt-leader victim `miner`, and ticks,
+        min, max, lag and max_delay, which raise ScenarioError unless they
+        are non-negative integers."""
+        out = {"miner": self.adversary.get("miner", self.n - 1)}
+        for name, key, default in (("delays", "ticks", 1), ("delays", "min", 1),
+                                   ("delays", "max", 3), ("adversary", "lag", 2),
+                                   ("adversary", "max_delay", self.delay_bound)):
+            out[key] = as_number(getattr(self, name).get(key, default), int,
+                                 f"{name}.{key}")
+            if out[key] < 0:
+                raise ScenarioError(f"{name}.{key} must not be negative, got {out[key]}")
+        return out
 
     @property
     def params(self):
@@ -125,6 +173,20 @@ class Scenario:
         }
 
 
+def _byzantine_from(doc) -> dict[int, ByzSpec]:
+    if not isinstance(doc, dict):
+        raise ScenarioError("byzantine must be an object")
+    out = {}
+    for key, spec in doc.items():
+        mid = as_number(key, int, "byzantine key")
+        if not isinstance(spec, dict) or "behavior" not in spec:
+            raise ScenarioError(f"byzantine[{key}] needs a behavior")
+        out[mid] = ByzSpec(spec["behavior"],
+                           as_number(spec.get("rate", 0.0), float, f"byzantine[{key}].rate"),
+                           as_number(spec.get("round", 0), int, f"byzantine[{key}].round"))
+    return out
+
+
 # -- adversarial scheduling ------------------------------------------------
 
 
@@ -137,29 +199,27 @@ class Adversary:
         self.scenario = scenario
         self.schedule = schedule
         self.rng = rng
-        self.kind = scenario.adversary.get("kind", "none")
-        self.lag = int(scenario.adversary.get("lag", 2))
-        self.victim_miner = scenario.adversary.get("miner")
-        self.max_pre = int(scenario.adversary.get("max_delay", scenario.delay_bound))
+        self.kind = scenario.adversary["kind"]
+        self.delay_kind = scenario.delays["kind"]
+        v = scenario.adversary_settings()
+        self.victim, self.ticks, self.min, self.max = v["miner"], v["ticks"], v["min"], v["max"]
+        self.lag, self.max_pre = v["lag"], v["max_delay"]
         self._victims: dict[int, int] = {}
 
-    def _base(self, now: int) -> int:
-        d = self.scenario.delays
-        kind = d.get("kind", "fixed")
-        if kind == "zero":
+    def _base(self) -> int:
+        if self.delay_kind == "zero":
             return 0
-        if kind == "fixed":
-            return int(d.get("ticks", 1))
-        return self.rng.randint(int(d.get("min", 1)), int(d.get("max", 3)))
+        if self.delay_kind == "fixed":
+            return self.ticks
+        return self.rng.randint(self.min, self.max)
 
     def delay(self, frm: int, to: int, meta: list[tuple[int, int]], now: int) -> int:
         """meta: (creator, depth) per block in the package."""
-        delay = self._base(now)
+        delay = self._base()
         if self.kind == "pre-gst" and now < self.scenario.gst:
             delay = max(delay, self.rng.randint(1, self.max_pre))
         elif self.kind == "corrupt-leader":
-            victim = self.victim_miner if self.victim_miner is not None else self.scenario.n - 1
-            if any(c == victim and self.schedule.leader_at(d) == victim for c, d in meta):
+            if any(c == self.victim and self.schedule.leader_at(d) == c for c, d in meta):
                 delay += self.lag
         elif self.kind == "reorder":
             stride = self.scenario.params.leader_stride
@@ -287,10 +347,19 @@ class Transcript:
     def jsonl(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
+    @property
+    def scenario(self) -> Scenario:
+        """The header's scenario, validated; raises ScenarioError."""
+        try:
+            return Scenario.from_dict(self.header.get("scenario"))
+        except ScenarioError as exc:
+            raise ScenarioError(f"transcript header: {exc}") from None
+
 
 def load_transcript(text: str) -> Transcript:
     lines = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].get("schema") != SCHEMA_TRANSCRIPT:
+    if not (lines and isinstance(lines[0], dict)
+            and lines[0].get("schema") == SCHEMA_TRANSCRIPT):
         raise ValueError("not a transcript file")
     header = lines[0]
     events, logs, metrics = [], {}, {}
@@ -302,7 +371,9 @@ def load_transcript(text: str) -> Transcript:
             metrics = row["metrics"]
         else:
             events.append(row)
-    return Transcript(header, events, logs, metrics)
+    transcript = Transcript(header, events, logs, metrics)
+    transcript.scenario  # rejects a header that is not a valid scenario
+    return transcript
 
 
 # -- the simulation loop -----------------------------------------------------
@@ -520,7 +591,7 @@ class Simulation:
         observer = correct[0]
         decisions = [e for e in self.events
                      if e["e"] == "decide" and e["m"] == observer]
-        measured = [r for r in range(stride, sc.rounds + 1, stride)]
+        measured = range(stride, sc.rounds + 1, stride)
         latencies: list[int] = []
         decided_rounds: list[int] = []
         prev = 0
@@ -532,17 +603,15 @@ class Simulation:
                 decided_rounds.append(r)
             prev = r
         blocks_delivered = sum(len(self.miners[i].log.delivered) for i in correct)
-        payloads = 0
-        if sc.payload_size > 0:
-            for i in correct:
-                for bid in self.miners[i].log.delivered:
-                    payloads += len(self.miners[i].store.get(bid).payload) // sc.payload_size
-        unique_payloads = 0
-        if sc.payload_size > 0:
-            unique_payloads = sum(
-                len(self.miners[observer].store.get(bid).payload) // sc.payload_size
-                for bid in self.miners[observer].log.delivered)
-        out = {
+
+        def payloads_delivered(i: int) -> int:
+            m = self.miners[i]
+            return sum(len(m.store.get(bid).payload) // sc.payload_size
+                       for bid in m.log.delivered) if sc.payload_size else 0
+
+        payloads = sum(payloads_delivered(i) for i in correct)
+        unique_payloads = payloads_delivered(observer)
+        return {
             "schema": SCHEMA_METRICS,
             "scenario": sc.to_dict(),
             "end_time": end_time,
@@ -563,7 +632,6 @@ class Simulation:
             if unique_payloads else None,
             "max_round": max((m.store.max_depth() for m in self.miners), default=0),
         }
-        return out
 
 
 def run(scenario: Scenario) -> Transcript:

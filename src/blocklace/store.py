@@ -341,8 +341,7 @@ class BlockStore:
 
     # -- block creation ------------------------------------------------
 
-    def create_block(self, p: MinerId, payload: bytes, r: int,
-                     share: bytes = b"") -> Block:
+    def create_block(self, p: MinerId, payload: bytes, r: int) -> Block:
         """Create, sign and accept a new p-block over the depth-<=r prefix.
 
         Points at the prefix tips (one per creator) and chains to p's latest
@@ -360,7 +359,7 @@ class BlockStore:
                     raise WouldEquivocate(
                         f"prefix tip by miner {p} is not its latest block")
                 chosen.append(latest)
-        blk = make_block(p, payload, [self._ids[i] for i in chosen], share)
+        blk = make_block(p, payload, [self._ids[i] for i in chosen])
         if self.keyring is not None:
             blk = self.keyring.sign(blk)
         res = self.insert(blk)

@@ -8,6 +8,9 @@ import json
 import pytest
 
 from blocklace.cli import main
+from blocklace.simnet import Scenario
+
+from test_golden import SCENARIOS as GOLDEN
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -66,11 +69,29 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("overrides", [
+    {"delays": {"kind": "uniform", "min": 3, "max": 1}},
+    {"delays": {"kind": "fixed", "ticks": -1}},
+    {"delays": {"kind": "uniform", "min": -2, "max": 3}},
+    {"adversary": {"kind": "corrupt-leader", "miner": "3"}},
+    {"adversary": {"kind": "corrupt-leader", "miner": 9}},
+], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
+        "miner-out-of-range"])
+def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
+    """Each of these used to crash mid-run or silently run something else:
+    delays before sends, a failed liveness check, or no victim at all."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sweep", [
+    {"n": 7},
     {"seed_count": "x"},
     {"n": ["x"]},
     {"adversary": [{"kind": "corrupt-leader", "lag": "x"}]},
-], ids=["seed_count", "n", "adversary-lag"])
+], ids=["n-not-a-list", "seed_count", "n", "adversary-lag"])
 def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
     cfg = write_config(tmp_path, sweep=sweep)
     assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
@@ -170,6 +191,47 @@ def test_check_reports_undefined_accept(tmp_path, capsys):
     for name in ("convergence", "ordering-equivalence"):
         assert not verdicts[name]["passed"]
         assert verdicts[name]["detail"] == "miner 1 accepted undefined block " + "0" * 12
+
+
+@pytest.mark.parametrize("change", [
+    {"model": "bogus"},
+    {"byzantine": {"x": {"behavior": "silent"}}},
+    {"f": 3},
+], ids=["model", "byzantine-key", "quorum"])
+@pytest.mark.parametrize("command", ["check", "trace"])
+def test_bad_transcript_header_is_a_read_error(tmp_path, capsys, command, change):
+    cfg = write_config(tmp_path, rounds=4)
+    main(["run", cfg])
+    path = tmp_path / "out" / "transcript.jsonl"
+    header, *rest = path.read_text().splitlines(keepends=True)
+    doc = json.loads(header)
+    doc["scenario"].update(change)
+    path.write_text(json.dumps(doc) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error reading {path}: transcript header: ")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_scenario_dict_roundtrip(name):
+    doc = GOLDEN[name].to_dict()
+    assert Scenario.from_dict(doc).to_dict() == doc
+
+
+def test_transcript_header_is_a_config(tmp_path):
+    """The scenario a transcript header records, given back to `run`,
+    reproduces the transcript byte for byte."""
+    cfg = write_config(tmp_path, rounds=12, seed=5,
+                       delays={"kind": "uniform", "min": 1, "max": 3},
+                       adversary={"kind": "corrupt-leader", "lag": 2},
+                       byzantine={"2": {"behavior": "equivocate", "rate": 0.5}})
+    assert main(["run", cfg]) == 0
+    first = (tmp_path / "out" / "transcript.jsonl").read_bytes()
+    header = json.loads(first.splitlines()[0])
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(header["scenario"]))
+    assert main(["run", str(again), "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "transcript.jsonl").read_bytes() == first
 
 
 def test_trace_dot_output(tmp_path, capsys):
