@@ -102,7 +102,10 @@ class RunView:
 
 def prefix_divergence(a: list, b: list) -> int | None:
     """Index of the first disagreement, or None if one is a prefix of the other."""
-    return next((k for k in range(min(len(a), len(b))) if a[k] != b[k]), None)
+    for k in range(min(len(a), len(b))):
+        if a[k] != b[k]:
+            return k
+    return None
 
 
 def check_safety(view: RunView) -> Verdict:
@@ -263,11 +266,19 @@ def _common_core_at(store: BlockStore, r: int) -> bool:
         return False
     # Per deep creator keep the block that acknowledges the most shallow
     # creators, then search creator combinations for a joint core.
-    best = {c: max(({store.creator_of(u) for u in shallow if store.acknowledges(v, u)}
-                    for v in blocks), key=len)
-            for c, blocks in by_creator.items()}
-    return any(len(set.intersection(*(best[c] for c in combo))) >= quorum
-               for combo in combinations(creators, quorum))
+    best: dict[int, set[int]] = {}
+    for c, blocks in by_creator.items():
+        cover = max(
+            ({store.creator_of(u) for u in shallow if store.acknowledges(v, u)}
+             for v in blocks),
+            key=len,
+        )
+        best[c] = cover
+    for combo in combinations(creators, quorum):
+        core = set.intersection(*(best[c] for c in combo))
+        if len(core) >= quorum:
+            return True
+    return False
 
 
 def run_all_checks(transcript: Transcript) -> list[Verdict]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .simnet import Scenario, ScenarioError, as_number
 
@@ -21,14 +22,6 @@ class RunConfig:
     scenario: Scenario
     out_dir: str
     sweep: dict
-
-
-def _validated(scenario: Scenario, where: str) -> Scenario:
-    try:
-        scenario.validate()
-    except ScenarioError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return scenario
 
 
 def load_config(path: str) -> RunConfig:
@@ -55,7 +48,7 @@ def load_config(path: str) -> RunConfig:
 def _axis(sweep: dict, key: str, default: list) -> list:
     values = sweep.get(key, default)
     if not isinstance(values, list):
-        raise ScenarioError(f"sweep {key} must be a list, got {values!r}")
+        raise ScenarioError(f"{key} must be a list, got {values!r}")
     return values
 
 
@@ -64,35 +57,35 @@ def expand_sweep(cfg: RunConfig) -> list[Scenario]:
     to n payloads per block."""
     base = cfg.scenario
     sweep = cfg.sweep
+    where = "sweep"
     try:
-        ns = [as_number(n, int, "sweep n") for n in _axis(sweep, "n", [base.n])]
+        ns = [as_number(n, int, "n") for n in _axis(sweep, "n", [base.n])]
         models = _axis(sweep, "model", [base.model])
         adversaries = _axis(sweep, "adversary", [base.adversary])
         if "seeds" in sweep:
-            seeds = [as_number(s, int, "sweep seeds") for s in _axis(sweep, "seeds", [])]
+            seeds = [as_number(s, int, "seeds") for s in _axis(sweep, "seeds", [])]
         elif "seed_count" in sweep:
-            count = as_number(sweep["seed_count"], int, "sweep seed_count")
+            count = as_number(sweep["seed_count"], int, "seed_count")
             seeds = list(range(base.seed, base.seed + count))
         else:
             seeds = [base.seed]
         batch = sweep.get("batch", base.batch)
         if batch is not None:
-            batch = as_number(batch, int, "sweep batch")
+            batch = as_number(batch, int, "batch")
+        out = []
+        for n, model, adv, seed in product(ns, models, adversaries, seeds):
+            where = f"sweep point n={n} {model} seed={seed}"
+            es = model == "eventual-synchrony"
+            sc = dataclasses.replace(
+                base, n=n, f=(n - 1) // 3, model=model, seed=seed,
+                delta=base.delta if es else 0, gst=base.gst if es else 0,
+                delays=dict(base.delays),
+                adversary=dict(adv) if isinstance(adv, dict) else {"kind": adv},
+                byzantine=dict(base.byzantine),
+                batch=batch,
+            )
+            sc.validate()
+            out.append(sc)
     except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = []
-    for n in ns:
-        for model in models:
-            for adv in adversaries:
-                for seed in seeds:
-                    es = model == "eventual-synchrony"
-                    sc = dataclasses.replace(
-                        base, n=n, f=(n - 1) // 3, model=model, seed=seed,
-                        delta=base.delta if es else 0, gst=base.gst if es else 0,
-                        delays=dict(base.delays),
-                        adversary=dict(adv) if isinstance(adv, dict) else {"kind": adv},
-                        byzantine=dict(base.byzantine),
-                        batch=batch,
-                    )
-                    out.append(_validated(sc, f"sweep point n={n} {model} seed={seed}"))
+        raise ConfigError(f"{where}: {exc}") from exc
     return out

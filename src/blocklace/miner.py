@@ -106,7 +106,7 @@ class MinerState:
             self.outbox.append({"e": "coin-call", "r": r})
             self._coin_next = r + stride
 
-    def _run_delivery(self, trigger_depth: int | None) -> None:
+    def _run_delivery(self, trigger_depth: int | None) -> list[bytes]:
         before = self.log.current_leader
         new = extend_delivery(self.store, self.log, self.schedule, self.config.params)
         if self.log.current_leader != before:
@@ -119,6 +119,7 @@ class MinerState:
                 "trigger": trigger_depth,
                 "delivered": len(new),
             })
+        return new
 
     # -- proceeding --------------------------------------------------------
 

@@ -591,7 +591,7 @@ class Simulation:
         observer = correct[0]
         decisions = [e for e in self.events
                      if e["e"] == "decide" and e["m"] == observer]
-        measured = range(stride, sc.rounds + 1, stride)
+        measured = [r for r in range(stride, sc.rounds + 1, stride)]
         latencies: list[int] = []
         decided_rounds: list[int] = []
         prev = 0
@@ -603,15 +603,17 @@ class Simulation:
                 decided_rounds.append(r)
             prev = r
         blocks_delivered = sum(len(self.miners[i].log.delivered) for i in correct)
-
-        def payloads_delivered(i: int) -> int:
-            m = self.miners[i]
-            return sum(len(m.store.get(bid).payload) // sc.payload_size
-                       for bid in m.log.delivered) if sc.payload_size else 0
-
-        payloads = sum(payloads_delivered(i) for i in correct)
-        unique_payloads = payloads_delivered(observer)
-        return {
+        payloads = 0
+        if sc.payload_size > 0:
+            for i in correct:
+                for bid in self.miners[i].log.delivered:
+                    payloads += len(self.miners[i].store.get(bid).payload) // sc.payload_size
+        unique_payloads = 0
+        if sc.payload_size > 0:
+            unique_payloads = sum(
+                len(self.miners[observer].store.get(bid).payload) // sc.payload_size
+                for bid in self.miners[observer].log.delivered)
+        out = {
             "schema": SCHEMA_METRICS,
             "scenario": sc.to_dict(),
             "end_time": end_time,
@@ -632,6 +634,7 @@ class Simulation:
             if unique_payloads else None,
             "max_round": max((m.store.max_depth() for m in self.miners), default=0),
         }
+        return out
 
 
 def run(scenario: Scenario) -> Transcript:

@@ -75,8 +75,12 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     {"delays": {"kind": "uniform", "min": -2, "max": 3}},
     {"adversary": {"kind": "corrupt-leader", "miner": "3"}},
     {"adversary": {"kind": "corrupt-leader", "miner": 9}},
+    {"gst": 5, "adversary": {"kind": "pre-gst", "max_delay": 0}},
+    {"delta": -1},
+    {"delay_bound": -1},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
-        "miner-out-of-range"])
+        "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
+        "negative-delay-bound"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
     delays before sends, a failed liveness check, or no victim at all."""
