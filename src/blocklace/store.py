@@ -129,14 +129,8 @@ class BlockStore:
                 out.update(self._ids[i] for i in idxs)
         return out
 
-    def creators_at(self, d: int, exclude_equivocators: bool = False) -> set[int]:
-        out = set()
-        for i in self._by_depth.get(d, ()):
-            c = self._creator[i]
-            if exclude_equivocators and c in self._equivocators:
-                continue
-            out.add(c)
-        return out
+    def creators_at(self, d: int) -> set[int]:
+        return {self._creator[i] for i in self._by_depth.get(d, ())}
 
     def _latest(self, q: MinerId) -> int | None:
         """Index of q's (depth, id)-greatest block: the chain's last one
@@ -329,13 +323,13 @@ class BlockStore:
         return q in self._equivocators
 
     def cordial_round(self, p: MinerId) -> int | None:
-        """Deepest round with a >= 2f+1 non-equivocator quorum that p has not
-        built past; 0 authorizes p's initial block; None if p must wait."""
+        """Deepest round with blocks by >= 2f+1 creators that p has not built
+        past; 0 authorizes p's initial block; None if p must wait. Creators
+        are counted as admission counts them, equivocators included."""
         latest = self._latest(p)
         own_max = 0 if latest is None else self._depth[latest]
         for d in range(self._max_depth, max(own_max, 1) - 1, -1):
-            creators = self.creators_at(d, exclude_equivocators=True)
-            if len(creators) >= self.quorum:
+            if len(self.creators_at(d)) >= self.quorum:
                 return d
         return 0 if own_max == 0 else None
 

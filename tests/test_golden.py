@@ -65,9 +65,9 @@ DIGESTS = {
     "es-corrupt-leader": "5445fccbea98175fd91e5aaddb510a18b6f5a4a412de8f03ecd45df2a0b2de6a",
     "async-reorder": "3ab421e53af20dfa4d75ee64e213df7c5d517e5c5b55ce6b0c6171158174c076",
     "async-random-delay": "970e86beb6ff55422fb22955c8cde227d84128b1c2293059d7e2807cc3a396ad",
-    "es-equivocate-0.5": "add88206593230fa3eba1569d403a8c0330a8f24f979df0fb882a6f61646cd9c",
-    "async-equivocate-1.0": "48132a50efd83ed60bfab128b30ad501cbf01a289d2669c289defa6f94434987",
-    "es-equivocate-1.0": "2e6d167bc1c30c44b7d6c6fe5ae1307510690fadfeabff98c253ea85b343545c",
+    "es-equivocate-0.5": "8b8b00de6a84eb5b1358da62cb842a19c2b1279b78c1fd445f15f9ee559d2875",
+    "async-equivocate-1.0": "ce646a74325bbee4f89e58d1bd7a526948ae0966011c37275b75347927bbd1fb",
+    "es-equivocate-1.0": "d012412b973e1585b2c82fac6afadcc5effcf90889a6a42575ace1eb67ac5420",
     "es-crash": "8893040818033150b666e5d7786901646a8f037e35a1fc7ccb5022e9a0b74629",
     "async-silent": "eeddc8d0d1e0ddd83c281af2bf76272439fb76b01ba86c8730d3517128a4f6da",
 }

@@ -69,16 +69,27 @@ def test_crash_keeps_protocol_live():
         assert v.passed, (v.name, v.detail)
 
 
-@pytest.mark.xfail(strict=True, reason="known stall: an equivocator at n=4 can leave every "
-                   "correct miner without a round to build on (FOUND line on "
-                   "BlockStore.cordial_round in CHANGES.md)")
 def test_n4_equivocator_run_stays_live():
+    """Correct miners that built on an equivocator's block before detecting
+    it still find a round to build on: the proceed rule counts a round's
+    creators as admission does, equivocators included."""
     sc = Scenario(n=4, f=1, model="asynchrony", seed=527296187, rounds=30,
                   delays={"kind": "uniform", "min": 1, "max": 3},
                   adversary={"kind": "reorder", "lag": 2},
                   byzantine={2: ByzSpec("equivocate", rate=0.5)})
     v = checks.check_liveness(checks.RunView(run(sc)))
     assert v.passed, v.detail
+
+
+def test_n4_es_equivocator_run_passes_every_verifier():
+    """The same stall under eventual synchrony, with a corrupt-leader
+    adversary."""
+    sc = Scenario(n=4, f=1, seed=180269623, rounds=24,
+                  delays={"kind": "uniform", "min": 1, "max": 3},
+                  adversary={"kind": "corrupt-leader", "lag": 2},
+                  byzantine={1: ByzSpec("equivocate", rate=0.5)})
+    for v in checks.run_all_checks(run(sc)):
+        assert v.passed, (v.name, v.detail)
 
 
 def test_crashed_miner_blocks_still_delivered():
