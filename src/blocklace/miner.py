@@ -123,14 +123,13 @@ class MinerState:
 
     # -- proceeding --------------------------------------------------------
 
-    def can_proceed(self, now: int, max_depth: int | None = None) -> int | None:
-        """Asynchrony: any fresh cordial round. Eventual synchrony: the same,
-        gated by the timer unless this miner leads the depth about to be
-        populated."""
+    def can_proceed(self, now: int, max_depth: int) -> int | None:
+        """The round to build over, or None to wait: the fresh cordial round,
+        if a block over it stays within max_depth. Under eventual synchrony
+        the timer also gates it, unless this miner leads the depth about to
+        be populated."""
         r = self.store.cordial_round(self.id)
-        if r is None:
-            return None
-        if max_depth is not None and r + 1 > max_depth:
+        if r is None or r + 1 > max_depth:
             return None
         if self.config.params.model == MODEL_ES:
             if (now - self.last_send) >= self.config.delta:
@@ -141,18 +140,15 @@ class MinerState:
         return r
 
     def step(self, now: int, payload: bytes,
-             max_depth: int | None = None) -> tuple[Block | None, list[tuple[int, Package]]]:
-        """Create a cordial block if possible and build per-peer packages:
-        the closure backlog for responsive peers, the bare block otherwise,
-        nothing for peers observed faulty.
+             r: int) -> tuple[Block, list[tuple[int, Package]]]:
+        """Create a block over round r, the round can_proceed returned, and
+        build per-peer packages: the closure backlog for responsive peers,
+        the bare block otherwise, nothing for peers observed faulty.
 
         The backlog is the new block's closure less its pointees one round
         below (depth falls along every pointer, so those are the only
         closure blocks there); it is built once and each peer's evidence is
         applied to it."""
-        r = self.can_proceed(now, max_depth)
-        if r is None:
-            return None, []
         blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
         self.note_accept(bid)
@@ -167,7 +163,6 @@ class MinerState:
                 continue
             sends.append((q, self.package_for(q, bid, backlog)))
         self.last_send = now
-        self._flush_violations()
         return blk, sends
 
     def package_for(self, q: MinerId, bid: bytes, backlog: int) -> Package:

@@ -238,90 +238,6 @@ class Adversary:
         return self._victims[leader_round]
 
 
-# -- byzantine behaviors -----------------------------------------------------
-
-
-class Behavior:
-    """Default (correct) stepping. A behavior keeps only its miner and is
-    handed the simulation on each call, so a finished run holds no cycle."""
-
-    def __init__(self, miner: MinerState):
-        self.m = miner
-
-    def attempt(self, sim: "Simulation", now: int) -> bool:
-        blk, sends = self.m.step(now, sim.next_payload(self.m.id), sim.create_cap)
-        if blk is None:
-            return False
-        sim.record_create(now, self.m, blk)
-        for q, pkg in sends:
-            sim.send(now, self.m.id, q, pkg)
-        return True
-
-
-class SilentBehavior(Behavior):
-    def attempt(self, sim: "Simulation", now: int) -> bool:
-        return False
-
-
-class CrashBehavior(Behavior):
-    def __init__(self, miner, crash_round: int):
-        super().__init__(miner)
-        self.crash_round = crash_round
-
-    def attempt(self, sim: "Simulation", now: int) -> bool:
-        r = self.m.can_proceed(now, sim.create_cap)
-        if r is None or r + 1 > self.crash_round:
-            return False
-        return super().attempt(sim, now)
-
-
-class EquivocateBehavior(Behavior):
-    """With the configured per-round probability, emits two conflicting
-    blocks at the same depth to disjoint peer halves; disseminates its
-    closure eagerly so both halves spread and detection is prompt."""
-
-    def __init__(self, miner, rate: float, rng: random.Random):
-        super().__init__(miner)
-        self.rate = rate
-        self.rng = rng
-
-    def attempt(self, sim: "Simulation", now: int) -> bool:
-        m = self.m
-        r = m.can_proceed(now, sim.create_cap)
-        if r is None:
-            return False
-        if self.rng.random() >= self.rate:
-            return super().attempt(sim, now)
-        blk = m.store.create_block(m.id, sim.next_payload(m.id), r)
-        twin = make_block(m.id, sim.next_payload(m.id), blk.pointers)
-        twin = sim.keyring.sign(twin)
-        m.store.insert(twin)
-        bid, tid = block_id(blk), block_id(twin)
-        m.note_accept(bid)
-        sim.record_create(now, m, blk)
-        m.note_accept(tid)
-        sim.record_create(now, m, twin)
-        peers = [q for q in range(sim.scenario.n) if q != m.id]
-        half = (len(peers) + 1) // 2
-        for q in peers[:half]:
-            sim.send(now, m.id, q, m.closure_package(q, bid))
-        for q in peers[half:]:
-            sim.send(now, m.id, q, m.closure_package(q, tid))
-        m.last_send = now
-        return True
-
-
-def make_behavior(miner: MinerState, spec: ByzSpec | None,
-                  rng: random.Random) -> Behavior:
-    if spec is None:
-        return Behavior(miner)
-    if spec.behavior == "silent":
-        return SilentBehavior(miner)
-    if spec.behavior == "crash":
-        return CrashBehavior(miner, spec.round)
-    return EquivocateBehavior(miner, spec.rate, rng)
-
-
 # -- transcript and metrics ---------------------------------------------------
 
 
@@ -397,11 +313,8 @@ class Simulation:
                        for i in range(scenario.n)]
         self.adversary = Adversary(scenario, self.schedule,
                                    random.Random(f"{scenario.seed}:adversary"))
-        self.behaviors = [
-            make_behavior(self.miners[i], scenario.byzantine.get(i),
-                          random.Random(f"{scenario.seed}:byz:{i}"))
-            for i in range(scenario.n)
-        ]
+        self._byz_rng = {i: random.Random(f"{scenario.seed}:byz:{i}")
+                         for i in scenario.byzantine}
         self._mempool = [random.Random(f"{scenario.seed}:mempool:{i}")
                          for i in range(scenario.n)]
         self.events: list[dict] = []
@@ -419,7 +332,53 @@ class Simulation:
         self.create_cap = scenario.create_cap
         self._extensions = 25
 
-    # -- helpers used by behaviors ----------------------------------------
+    # -- one miner's turn ---------------------------------------------------
+
+    def _attempt(self, m: MinerState, now: int) -> bool:
+        """Make miner m's next block if the proceed rule lets it, and send
+        it; False when it waits. The Byzantine behaviours differ only here: a
+        silent miner never proceeds, a crashing one makes no block deeper
+        than its crash round, and an equivocator, at its rate, forks."""
+        spec = self.scenario.byzantine.get(m.id)
+        kind = None if spec is None else spec.behavior
+        if kind == "silent":
+            return False
+        cap = min(self.create_cap, spec.round) if kind == "crash" else self.create_cap
+        payload = self.next_payload(m.id) if spec is None else None
+        r = m.can_proceed(now, cap)
+        if r is None:
+            return False
+        if kind == "equivocate" and self._byz_rng[m.id].random() < spec.rate:
+            self._equivocate(m, now, r)
+            return True
+        if payload is None:
+            payload = self.next_payload(m.id)
+        blk, sends = m.step(now, payload, r)
+        self.record_create(now, m, blk)
+        for q, pkg in sends:
+            self.send(now, m.id, q, pkg)
+        return True
+
+    def _equivocate(self, m: MinerState, now: int, r: int) -> None:
+        """Two conflicting blocks over round r, each sent with its closure
+        to one half of the peers, so both halves spread and detection is
+        prompt."""
+        blk = m.store.create_block(m.id, self.next_payload(m.id), r)
+        twin = make_block(m.id, self.next_payload(m.id), blk.pointers)
+        twin = self.keyring.sign(twin)
+        m.store.insert(twin)
+        bid, tid = block_id(blk), block_id(twin)
+        m.note_accept(bid)
+        self.record_create(now, m, blk)
+        m.note_accept(tid)
+        self.record_create(now, m, twin)
+        peers = [q for q in range(self.scenario.n) if q != m.id]
+        half = (len(peers) + 1) // 2
+        for q in peers[:half]:
+            self.send(now, m.id, q, m.closure_package(q, bid))
+        for q in peers[half:]:
+            self.send(now, m.id, q, m.closure_package(q, tid))
+        m.last_send = now
 
     def next_payload(self, mid: int) -> bytes:
         size = self.scenario.batch_size * self.scenario.payload_size
@@ -554,8 +513,7 @@ class Simulation:
     def _step_phase(self, t: int) -> bool:
         did = False
         for m in self.miners:
-            behavior = self.behaviors[m.id]
-            while behavior.attempt(self, t):
+            while self._attempt(m, t):
                 did = True
             self._maybe_schedule_timer(t, m)
         return did

@@ -11,11 +11,19 @@ from blocklace.ordering import ES_PARAMS
 from conftest import fresh_store, grow_full
 
 SCHED = LeaderSchedule(4, 2)
+CAP = 1000  # a depth cap no test reaches
 
 
 def make_miner(mid: int, delta: int = 0, seed: int = 0) -> MinerState:
     config = ProtocolConfig(4, 1, ES_PARAMS, delta)
     return MinerState(mid, config, SCHED, Keyring(seed, 4))
+
+
+def proceed(miner: MinerState, now: int, payload: bytes):
+    """miner.step over the round can_proceed allows; it must allow one."""
+    r = miner.can_proceed(now, CAP)
+    assert r is not None
+    return miner.step(now, payload, r)
 
 
 def lattice_blocks(rounds: int, seed: int = 0):
@@ -60,28 +68,28 @@ def test_can_proceed_async_returns_cordial_round():
     from blocklace.ordering import ASYNC_PARAMS
     config = ProtocolConfig(4, 1, ASYNC_PARAMS, 0)
     miner = MinerState(0, config, LeaderSchedule(4, 5), Keyring(0, 4))
-    assert miner.can_proceed(now=0) == 0
-    miner.step(0, b"p")
-    assert miner.can_proceed(now=0) is None  # waiting on a quorum of round 1
+    assert miner.can_proceed(0, CAP) == 0
+    miner.step(0, b"p", 0)
+    assert miner.can_proceed(0, CAP) is None  # waiting on a quorum of round 1
 
 
 def test_can_proceed_es_timer_gate():
     store, made = lattice_blocks(1)
     miner = make_miner(0, delta=5)
-    miner.step(0, b"init")  # last_send := 0
+    miner.step(0, b"init", 0)  # last_send := 0
     miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (1, 2, 3))))
     # Miner 0 is not leader(2) = miner 1, so the timer gates creation.
-    assert miner.can_proceed(now=2) is None
-    assert miner.can_proceed(now=5) == 1
+    assert miner.can_proceed(2, CAP) is None
+    assert miner.can_proceed(5, CAP) == 1
 
 
 def test_can_proceed_es_leader_fast_path():
     store, made = lattice_blocks(1)
     miner = make_miner(1, delta=50)
-    miner.step(0, b"init")
+    miner.step(0, b"init", 0)
     miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (0, 2, 3))))
     # Miner 1 leads depth 2, the depth it is about to populate: no timeout.
-    assert miner.can_proceed(now=1) == 1
+    assert miner.can_proceed(1, CAP) == 1
 
 
 def test_step_sends_bare_block_when_nothing_missing():
@@ -89,7 +97,7 @@ def test_step_sends_bare_block_when_nothing_missing():
     # Round 1 everywhere.
     blocks = []
     for m in miners:
-        blk, _ = m.step(0, f"init{m.id}".encode())
+        blk, _ = m.step(0, f"init{m.id}".encode(), 0)
         blocks.append(blk)
     for m in miners:
         m.on_receive(Package(tuple(b for b in blocks if b.creator != m.id)))
@@ -97,8 +105,7 @@ def test_step_sends_bare_block_when_nothing_missing():
     # missing, so each round-2 package is just the new block.
     for q in (1, 2, 3):
         assert miners[0].responsive(q)
-    blk, sends = miners[0].step(1, b"round2")
-    assert blk is not None
+    blk, sends = proceed(miners[0], 1, b"round2")
     assert len(sends) == 3
     for q, pkg in sends:
         assert [block_id(b) for b in pkg.blocks] == [block_id(blk)]
@@ -117,7 +124,7 @@ def test_step_ships_backlog_to_responsive_peer():
     miner = make_miner(0)
     miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())))
     # Peer 2's own round-2 block evidences round 1; rounds 2 and 3 do not.
-    blk, sends = miner.step(0, b"r4")
+    blk, sends = proceed(miner, 0, b"r4")
     assert miner.store.depth_of(block_id(blk)) == 4
     ids = [block_id(b) for b in dict(sends)[2].blocks]
     missing_r2 = {made[(p, 2)] for p in (0, 1, 3)}
@@ -131,8 +138,7 @@ def test_step_skips_detected_equivocator(fork_fixture):
     miner = make_miner(0)
     miner.on_receive(Package(tuple(src.get(b) for b in src.accepted_ids())))
     assert miner.store.is_faulty(3)
-    blk, sends = miner.step(0, b"new")
-    assert blk is not None
+    blk, sends = proceed(miner, 0, b"new")
     assert sorted(q for q, _ in sends) == [1, 2]
 
 
@@ -143,10 +149,10 @@ def test_responsive_before_any_send():
 
 def test_responsive_two_miner_exchange():
     a, b = make_miner(0), make_miner(1)
-    blk_a, sends = a.step(0, b"a1")
+    blk_a, sends = a.step(0, b"a1", 0)
     assert not a.responsive(1)  # sent, nothing heard back yet
     b.on_receive(dict(sends)[1])
-    blk_b, sends_b = b.step(0, b"b1")
+    blk_b, sends_b = b.step(0, b"b1", 0)
     a.on_receive(dict(sends_b)[0])
     # b's block does not yet acknowledge a's (same depth), but b responded.
     assert a.responsive(1)
