@@ -74,7 +74,9 @@ class MinerState:
             for bid in res.newly_accepted:
                 self.note_accept(bid)
                 accepted.append(bid)
-        self._flush_violations()
+        for bid, reason in self.store.violations[self._violations_seen:]:
+            self.outbox.append({"e": "reject", "id": bid, "reason": reason})
+        self._violations_seen = len(self.store.violations)
         return accepted
 
     def note_accept(self, bid: bytes) -> None:
@@ -82,11 +84,6 @@ class MinerState:
         self.outbox.append({"e": "accept", "id": bid})
         self._maybe_request_coins()
         self._run_delivery(self.store.depth_of(bid))
-
-    def _flush_violations(self) -> None:
-        for bid, reason in self.store.violations[self._violations_seen:]:
-            self.outbox.append({"e": "reject", "id": bid, "reason": reason})
-        self._violations_seen = len(self.store.violations)
 
     def poke(self) -> None:
         """Re-check delivery without a new block (after a coin reveal)."""

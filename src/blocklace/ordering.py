@@ -82,7 +82,7 @@ def _super_ratified(store: BlockStore, schedule, params: WaveParams,
                 if store.ratifies(cand, b, params.alpha)}
     if len(creators) < store.quorum:
         return False
-    if params.alpha == 1:
+    if params.model == MODEL_ES:
         lbs = leader_blocks_at(store, schedule, r + params.beta)
         if not any(store.ratifies(cand, lb, params.alpha) for lb in lbs):
             return False

@@ -10,7 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import Keyring, block_id, encode_block, make_block
+from .blocks import Keyring, block_id, decode_block, encode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -272,23 +272,67 @@ class Transcript:
             raise ScenarioError(f"transcript header: {exc}") from None
 
 
+# The fields the verifiers read from each kind of transcript line.
+_LINE_KEYS = {
+    "create": ("id", "c", "d", "sig", "enc"), "accept": ("m", "id"),
+    "send": ("t", "from", "to", "ids"), "deliver": ("t", "from", "to", "ids"),
+    "coin-reveal": ("t", "r", "leader"), "coin-peek": ("t", "r", "revealed"),
+    "log": ("m", "records", "suppressed"), "end": ("metrics",),
+    "decide": (), "coin-call": (), "reject": (), "flush": (),
+}
+_KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str,
+              "revealed": bool, "metrics": dict}
+
+
+def _field_ok(row: dict, key: str, n: int) -> bool:
+    """Whether row[key] holds what the verifiers read it as."""
+    value = row[key]
+    if key in ("m", "c", "from", "to", "leader"):
+        return type(value) is int and 0 <= value < n
+    if key == "enc":
+        try:
+            decode_block(bytes.fromhex(value), bytes.fromhex(row["sig"]))
+        except (TypeError, ValueError):
+            return False
+        return True
+    if key == "records":
+        return isinstance(value, list) and all(
+            isinstance(r, dict) and isinstance(r.get("block"), str) for r in value)
+    if key in ("ids", "suppressed"):
+        return isinstance(value, list) and all(isinstance(i, str) for i in value)
+    return isinstance(value, _KEY_TYPES[key])
+
+
 def load_transcript(text: str) -> Transcript:
-    lines = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
-    if not (lines and isinstance(lines[0], dict)
-            and lines[0].get("schema") == SCHEMA_TRANSCRIPT):
+    """The transcript a JSON-lines text holds; raises ValueError, naming the
+    line, on any line the verifiers could not read."""
+    rows = []
+    for k, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                rows.append((k, json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
+    if not (rows and isinstance(rows[0][1], dict)
+            and rows[0][1].get("schema") == SCHEMA_TRANSCRIPT):
         raise ValueError("not a transcript file")
-    header = lines[0]
-    events, logs, metrics = [], {}, {}
-    for row in lines[1:]:
-        if row.get("e") == "log":
-            logs[int(row["m"])] = {"records": row["records"],
-                                   "suppressed": row["suppressed"]}
-        elif row.get("e") == "end":
-            metrics = row["metrics"]
+    transcript = Transcript(rows[0][1], [], {}, {})
+    n = transcript.scenario.n  # rejects a header that is not a valid scenario
+    for k, row in rows[1:]:
+        kind = row.get("e") if isinstance(row, dict) else None
+        if kind not in _LINE_KEYS:
+            raise ValueError(f"line {k}: not a transcript event")
+        bad = next((key for key in _LINE_KEYS[kind]
+                    if key not in row or not _field_ok(row, key, n)), None)
+        if bad:
+            raise ValueError(f"line {k}: {kind} event with a missing or malformed {bad!r}")
+        if kind == "log":
+            transcript.logs[row["m"]] = {"records": row["records"],
+                                         "suppressed": row["suppressed"]}
+        elif kind == "end":
+            transcript.metrics = row["metrics"]
         else:
-            events.append(row)
-    transcript = Transcript(header, events, logs, metrics)
-    transcript.scenario  # rejects a header that is not a valid scenario
+            transcript.events.append(row)
     return transcript
 
 
@@ -344,16 +388,13 @@ class Simulation:
         if kind == "silent":
             return False
         cap = min(self.create_cap, spec.round) if kind == "crash" else self.create_cap
-        payload = self.next_payload(m.id) if spec is None else None
         r = m.can_proceed(now, cap)
         if r is None:
             return False
         if kind == "equivocate" and self._byz_rng[m.id].random() < spec.rate:
             self._equivocate(m, now, r)
             return True
-        if payload is None:
-            payload = self.next_payload(m.id)
-        blk, sends = m.step(now, payload, r)
+        blk, sends = m.step(now, self.next_payload(m.id), r)
         self.record_create(now, m, blk)
         for q, pkg in sends:
             self.send(now, m.id, q, pkg)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklace.cli import main
-from blocklace.simnet import Scenario
+from blocklace.simnet import Scenario, run
 
 from test_golden import SCENARIOS as GOLDEN
 
@@ -214,6 +220,65 @@ def test_bad_transcript_header_is_a_read_error(tmp_path, capsys, command, change
     capsys.readouterr()
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error reading {path}: transcript header: ")
+
+
+SHORT_RUN = run(Scenario(rounds=4, seed=0)).lines()
+
+
+def _nth(rows, kind, k):
+    """Index in rows of the k-th event of the given kind (wrapping)."""
+    at = [i for i, r in enumerate(rows) if isinstance(r, dict) and r.get("e") == kind]
+    return at[k % len(at)]
+
+
+def mutate(mutation: str, k: int) -> tuple[list[str], int]:
+    """SHORT_RUN's lines with one malformed line, and that line's number."""
+    rows = [json.loads(ln) for ln in SHORT_RUN]
+    if mutation == "not-an-object":
+        i = 1 + k % len(rows)
+        rows.insert(i, [1])
+    elif mutation == "accept-miner":
+        i = _nth(rows, "accept", k)
+        rows[i]["m"] = 9
+    elif mutation == "create-no-enc":
+        i = _nth(rows, "create", k)
+        del rows[i]["enc"]
+    else:
+        i = _nth(rows, "create", k)
+        rows[i]["enc"] = "zz"
+    return [json.dumps(r, sort_keys=True) for r in rows], i + 1
+
+
+MUTATIONS = ["not-an-object", "accept-miner", "create-no-enc", "create-enc-not-hex"]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("command", ["check", "trace"])
+def test_malformed_transcript_line_is_a_read_error(tmp_path, capsys, command, mutation):
+    lines, k = mutate(mutation, len(SHORT_RUN) if mutation == "not-an-object" else 0)
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error reading {path}: line {k}: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.integers(0, 10_000))
+def test_check_on_a_mutated_transcript_never_raises(mutation, k):
+    """Whichever line a mutation hits, check reads the file and reports, or
+    says why it cannot read it; it never ends in a traceback."""
+    lines, _ = mutate(mutation, k)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transcript.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    if code == 2:
+        assert err.getvalue().startswith(f"error reading {path}: ")
+    else:
+        assert code in (0, 1)
+        assert json.loads(out.getvalue())["all_passed"] is (code == 0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

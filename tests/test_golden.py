@@ -52,24 +52,24 @@ SCENARIOS = {
 }
 
 DIGESTS = {
-    "es-n4": "4214604e63978c36caf55d45dfe6d1a0254a268dd49124b19d8f29dba0fc5135",
-    "es-n7": "c16a655fe5de50f1fa0d83347e9198f58829d562a15f1c090215d8f4c3c418ac",
-    "es-n10-timer": "01219a20f125eedbf76f69aa61dfd944a0aab0e3095c4ddfed0c4e453481a75c",
-    "es-n16": "e6e857d0964eac39654da5bd5692e5c04e8a40cd5d78f7d219c654ec10a1428b",
-    "async-n4": "bdbb00f1b18b4ffdac8a441cabab16633b0de6967431c40f610c1f762c891a1c",
-    "async-n7": "be0dd7495f6ee488cc36ef0a7a048d81faa93ca07902297bcf156bceea092565",
-    "async-n10": "97f6d66589dccbdc8c013f56852d3af7a0b80473dbae24149d2eaaedeb179bd9",
-    "async-n16": "93f381fea332a0b8b06e829687cc592fe6f90976fe29f162c3a092fa361d4abf",
-    "es-random-delay": "8dfbf9a296ede3c5fc8978b66b0046d1ae9b7c0a497c670a318c005d12030d6d",
-    "es-pre-gst": "297e7d1e0f69a04521f23ec966da92856918d8a6d44ff4625cf4bb3f35995f52",
-    "es-corrupt-leader": "5445fccbea98175fd91e5aaddb510a18b6f5a4a412de8f03ecd45df2a0b2de6a",
-    "async-reorder": "3ab421e53af20dfa4d75ee64e213df7c5d517e5c5b55ce6b0c6171158174c076",
-    "async-random-delay": "970e86beb6ff55422fb22955c8cde227d84128b1c2293059d7e2807cc3a396ad",
-    "es-equivocate-0.5": "8b8b00de6a84eb5b1358da62cb842a19c2b1279b78c1fd445f15f9ee559d2875",
-    "async-equivocate-1.0": "ce646a74325bbee4f89e58d1bd7a526948ae0966011c37275b75347927bbd1fb",
-    "es-equivocate-1.0": "d012412b973e1585b2c82fac6afadcc5effcf90889a6a42575ace1eb67ac5420",
-    "es-crash": "8893040818033150b666e5d7786901646a8f037e35a1fc7ccb5022e9a0b74629",
-    "async-silent": "eeddc8d0d1e0ddd83c281af2bf76272439fb76b01ba86c8730d3517128a4f6da",
+    "es-n4": "a01e7840787e0bb25e0339824790bed0cc023e73b6904c2794036609f84c9bfe",
+    "es-n7": "b6e92975faa0ee3201de141b4979511b26c24d1be77e0136aabb28bfe34dcb04",
+    "es-n10-timer": "4a311ab4fcdb5f2f18037b7e95711b605a7cf3d325b97c8cfaed5d380ff35435",
+    "es-n16": "4bf0ea772fa2156716dafdc8c1bfb6cefad6215bd1ea794cd9d6097bc1e05d37",
+    "async-n4": "9ea12dc49e272c96a8933898375edea77a491095c0a870139ef3b42bb736538e",
+    "async-n7": "86f7c0f9b754ee625ddd6c9cbce325e3f00ebcb3de804dc749d183353b44baa3",
+    "async-n10": "5df8759a7e9c7f37cf8308bb92b4204137332ac6b4e5f3f1d72507dbea460240",
+    "async-n16": "940cf4f5f668d2d251e8e04582af3986b176f98a59cb96cdb2776f46f10967e5",
+    "es-random-delay": "2436b213c88d4145146f098a73b7527ea142b87b7b8c4ec5e0fd5337524062e1",
+    "es-pre-gst": "26e0fbc9dc9f39cf462b27e66f64f346d3224c18ea7bc3a94a70941154ce03b9",
+    "es-corrupt-leader": "fb076fc05b147a9d60aa792de24ebf4f2a16e8b6c117b9ac08d1e7c810a8d04d",
+    "async-reorder": "9ff346d68c705cc8214893d26cb6fa8a3f4671909e4fa2e29545a037a8d02568",
+    "async-random-delay": "0813f4584bc68f94f863a428f8ea417016efe816ed67dadeffde2917de87080c",
+    "es-equivocate-0.5": "6cdcd1f2fe7b953f6422cac221d076c84a9e38421a7b974db0b2a8f6c91b0ad6",
+    "async-equivocate-1.0": "dd94e1f8bbaa72dd294c7827718a6a2787be85c7b650190517dc1e1c05a15897",
+    "es-equivocate-1.0": "18d6813e4acba9660737de898c0a9ad060a25c202c5566bc43376c49edca2382",
+    "es-crash": "076ad50faf2c97604a7cb24bb02dc31aa529e49d21aa9dbb232e634aaa0d51c1",
+    "async-silent": "4a1398ac61ba042b5a9b46cba3d755af365b614fccbf1b3c8f63b94d0f784df9",
 }
 
 

@@ -96,9 +96,8 @@ def test_crashed_miner_blocks_still_delivered():
     sc = Scenario(rounds=20, seed=2, byzantine={1: ByzSpec("crash", round=5)})
     t = run(sc)
     view = checks.RunView(t)
-    pre_crash = [h for h, c in view.block_creator.items()
-                 if c == 1 and view.block_depth[h] <= 5]
-    assert pre_crash
+    pre_crash = [h for h, c in view.block_creator.items() if c == 1]
+    assert max(view.block_depth[h] for h in pre_crash) == 5  # the crash round
     for mid in view.correct:
         got = set(view.delivered[mid])
         for h in pre_crash:
@@ -143,9 +142,29 @@ def test_equivocator_halves_never_both_delivered():
 def test_silent_miner_tolerated():
     sc = Scenario(rounds=20, seed=4, byzantine={2: ByzSpec("silent")})
     t = run(sc)
+    assert all(e["c"] != 2 for e in t.events if e["e"] == "create")  # makes no block
+    assert all(e["from"] != 2 for e in t.events if e["e"] == "send")
     assert t.metrics["decisions"] > 0
     for v in checks.run_all_checks(t):
         assert v.passed, (v.name, v.detail)
+
+
+def test_payload_drawn_only_for_blocks_made():
+    """Every payload draw goes into a block that is made: correct miners,
+    an equivocator (two draws per fork, one block each) and a crashing
+    miner alike."""
+    sc = Scenario(n=7, f=2, rounds=16, seed=10,
+                  delays={"kind": "uniform", "min": 1, "max": 3},
+                  byzantine={1: ByzSpec("equivocate", rate=0.5),
+                             4: ByzSpec("crash", round=6)})
+    sim = Simulation(sc)
+    draws = []
+    draw = sim.next_payload
+    sim.next_payload = lambda mid: draws.append(mid) or draw(mid)
+    t = sim.run()
+    creates = [e["c"] for e in t.events if e["e"] == "create"]
+    assert sorted(draws) == sorted(creates)
+    assert len(creates) == 130
 
 
 def test_corrupt_leader_expected_case_band():
