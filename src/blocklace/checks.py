@@ -109,12 +109,14 @@ def prefix_divergence(a: list, b: list) -> int | None:
 
 
 def check_safety(view: RunView) -> Verdict:
-    """Outputs of correct miners must be pairwise prefix-consistent."""
-    for i, j in combinations(view.correct, 2):
-        k = prefix_divergence(view.delivered.get(i, []), view.delivered.get(j, []))
-        if k is not None:
-            return Verdict("safety", False,
-                           f"miners {i} and {j} diverge at position {k}")
+    """Outputs of correct miners must be pairwise prefix-consistent, which
+    holds exactly when each is a prefix of the longest."""
+    seqs = {mid: view.delivered.get(mid, []) for mid in view.correct}
+    top = max(seqs, key=lambda mid: len(seqs[mid]))
+    for mid, seq in seqs.items():
+        if seq != seqs[top][:len(seq)]:
+            k = prefix_divergence(seq, seqs[top])
+            return Verdict("safety", False, f"miners {mid} and {top} diverge at position {k}")
     return Verdict("safety", True, f"{len(view.correct)} correct miners consistent")
 
 
@@ -193,7 +195,7 @@ def _check_parents_first(view: RunView, mid: int) -> None:
     for hid in view.accepted(mid):
         blk = view.blocks[hid]
         bid = block_id(blk)
-        if bid not in seen and any(p not in seen for p in blk.pointers):
+        if bid not in seen and not seen.issuperset(blk.pointers):
             raise ReplayError(f"transcript replay failed for miner {mid}: "
                               f"{hid[:12]} -> buffered None")
         seen.add(bid)
@@ -224,6 +226,9 @@ def check_model_conformance(view: RunView) -> Verdict:
         if not times:
             return Verdict("model-conformance", False, f"delivery without send: {key[:2]}")
         t0 = times.pop(0)
+        if ev["t"] < t0:
+            return Verdict("model-conformance", False,
+                           f"delivery at {ev['t']} before its send at {t0}: {key[:2]}")
         if sc.model == MODEL_ES and t0 >= sc.gst and ev["t"] - t0 > sc.delay_bound:
             return Verdict("model-conformance", False,
                            f"post-GST delay {ev['t'] - t0} exceeds bound {sc.delay_bound}")

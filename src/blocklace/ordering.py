@@ -178,17 +178,25 @@ def reference_order(store: BlockStore, schedule,
                     params: WaveParams) -> tuple[list[bytes], set[bytes]]:
     """From-scratch recomputation of the whole output sequence, with no
     caching: walk back from the last super-ratified leader through ratified
-    leaders, then stitch the fragments front to back."""
+    leaders; front to back, each one's fragment is what its pointers reach
+    that no earlier fragment placed: its closure less its predecessor's,
+    which it ratifies."""
     chain: list[bytes] = []
     cur = super_ratified_leader(store, schedule, params)
     while cur is not None:
         chain.append(cur)
         cur = prev_ratified_leader(store, schedule, params, cur)
-    chain.reverse()
     order: list[bytes] = []
     suppressed: set[bytes] = set()
-    for b2, b1 in zip([None, *chain], chain):
-        frag = store.closure([b1]) - store.closure([b2] if b2 else [])
+    placed: set[bytes] = set()
+    for b1 in reversed(chain):
+        frag, stack = [], [b1]
+        while stack:
+            b = stack.pop()
+            if b not in placed:
+                placed.add(b)
+                frag.append(b)
+                stack.extend(store.get(b).pointers)
         order += [x for x in topo_sorted(store, frag) if store.approves(x, b1)]
         suppressed |= {x for x in frag if not store.approves(x, b1)}
     return order, suppressed

@@ -280,7 +280,7 @@ _LINE_KEYS = {
     "log": ("m", "records", "suppressed"), "end": ("metrics",),
     "decide": (), "coin-call": (), "reject": (), "flush": (),
 }
-_KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str,
+_KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str, "enc": str,
               "revealed": bool, "metrics": dict}
 
 
@@ -289,12 +289,6 @@ def _field_ok(row: dict, key: str, n: int) -> bool:
     value = row[key]
     if key in ("m", "c", "from", "to", "leader"):
         return type(value) is int and 0 <= value < n
-    if key == "enc":
-        try:
-            decode_block(bytes.fromhex(value), bytes.fromhex(row["sig"]))
-        except (TypeError, ValueError):
-            return False
-        return True
     if key == "records":
         return isinstance(value, list) and all(
             isinstance(r, dict) and isinstance(r.get("block"), str) for r in value)
@@ -303,9 +297,25 @@ def _field_ok(row: dict, key: str, n: int) -> bool:
     return isinstance(value, _KEY_TYPES[key])
 
 
+def _create_error(row: dict, depths: dict[str, int]) -> str | None:
+    """Why a create event is unreadable or disagrees with its block and the
+    creates before it, or None."""
+    try:
+        blk = decode_block(bytes.fromhex(row["enc"]), bytes.fromhex(row["sig"]))
+    except ValueError:
+        return "with a malformed 'enc'"
+    pointees = [p.hex() for p in blk.pointers]
+    if not all(p in depths for p in pointees):
+        return "points at a block that no earlier create defines"
+    depth = depths[row["id"]] = 1 + max((depths[p] for p in pointees), default=0)
+    if (row["c"], row["d"]) != (blk.creator, depth):
+        return f"says creator {row['c']}, depth {row['d']}; its block's are {blk.creator}, {depth}"
+    return None
+
+
 def load_transcript(text: str) -> Transcript:
     """The transcript a JSON-lines text holds; raises ValueError, naming the
-    line, on any line the verifiers could not read."""
+    line, on any line the verifiers could not read or could not trust."""
     rows = []
     for k, line in enumerate(text.splitlines(), 1):
         if line.strip():
@@ -318,6 +328,7 @@ def load_transcript(text: str) -> Transcript:
         raise ValueError("not a transcript file")
     transcript = Transcript(rows[0][1], [], {}, {})
     n = transcript.scenario.n  # rejects a header that is not a valid scenario
+    depths: dict[str, int] = {}
     for k, row in rows[1:]:
         kind = row.get("e") if isinstance(row, dict) else None
         if kind not in _LINE_KEYS:
@@ -326,6 +337,9 @@ def load_transcript(text: str) -> Transcript:
                     if key not in row or not _field_ok(row, key, n)), None)
         if bad:
             raise ValueError(f"line {k}: {kind} event with a missing or malformed {bad!r}")
+        problem = _create_error(row, depths) if kind == "create" else None
+        if problem:
+            raise ValueError(f"line {k}: create event {problem}")
         if kind == "log":
             transcript.logs[row["m"]] = {"records": row["records"],
                                          "suppressed": row["suppressed"]}

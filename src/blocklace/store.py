@@ -243,13 +243,6 @@ class BlockStore:
         ia, ib = self._idx(a), self._idx(b)
         return ia != ib and bool((self._closure[ia] >> ib) & 1)
 
-    def closure(self, roots) -> set[bytes]:
-        """All blocks reachable from the roots, roots included."""
-        mask = 0
-        for r in roots:
-            mask |= self._closure[self._idx(r)]
-        return {self._ids[i] for i in _bits(mask)}
-
     def closure_mask(self, bid: bytes) -> int:
         return self._closure[self._idx(bid)]
 

@@ -3,15 +3,22 @@
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
-`bf_ordering_equivalence`, a verbatim copy of a retired verifier loop kept
-to check its replacement, and the store queries at the end, which only tests
-need and which read a store through its public API.
+`bf_ordering_equivalence` and `bf_reference_order`, verbatim copies of
+retired library code kept to check their replacements, and the store
+queries at the end, which only tests need and which read a store through its
+public API.
 """
 
 from __future__ import annotations
 
 from blocklace.checks import Verdict, prefix_divergence
-from blocklace.ordering import _super_ratified, reference_order
+from blocklace.ordering import (
+    _super_ratified,
+    prev_ratified_leader,
+    reference_order,
+    super_ratified_leader,
+    topo_sorted,
+)
 
 
 def graph_of(store) -> tuple[dict, dict]:
@@ -203,7 +210,34 @@ def bf_ordering_equivalence(view):
                    f"{len(view.correct)} miners match the reference order")
 
 
+def bf_reference_order(store, schedule, params):
+    """`ordering.reference_order` as it was before it walked pointers: each
+    fragment is the set difference of two whole-history closures."""
+    chain: list[bytes] = []
+    cur = super_ratified_leader(store, schedule, params)
+    while cur is not None:
+        chain.append(cur)
+        cur = prev_ratified_leader(store, schedule, params, cur)
+    chain.reverse()
+    order: list[bytes] = []
+    suppressed: set[bytes] = set()
+    for b2, b1 in zip([None, *chain], chain):
+        frag = closure(store, [b1]) - closure(store, [b2] if b2 else [])
+        order += [x for x in topo_sorted(store, frag) if store.approves(x, b1)]
+        suppressed |= {x for x in frag if not store.approves(x, b1)}
+    return order, suppressed
+
+
 # -- store queries only tests use -------------------------------------------
+
+
+def closure(store, roots) -> set:
+    """All accepted blocks reachable from the roots, roots included, read
+    from the store's closure masks."""
+    mask = 0
+    for r in roots:
+        mask |= store.closure_mask(r)
+    return set(store.ids_in_mask(mask))
 
 
 def blocks_by(store, q) -> list:

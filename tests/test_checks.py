@@ -41,6 +41,29 @@ def test_safety_catches_dropped_suffix_plus_extra():
     assert not v.passed
 
 
+def test_safety_names_a_tampered_middle_miner():
+    """Miner 3 delivers the most; miner 2, neither first nor longest, is
+    reported against it at the position where it diverges."""
+    view = checks.RunView(healthy_transcript())
+    for mid in (0, 1, 2):
+        view.delivered[mid] = view.delivered[mid][:-2]
+    rec = view.delivered[2]
+    rec[2], rec[3] = rec[3], rec[2]
+    v = checks.check_safety(view)
+    assert not v.passed
+    assert v.detail == "miners 2 and 3 diverge at position 2"
+
+
+def test_safety_locates_no_divergence_on_a_converged_run(monkeypatch):
+    """Each list is compared with the longest; a position is searched for
+    only on a mismatch."""
+    original, calls = checks.prefix_divergence, []
+    monkeypatch.setattr(checks, "prefix_divergence",
+                        lambda a, b: calls.append((a, b)) or original(a, b))
+    assert checks.check_safety(checks.RunView(healthy_transcript())).passed
+    assert calls == []
+
+
 def test_liveness_catches_missing_block():
     t = healthy_transcript()
     broken = copy.deepcopy(t)
@@ -165,6 +188,14 @@ def test_model_conformance_catches_unmatched_delivery():
                           "ids": ["ab" * 32]})
     v = checks.check_model_conformance(checks.RunView(broken))
     assert not v.passed
+
+
+def test_model_conformance_catches_delivery_before_its_send():
+    t = run(Scenario(rounds=4, seed=0))
+    next(e for e in t.events if e["e"] == "deliver")["t"] = -5
+    v = checks.check_model_conformance(checks.RunView(t))
+    assert not v.passed
+    assert v.detail.startswith("delivery at -5 before its send at ")
 
 
 def test_common_core_on_async_run():

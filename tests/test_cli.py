@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocklace.blocks import decode_block
 from blocklace.cli import main
 from blocklace.simnet import Scenario, run
 
@@ -240,6 +241,12 @@ def mutate(mutation: str, k: int) -> tuple[list[str], int]:
     elif mutation == "accept-miner":
         i = _nth(rows, "accept", k)
         rows[i]["m"] = 9
+    elif mutation == "create-depth":
+        i = _nth(rows, "create", k)
+        rows[i]["d"] = 99
+    elif mutation == "create-creator":
+        i = _nth(rows, "create", k)
+        rows[i]["c"] = (rows[i]["c"] + 3) % 4  # 3 on the first create, miner 0's
     elif mutation == "create-no-enc":
         i = _nth(rows, "create", k)
         del rows[i]["enc"]
@@ -249,7 +256,8 @@ def mutate(mutation: str, k: int) -> tuple[list[str], int]:
     return [json.dumps(r, sort_keys=True) for r in rows], i + 1
 
 
-MUTATIONS = ["not-an-object", "accept-miner", "create-no-enc", "create-enc-not-hex"]
+MUTATIONS = ["not-an-object", "accept-miner", "create-depth", "create-creator",
+             "create-no-enc", "create-enc-not-hex"]
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -260,6 +268,20 @@ def test_malformed_transcript_line_is_a_read_error(tmp_path, capsys, command, mu
     path.write_text("\n".join(lines) + "\n")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error reading {path}: line {k}: ")
+
+
+def test_create_of_an_undefined_pointee_is_a_read_error(tmp_path, capsys):
+    """With the first create dropped, the first create pointing at its
+    block names a block no earlier create defines."""
+    rows = [json.loads(ln) for ln in SHORT_RUN]
+    gone = bytes.fromhex(rows.pop(_nth(rows, "create", 0))["id"])
+    k = 1 + next(i for i, r in enumerate(rows) if r.get("e") == "create"
+                 and gone in decode_block(bytes.fromhex(r["enc"])).pointers)
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error reading {path}: line {k}: create event points at a block that no earlier ")
 
 
 @settings(max_examples=40, deadline=None)

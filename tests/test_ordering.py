@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklace.blocks import block_id
 from blocklace.leaders import CoinOracle, LeaderSchedule
@@ -24,7 +26,7 @@ from blocklace.ordering import (
 from blocklace.store import BlockStore
 
 from conftest import fresh_store, grow_full, grow_random
-from helpers_oracle import bf_super_ratified, graph_of
+from helpers_oracle import bf_reference_order, bf_super_ratified, closure, graph_of
 
 ES_SCHED = LeaderSchedule(4, 2)
 
@@ -107,7 +109,7 @@ def test_first_delivery_is_leader_closure(full_lattice):
     store, made = full_lattice
     log = DeliveryLog()
     new = extend_delivery(store, log, ES_SCHED, ES_PARAMS)
-    want = topo_sorted(store, store.closure([made[(1, 2)]]))
+    want = topo_sorted(store, closure(store, [made[(1, 2)]]))
     assert new == want
     assert len(new) == 5
     assert log.current_leader == made[(1, 2)]
@@ -177,7 +179,7 @@ def test_equivocation_suppressed_not_delivered():
     assert store.acknowledges(anchor, e1) and store.acknowledges(anchor, e2)
     assert e1 in log.suppressed and e2 in log.suppressed
     assert e1 not in log.delivered_set and e2 not in log.delivered_set
-    assert set(log.delivered) == store.closure([anchor]) - {e1, e2}
+    assert set(log.delivered) == closure(store, [anchor]) - {e1, e2}
     seq, suppressed = reference_order(store, ES_SCHED, ES_PARAMS)
     assert log.delivered == seq
     assert log.suppressed == suppressed
@@ -194,6 +196,27 @@ def test_prev_ratified_leader_chain(full_lattice):
     prev = prev_ratified_leader(store, ES_SCHED, ES_PARAMS, anchor)
     assert prev == made[(1, 2)]
     assert prev_ratified_leader(store, ES_SCHED, ES_PARAMS, prev) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(4, 1), (7, 2)]), st.integers(0, 2 ** 16),
+       st.integers(1, 22), st.booleans(),
+       st.sampled_from([ES_PARAMS, ASYNC_PARAMS]))
+def test_reference_order_matches_closure_difference(nf, seed, rounds, equivocate,
+                                                    params):
+    """The pointer walk gives the order and suppressed set that diffing
+    whole-history closures gives, with and without equivocators."""
+    n, f = nf
+    store, keyring = fresh_store(n=n, f=f, seed=seed)
+    forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
+    grow_random(store, keyring, random.Random(seed), rounds, forkers)
+    if params.model == "asynchrony":
+        coin = CoinOracle(seed, n, f, params.leader_stride)
+        sched = LeaderSchedule(n, params.leader_stride, coin.value)
+    else:
+        sched = LeaderSchedule(n, params.leader_stride)
+    assert (reference_order(store, sched, params)
+            == bf_reference_order(store, sched, params))
 
 
 def _grown_store(seed: int, n: int, f: int, rounds: int, equivocate: bool):

@@ -21,6 +21,7 @@ from helpers_oracle import (
     bf_equivocation,
     bf_ratifies,
     blocks_by,
+    closure,
     graph_of,
 )
 
@@ -161,10 +162,10 @@ def test_depth_skip_pointer():
 
 def test_closure_cases(full_lattice):
     store, made = full_lattice
-    assert store.closure([]) == set()
+    assert closure(store, []) == set()
     solo = made[(1, 1)]
-    assert store.closure([solo]) == {solo}
-    got = store.closure([made[(2, 3)]])
+    assert closure(store, [solo]) == {solo}
+    got = closure(store, [made[(2, 3)]])
     assert len(got) == 9  # itself plus all 8 blocks of rounds 1-2
     pointers, _ = graph_of(store)
     assert got == bf_closure(pointers, [made[(2, 3)]])
@@ -172,9 +173,9 @@ def test_closure_cases(full_lattice):
 
 def test_closure_is_closed(full_lattice):
     store, made = full_lattice
-    got = store.closure([made[(3, 4)]])
+    got = closure(store, [made[(3, 4)]])
     for bid in got:
-        assert store.closure([bid]) <= got
+        assert closure(store, [bid]) <= got
 
 
 def test_tips(full_lattice):
@@ -262,12 +263,12 @@ def test_approval_is_store_independent(fork_fixture):
     store = fork_fixture["store"]
     keyring = fork_fixture["keyring"]
     smaller = BlockStore(4, 1, keyring)
-    targets = list(store.closure([fork_fixture["sees_e1"]]))
+    targets = list(closure(store, [fork_fixture["sees_e1"]]))
     for bid in store.accepted_ids():
         if bid in set(targets) or store.depth_of(bid) <= 2:
             smaller.insert(store.get(bid))
     anchor = fork_fixture["sees_e1"]
-    for bid in smaller.closure([anchor]):
+    for bid in closure(smaller, [anchor]):
         assert smaller.approves(bid, anchor) == store.approves(bid, anchor)
 
 
