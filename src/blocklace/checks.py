@@ -43,10 +43,10 @@ class RunView:
         self.block_creator = {}
         self.accepts: dict[int, list[str]] = {i: [] for i in range(self.scenario.n)}
         self.revealed: dict[int, int] = {}
+        self.reveals: list[tuple[int, int]] = []  # (round, distinct callers so far)
         self.sends: list[dict] = []
         self.delivers: list[dict] = []
-        self.peeks: list[dict] = []
-        self.reveal_times: dict[int, int] = {}
+        callers: dict[int, set[int]] = {}
         for ev in transcript.events:
             kind = ev["e"]
             if kind == "create":
@@ -56,20 +56,21 @@ class RunView:
                 self.block_creator[ev["id"]] = ev["c"]
             elif kind == "accept":
                 self.accepts[ev["m"]].append(ev["id"])
+            elif kind == "coin-call":
+                callers.setdefault(ev["r"], set()).add(ev["m"])
             elif kind == "coin-reveal":
                 self.revealed[ev["r"]] = ev["leader"]
-                self.reveal_times[ev["r"]] = ev["t"]
+                self.reveals.append((ev["r"], len(callers.get(ev["r"], ()))))
             elif kind == "send":
                 self.sends.append(ev)
             elif kind == "deliver":
                 self.delivers.append(ev)
-            elif kind == "coin-peek":
-                self.peeks.append(ev)
         self.delivered: dict[int, list[str]] = {}
         self.suppressed: dict[int, list[str]] = {}
         for mid, log in transcript.logs.items():
             self.delivered[mid] = [r["block"] for r in log["records"]]
             self.suppressed[mid] = list(log["suppressed"])
+        self._stores: dict[frozenset, BlockStore] = {}
 
     def schedule(self) -> LeaderSchedule:
         """Round-robin leaders, or the coin values the transcript revealed."""
@@ -84,19 +85,33 @@ class RunView:
                 raise ReplayError(f"miner {mid} accepted undefined block {hid[:12]}")
         return self.accepts[mid]
 
-    def rebuild_store(self, mid: int) -> BlockStore:
-        store = BlockStore(self.scenario.n, self.scenario.f)
-        for hid in self.accepted(mid):
-            res = store.insert(self.blocks[hid])
-            if res.status != "accepted":
-                raise ReplayError(f"transcript replay failed for miner {mid}: "
-                                  f"{hid[:12]} -> {res.status} {res.reason}")
-        return store
-
-    def union_store(self) -> BlockStore:
-        store = BlockStore(self.scenario.n, self.scenario.f)
-        for hid, blk in self.blocks.items():
-            store.insert(blk)
+    def replay(self, mid: int | None) -> BlockStore:
+        """The store of miner mid's accepted blocks, or of every created
+        block when mid is None, in accept (creation) order. Each distinct
+        set goes into a fresh store once; the same set again is only checked
+        to put every pointee before the blocks pointing at it. Raises
+        ReplayError, caching nothing, where a fresh store would not accept a
+        block on arrival."""
+        ids = list(self.blocks) if mid is None else self.accepted(mid)
+        who = "the created blocks" if mid is None else f"miner {mid}"
+        key = frozenset(ids)
+        store = self._stores.get(key)
+        if store is None:
+            store = BlockStore(self.scenario.n, self.scenario.f)
+            for hid in ids:
+                res = store.insert(self.blocks[hid])
+                if res.status != "accepted":
+                    raise ReplayError(f"transcript replay failed for {who}: "
+                                      f"{hid[:12]} -> {res.status} {res.reason}")
+            self._stores[key] = store
+            return store
+        seen: set[bytes] = set()
+        for hid in ids:
+            blk = self.blocks[hid]
+            if not seen.issuperset(blk.pointers):
+                raise ReplayError(f"transcript replay failed for {who}: "
+                                  f"{hid[:12]} -> buffered None")
+            seen.add(block_id(blk))
         return store
 
 
@@ -162,20 +177,18 @@ def check_convergence(view: RunView) -> Verdict:
 def check_ordering_equivalence(view: RunView) -> Verdict:
     """Each miner's cumulative incremental delivery must equal the
     from-scratch reference recomputation on its final store. That order is a
-    function of the accepted set, so each distinct set is replayed once."""
+    function of the accepted set, so it is computed once per replayed store."""
     schedule = view.schedule()
-    reference: dict[frozenset, tuple[list[str], set[str]]] = {}
+    reference: dict[BlockStore, tuple[list[str], set[str]]] = {}
     for mid in view.correct:
-        key = frozenset(view.accepts[mid])
         try:
-            if key in reference:
-                _check_parents_first(view, mid)
-            else:
-                seq, sup = reference_order(view.rebuild_store(mid), schedule, view.params)
-                reference[key] = [b.hex() for b in seq], {b.hex() for b in sup}
+            store = view.replay(mid)
         except ReplayError as exc:
             return Verdict("ordering-equivalence", False, str(exc))
-        want, suppressed = reference[key]
+        if store not in reference:
+            seq, sup = reference_order(store, schedule, view.params)
+            reference[store] = [b.hex() for b in seq], {b.hex() for b in sup}
+        want, suppressed = reference[store]
         got = view.delivered.get(mid, [])
         if want != got:
             k = prefix_divergence(want, got)
@@ -189,28 +202,19 @@ def check_ordering_equivalence(view: RunView) -> Verdict:
                    f"{len(view.correct)} miners match the reference order")
 
 
-def _check_parents_first(view: RunView, mid: int) -> None:
-    """Raise what `rebuild_store(mid)` would for a block accepted before a pointee."""
-    seen: set[bytes] = set()
-    for hid in view.accepted(mid):
-        blk = view.blocks[hid]
-        bid = block_id(blk)
-        if bid not in seen and not seen.issuperset(blk.pointers):
-            raise ReplayError(f"transcript replay failed for miner {mid}: "
-                              f"{hid[:12]} -> buffered None")
-        seen.add(bid)
-
-
 def check_coin_blindness(view: RunView) -> Verdict:
-    """No adversary peek may observe a leader before its reveal."""
+    """Each coin reveal of a round must follow coin calls for it by at
+    least f+1 distinct miners, so no leader is known before a correct miner
+    asks for it."""
     if view.scenario.model != MODEL_ASYNC:
         return Verdict("coin-blindness", True, "deterministic leaders", applicable=False)
-    for ev in view.peeks:
-        if ev["revealed"] and view.reveal_times.get(ev["r"], ev["t"] + 1) > ev["t"]:
+    need = view.scenario.f + 1
+    for r, calls in view.reveals:
+        if calls < need:
             return Verdict("coin-blindness", False,
-                           f"peek saw round {ev['r']} before reveal")
+                           f"round {r} revealed after {calls} of {need} coin calls")
     return Verdict("coin-blindness", True,
-                   f"{len(view.peeks)} guarded peeks, none before reveal")
+                   f"{len(view.reveals)} reveals, each after >= {need} coin calls")
 
 
 def check_model_conformance(view: RunView) -> Verdict:
@@ -244,7 +248,10 @@ def check_common_core(view: RunView) -> Verdict:
     every member of V acknowledging every member of U."""
     if view.scenario.model != MODEL_ASYNC:
         return Verdict("common-core", True, "asynchrony only", applicable=False)
-    store = view.union_store()
+    try:
+        store = view.replay(None)
+    except ReplayError as exc:
+        return Verdict("common-core", False, str(exc))
     checked = 0
     for r in range(view.params.leader_stride, view.scenario.rounds + 1,
                    view.params.leader_stride):

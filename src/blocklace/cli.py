@@ -156,12 +156,11 @@ def cmd_check(args) -> int:
 def cmd_trace(args) -> int:
     try:
         with open(args.transcript, "r", encoding="utf-8") as fh:
-            transcript = simnet.load_transcript(fh.read())
-    except (OSError, ValueError) as exc:
+            view = checks.RunView(simnet.load_transcript(fh.read()))
+        store = view.replay(None)
+    except (OSError, ValueError) as exc:  # ReplayError is a ValueError
         print(f"error reading {args.transcript}: {exc}", file=sys.stderr)
         return 2
-    view = checks.RunView(transcript)
-    store = view.union_store()
     max_round = args.round if args.round is not None else store.max_depth()
     if max_round < 0 or (store.max_depth() and max_round > store.max_depth()):
         print(f"round {max_round} out of range (run reached "

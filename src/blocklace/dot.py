@@ -44,7 +44,8 @@ def _equivocating_blocks(store: BlockStore, chosen) -> set[bytes]:
     out: set[bytes] = set()
     by_creator: dict[int, list[bytes]] = {}
     for bid in chosen:
-        by_creator.setdefault(store.creator_of(bid), []).append(bid)
+        if store.is_faulty(store.creator_of(bid)):  # only equivocators fork
+            by_creator.setdefault(store.creator_of(bid), []).append(bid)
     for blocks in by_creator.values():
         for i, a in enumerate(blocks):
             for b in blocks[i + 1:]:

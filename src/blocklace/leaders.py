@@ -47,7 +47,6 @@ class CoinOracle:
         self.callers: dict[int, set[int]] = {}
         self.revealed: dict[int, MinerId] = {}
         self.reveal_log: list[tuple[int, MinerId]] = []  # in reveal order
-        self.peek_log: list[tuple[int, bool]] = []  # adversary guard queries
 
     def value(self, r: int) -> MinerId:
         h = hashlib.sha256(b"blocklace/coin/" + self.seed.to_bytes(8, "big", signed=False)
@@ -72,9 +71,3 @@ class CoinOracle:
 
     def revealed_value(self, r: int) -> MinerId | None:
         return self.revealed.get(r)
-
-    def adversary_peek_guard(self, r: int) -> bool:
-        """The only coin surface the adversary may touch; audited."""
-        ok = r in self.revealed
-        self.peek_log.append((r, ok))
-        return ok

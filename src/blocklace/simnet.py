@@ -191,9 +191,8 @@ def _byzantine_from(doc) -> dict[int, ByzSpec]:
 
 
 class Adversary:
-    """Chooses per-message delays within the model constraints. Coin values
-    are reachable only through the oracle's peek guard (never used by the
-    built-in policies, which are coin-blind by construction)."""
+    """Chooses per-message delays within the model constraints. No policy
+    reads the coin: each is coin-blind by construction."""
 
     def __init__(self, scenario: Scenario, schedule, rng: random.Random):
         self.scenario = scenario
@@ -276,12 +275,12 @@ class Transcript:
 _LINE_KEYS = {
     "create": ("id", "c", "d", "sig", "enc"), "accept": ("m", "id"),
     "send": ("t", "from", "to", "ids"), "deliver": ("t", "from", "to", "ids"),
-    "coin-reveal": ("t", "r", "leader"), "coin-peek": ("t", "r", "revealed"),
+    "coin-call": ("t", "m", "r"), "coin-reveal": ("t", "r", "leader"),
     "log": ("m", "records", "suppressed"), "end": ("metrics",),
-    "decide": (), "coin-call": (), "reject": (), "flush": (),
+    "decide": (), "reject": (), "flush": (),
 }
 _KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str, "enc": str,
-              "revealed": bool, "metrics": dict}
+              "metrics": dict}
 
 
 def _field_ok(row: dict, key: str, n: int) -> bool:
@@ -381,7 +380,6 @@ class Simulation:
         self.messages_sent = 0
         self.bytes_sent = 0
         self._reveals_seen = 0
-        self._peeks_seen = 0
         self._timer_poke: set[int] = set()
         # Liveness is an eventual property: if unlucky leader draws leave the
         # horizon uncovered at quiescence, the run extends wave by wave
@@ -482,11 +480,6 @@ class Simulation:
                 self.events.append({"e": "coin-reveal", "t": now, "r": r, "leader": v})
                 for other in self.miners:
                     self._push(now, "poke", other.id)
-            while self._peeks_seen < len(self.oracle.peek_log):
-                r, revealed = self.oracle.peek_log[self._peeks_seen]
-                self._peeks_seen += 1
-                self.events.append({"e": "coin-peek", "t": now, "r": r,
-                                    "revealed": revealed})
 
     # -- main loop ---------------------------------------------------------
 
@@ -574,12 +567,11 @@ class Simulation:
         return did
 
     def _maybe_schedule_timer(self, t: int, m: MinerState) -> None:
-        """If an ES miner is blocked only on its timer, wake it when ready."""
+        """If an ES miner that cannot proceed at t (its last _attempt
+        returned False) is blocked only on its timer, wake it when ready."""
         if self.scenario.model != MODEL_ES or self.scenario.delta == 0:
             return
         if m.id in self._timer_poke or m.id in self.scenario.byzantine:
-            return
-        if m.can_proceed(t, self.create_cap) is not None:
             return
         ready = m.last_send + self.scenario.delta
         if ready > t and m.can_proceed(ready, self.create_cap) is not None:

@@ -3,15 +3,15 @@
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
-`bf_ordering_equivalence` and `bf_reference_order`, verbatim copies of
-retired library code kept to check their replacements, and the store
-queries at the end, which only tests need and which read a store through its
-public API.
+`bf_rebuild_store`, `bf_ordering_equivalence` and `bf_reference_order`,
+verbatim copies of retired library code kept to check their replacements,
+and the store queries at the end, which only tests need and which read a
+store through its public API.
 """
 
 from __future__ import annotations
 
-from blocklace.checks import Verdict, prefix_divergence
+from blocklace.checks import ReplayError, Verdict, prefix_divergence
 from blocklace.ordering import (
     _super_ratified,
     prev_ratified_leader,
@@ -19,6 +19,7 @@ from blocklace.ordering import (
     super_ratified_leader,
     topo_sorted,
 )
+from blocklace.store import BlockStore
 
 
 def graph_of(store) -> tuple[dict, dict]:
@@ -188,13 +189,25 @@ def bf_admission(pointers: dict, creators: dict, block_pointers,
     return None if len(below) >= quorum else "non-cordial"
 
 
+def bf_rebuild_store(view, mid):
+    """A fresh store holding miner mid's accepts, inserted in accept order;
+    `RunView.rebuild_store` as it was before the view cached its replays."""
+    store = BlockStore(view.scenario.n, view.scenario.f)
+    for hid in view.accepted(mid):
+        res = store.insert(view.blocks[hid])
+        if res.status != "accepted":
+            raise ReplayError(f"transcript replay failed for miner {mid}: "
+                              f"{hid[:12]} -> {res.status} {res.reason}")
+    return store
+
+
 def bf_ordering_equivalence(view):
     """The ordering-equivalence verifier as it was before it replayed each
     distinct accepted set once: one store rebuild and one reference order
     per correct miner. A replay failure raises."""
     schedule = view.schedule()
     for mid in view.correct:
-        store = view.rebuild_store(mid)
+        store = bf_rebuild_store(view, mid)
         seq, suppressed = reference_order(store, schedule, view.params)
         want = [b.hex() for b in seq]
         got = view.delivered.get(mid, [])

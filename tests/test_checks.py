@@ -181,6 +181,27 @@ def test_ordering_equivalence_matches_per_miner_oracle(sc):
         assert checks.check_ordering_equivalence(tampered) == oracle_verdict(tampered)
 
 
+def test_coin_blindness_counts_distinct_callers_before_each_reveal():
+    t = healthy_transcript(model="asynchrony", rounds=20, seed=3,
+                           adversary={"kind": "reorder", "lag": 2})
+    v = checks.check_coin_blindness(checks.RunView(t))
+    assert v.passed and v.applicable
+    f = t.scenario.f
+    for reveal in [e for e in t.events if e["e"] == "coin-reveal"]:
+        broken = copy.deepcopy(t)
+        at = broken.events.index(reveal)
+        callers = []
+        for j, e in enumerate(broken.events[:at]):
+            if e["e"] == "coin-call" and e["r"] == reveal["r"] and e["m"] not in callers:
+                callers.append(e["m"])
+                last = j
+        assert len(callers) == f + 1  # the (f+1)-th call is the one that reveals
+        broken.events.insert(last, broken.events.pop(at))  # reveal after f calls
+        v = checks.check_coin_blindness(checks.RunView(broken))
+        assert not v.passed
+        assert v.detail == f"round {reveal['r']} revealed after {f} of {f + 1} coin calls"
+
+
 def test_model_conformance_catches_unmatched_delivery():
     t = healthy_transcript()
     broken = copy.deepcopy(t)

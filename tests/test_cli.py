@@ -10,13 +10,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blocklace.blocks import decode_block
+from blocklace.blocks import block_id, decode_block, encode_block, make_block
 from blocklace.cli import main
 from blocklace.simnet import Scenario, run
 
+from helpers_oracle import bf_equivocation
 from test_golden import SCENARIOS as GOLDEN
 
 
@@ -224,6 +225,7 @@ def test_bad_transcript_header_is_a_read_error(tmp_path, capsys, command, change
 
 
 SHORT_RUN = run(Scenario(rounds=4, seed=0)).lines()
+ASYNC_SHORT_RUN = run(Scenario(model="asynchrony", rounds=4, seed=0)).lines()
 
 
 def _nth(rows, kind, k):
@@ -232,14 +234,29 @@ def _nth(rows, kind, k):
     return at[k % len(at)]
 
 
-def mutate(mutation: str, k: int) -> tuple[list[str], int]:
-    """SHORT_RUN's lines with one malformed line, and that line's number."""
-    rows = [json.loads(ln) for ln in SHORT_RUN]
+def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
+    """The source run's lines with one line malformed, dropped, duplicated,
+    swapped with the next or given another id, and that line's number."""
+    rows = [json.loads(ln) for ln in source]
+    i = 1 + k % (len(rows) - 1)  # any line but the header
     if mutation == "not-an-object":
-        i = 1 + k % len(rows)
+        i = 1 + k % len(rows)  # the end of the file too
         rows.insert(i, [1])
+    elif mutation == "drop-line":
+        del rows[i]
+    elif mutation == "duplicate-line":
+        rows.insert(i, rows[i])
+    elif mutation == "swap-lines":
+        i = min(i, len(rows) - 2)
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif mutation == "corrupt-id":
+        i = _nth(rows, "create" if k % 2 else "accept", k // 2)
+        rows[i]["id"] = ("1" if rows[i]["id"][0] == "0" else "0") + rows[i]["id"][1:]
     elif mutation == "accept-miner":
         i = _nth(rows, "accept", k)
+        rows[i]["m"] = 9
+    elif mutation == "coin-call-miner":
+        i = _nth(rows, "coin-call", k)
         rows[i]["m"] = 9
     elif mutation == "create-depth":
         i = _nth(rows, "create", k)
@@ -256,14 +273,20 @@ def mutate(mutation: str, k: int) -> tuple[list[str], int]:
     return [json.dumps(r, sort_keys=True) for r in rows], i + 1
 
 
-MUTATIONS = ["not-an-object", "accept-miner", "create-depth", "create-creator",
-             "create-no-enc", "create-enc-not-hex"]
+# Each makes the line it hits unreadable; coin-call-miner needs an
+# asynchronous run, the only kind with coin calls.
+MUTATIONS = ["not-an-object", "accept-miner", "coin-call-miner", "create-depth",
+             "create-creator", "create-no-enc", "create-enc-not-hex"]
+# Whole-line changes to the event stream, and ids that no longer match.
+STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("command", ["check", "trace"])
 def test_malformed_transcript_line_is_a_read_error(tmp_path, capsys, command, mutation):
-    lines, k = mutate(mutation, len(SHORT_RUN) if mutation == "not-an-object" else 0)
+    source = ASYNC_SHORT_RUN if mutation == "coin-call-miner" else SHORT_RUN
+    lines, k = mutate(mutation, len(source) - 1 if mutation == "not-an-object" else 0,
+                      source)
     path = tmp_path / "transcript.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert main([command, str(path)]) == 2
@@ -284,12 +307,15 @@ def test_create_of_an_undefined_pointee_is_a_read_error(tmp_path, capsys):
         f"error reading {path}: line {k}: create event points at a block that no earlier ")
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(MUTATIONS), st.integers(0, 10_000))
-def test_check_on_a_mutated_transcript_never_raises(mutation, k):
-    """Whichever line a mutation hits, check reads the file and reports, or
-    says why it cannot read it; it never ends in a traceback."""
-    lines, _ = mutate(mutation, k)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MUTATIONS + STREAM_MUTATIONS), st.integers(0, 10_000),
+       st.sampled_from([SHORT_RUN, ASYNC_SHORT_RUN]))
+def test_check_on_a_mutated_transcript_never_raises(mutation, k, source):
+    """Whichever line a mutation hits, in an eventual-synchrony or an
+    asynchronous run, check reads the file and reports, or says why it
+    cannot read it; it never ends in a traceback."""
+    assume(mutation != "coin-call-miner" or source is ASYNC_SHORT_RUN)
+    lines, _ = mutate(mutation, k, source)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "transcript.jsonl"
@@ -301,6 +327,24 @@ def test_check_on_a_mutated_transcript_never_raises(mutation, k):
     else:
         assert code in (0, 1)
         assert json.loads(out.getvalue())["all_passed"] is (code == 0)
+
+
+def test_trace_of_an_inadmissible_create_is_an_error(tmp_path, capsys):
+    """A create whose block no store admits (a depth-2 block over one
+    depth-1 block: not cordial), with its id, creator and depth consistent,
+    cannot be replayed, so trace says so instead of drawing it."""
+    rows = [json.loads(ln) for ln in SHORT_RUN]
+    first = rows[_nth(rows, "create", 0)]
+    blk = make_block(first["c"], b"", [bytes.fromhex(first["id"])])
+    bad = {"e": "create", "t": first["t"], "m": first["m"], "id": block_id(blk).hex(),
+           "c": blk.creator, "d": 2, "enc": encode_block(blk).hex(), "sig": ""}
+    rows.insert(_nth(rows, "log", 0), bad)
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["trace", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error reading {path}: transcript replay failed for the created blocks: "
+        f"{bad['id'][:12]} -> rejected non-cordial\n")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -344,13 +388,27 @@ def test_trace_round_out_of_range(tmp_path, capsys):
 
 
 def test_trace_fork_is_double_bordered(tmp_path):
+    """The double-bordered nodes are the blocks with an equivocation
+    partner, found by brute force over every pair of created blocks."""
     cfg = write_config(tmp_path, rounds=12, seed=11,
                        delays={"kind": "uniform", "min": 1, "max": 3},
                        byzantine={"0": {"behavior": "equivocate", "rate": 0.7}})
     main(["run", cfg])
+    path = tmp_path / "out" / "transcript.jsonl"
+    pointers, creators = {}, {}
+    for ln in path.read_text().splitlines():
+        row = json.loads(ln)
+        if row.get("e") == "create":
+            blk = decode_block(bytes.fromhex(row["enc"]))
+            pointers[row["id"]] = [p.hex() for p in blk.pointers]
+            creators[row["id"]] = blk.creator
+    want = {a[:12] for a in pointers for b in pointers
+            if bf_equivocation(pointers, creators, a, b)}
     out = tmp_path / "dot.gv"
-    main(["trace", str(tmp_path / "out" / "transcript.jsonl"), "--out", str(out)])
-    assert "peripheries=2" in out.read_text()
+    assert main(["trace", str(path), "--out", str(out)]) == 0
+    got = {ln.split()[0][1:] for ln in out.read_text().splitlines()
+           if "peripheries=2" in ln}
+    assert want and got == want
 
 
 def test_trace_round_zero_is_empty_graph(tmp_path, capsys):

@@ -86,15 +86,6 @@ def test_identical_seed_and_order_reproduce_reveals():
     assert drive() == drive()
 
 
-def test_adversary_peek_guard():
-    oracle = CoinOracle(seed=5, n=4, f=1, stride=5)
-    assert oracle.adversary_peek_guard(5) is False
-    oracle.request(0, 5)
-    oracle.request(1, 5)
-    assert oracle.adversary_peek_guard(5) is True
-    assert oracle.peek_log == [(5, False), (5, True)]
-
-
 def test_revealed_schedule_matches_oracle_values():
     oracle = CoinOracle(seed=21, n=7, f=2, stride=5)
     offline = LeaderSchedule(7, 5, CoinOracle(seed=21, n=7, f=2, stride=5).value)
