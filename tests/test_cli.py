@@ -285,8 +285,7 @@ STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 @pytest.mark.parametrize("command", ["check", "trace"])
 def test_malformed_transcript_line_is_a_read_error(tmp_path, capsys, command, mutation):
     source = ASYNC_SHORT_RUN if mutation == "coin-call-miner" else SHORT_RUN
-    lines, k = mutate(mutation, len(source) - 1 if mutation == "not-an-object" else 0,
-                      source)
+    lines, k = mutate(mutation, len(source) if mutation == "not-an-object" else 0, source)
     path = tmp_path / "transcript.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert main([command, str(path)]) == 2
