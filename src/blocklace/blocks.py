@@ -139,14 +139,16 @@ class Keyring:
 
     def __init__(self, seed: int, n: int):
         self.n = n
-        self._keys = [
-            hashlib.sha256(b"blocklace/key/" + seed.to_bytes(8, "big", signed=False)
-                           + i.to_bytes(4, "big")).digest()
-            for i in range(n)
-        ]
+        self._seed = seed.to_bytes(8, "big", signed=False)
+        # Derived on first use, so a transcript header's n costs nothing.
+        self._keys: dict[MinerId, bytes] = {}
 
     def key(self, i: MinerId) -> bytes:
-        return self._keys[i]
+        key = self._keys.get(i)
+        if key is None:
+            key = self._keys[i] = hashlib.sha256(
+                b"blocklace/key/" + self._seed + i.to_bytes(4, "big")).digest()
+        return key
 
     def sign(self, b: Block) -> Block:
         sig = hmac.new(self.key(b.creator), encode_block(b), hashlib.sha256).digest()

@@ -197,9 +197,7 @@ class MinerState:
         if own is not None:
             self._last_sent[q] = own
             self._heard_since_send[q] = False
-        ids = sorted(self.store.ids_in_mask(mask),
-                     key=lambda b: (self.store.depth_of(b), b))
-        return Package(tuple(self.store.get(i) for i in ids))
+        return Package(tuple(self.store.blocks_in_mask(mask)))
 
     def responsive(self, q: MinerId) -> bool:
         """q has responded to the last block sent to it: either something

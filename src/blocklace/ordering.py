@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .store import BlockStore
+from .store import BlockStore, bits
 
 MODEL_ES = "eventual-synchrony"
 MODEL_ASYNC = "asynchrony"
@@ -52,23 +52,28 @@ def topo_sorted(store: BlockStore, ids) -> list[bytes]:
 
 
 def leader_blocks_at(store: BlockStore, schedule, d: int) -> list[bytes]:
+    return [store._ids[i] for i in _leader_indices(store, schedule, d)]
+
+
+def _leader_indices(store: BlockStore, schedule, d: int) -> list[int]:
+    """Store indices of round d's leader blocks, by id."""
     lead = schedule.leader_at(d)
     if lead is None:
         return []
-    return sorted(b for b in store.blocks_at(d) if store.creator_of(b) == lead)
+    creators, ids = store._creator, store._ids
+    return sorted((i for i in store._by_depth.get(d, ()) if creators[i] == lead),
+                  key=ids.__getitem__)
 
 
-def super_ratified_leader(store: BlockStore, schedule, params: WaveParams,
-                          min_round: int = 1) -> bytes | None:
+def super_ratified_leader(store: BlockStore, schedule,
+                          params: WaveParams) -> bytes | None:
     """Deepest leader block ratified by a >= 2f+1-creator supermajority of
     blocks beta rounds deeper; under eventual synchrony the leader block of
-    that deeper round must itself ratify it. Rounds below min_round are not
-    inspected (super-ratification is monotone, so an incremental caller can
-    skip everything at or below its current anchor)."""
+    that deeper round must itself ratify it."""
     top = store.max_depth() - params.beta
     stride = params.leader_stride
     start = (top // stride) * stride
-    for r in range(start, max(min_round, 1) - 1, -stride):
+    for r in range(start, 0, -stride):
         for cand in leader_blocks_at(store, schedule, r):
             if _super_ratified(store, schedule, params, cand, r):
                 return cand
@@ -110,13 +115,19 @@ def prev_ratified_leader(store: BlockStore, schedule, params: WaveParams,
 @dataclass
 class DeliveryLog:
     """A miner's final output: the delivered order, permanently suppressed
-    equivocation blocks, and the current super-ratified anchor."""
+    equivocation blocks, and the current super-ratified anchor.
+
+    tally maps the store index of each pending leader candidate, one above
+    the anchor's round, to how many blocks beta rounds deeper have been
+    examined (in acceptance order) and the creators of those that ratify it.
+    """
 
     delivered: list[bytes] = field(default_factory=list)
     delivered_set: set[bytes] = field(default_factory=set)
     suppressed: set[bytes] = field(default_factory=set)
     current_leader: bytes | None = None
     records: list[dict] = field(default_factory=list)
+    tally: dict[int, tuple[int, set[int]]] = field(default_factory=dict)
 
     def current_round(self, store: BlockStore) -> int:
         return store.depth_of(self.current_leader) if self.current_leader else 0
@@ -131,8 +142,8 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     Returns the newly delivered ids in delivery order.
     """
     floor = log.current_round(store)
-    anchor = super_ratified_leader(store, schedule, params, min_round=floor + 1)
-    if anchor is None or anchor == log.current_leader:
+    anchor = _tallied_leader(store, log, schedule, params, floor)
+    if anchor is None:
         return []
     chain: list[tuple[bytes, bytes | None]] = []
     cur: bytes | None = anchor
@@ -144,28 +155,62 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     for b1, b2 in reversed(chain):
         new.extend(_deliver_fragment(store, log, b1, b2))
     log.current_leader = anchor
+    anchor_round, depths = store.depth_of(anchor), store._depth
+    log.tally = {c: entry for c, entry in log.tally.items() if depths[c] > anchor_round}
     return new
+
+
+def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
+                    params: WaveParams, floor: int) -> bytes | None:
+    """The deepest super-ratified leader block above round floor, as
+    super_ratified_leader would find it (super-ratification is monotone, so
+    nothing at or below the anchor need be inspected), from running tallies.
+    Whether a block ratifies a candidate is fixed once both are accepted, so
+    each block beta rounds deeper than a candidate is examined for it once;
+    under eventual synchrony the leader block there is still checked
+    directly."""
+    creators, by_depth = store._creator, store._by_depth
+    alpha, beta, stride = params.alpha, params.beta, params.leader_stride
+    top = store.max_depth() - beta
+    for r in range((top // stride) * stride, floor, -stride):
+        deeper = by_depth.get(r + beta, ())
+        for cand in _leader_indices(store, schedule, r):
+            seen, ratifiers = log.tally.get(cand, (0, set()))
+            for i in deeper[seen:]:
+                if creators[i] not in ratifiers and store._ratifies(cand, i, alpha):
+                    ratifiers.add(creators[i])
+            log.tally[cand] = (len(deeper), ratifiers)
+            if len(ratifiers) < store.quorum:
+                continue
+            if params.model == MODEL_ES and not any(
+                    store._ratifies(cand, lb, alpha)
+                    for lb in _leader_indices(store, schedule, r + beta)):
+                continue
+            return store._ids[cand]
+    return None
 
 
 def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes,
                       b2: bytes | None) -> list[bytes]:
+    i1 = store.index_of(b1)
     frag_mask = store.closure_mask(b1)
     if b2 is not None:
         frag_mask &= ~store.closure_mask(b2)
-    ids = store.ids_in_mask(frag_mask)
+    ids, creators, depths = store._ids, store._creator, store._depth
     out = []
-    leader_round = store.depth_of(b1)
-    for bid in topo_sorted(store, ids):
+    leader_round = depths[i1]
+    for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
+        bid = ids[i]
         if bid in log.delivered_set or bid in log.suppressed:
             continue
-        if store.approves(bid, b1):
+        if store._approves(i, i1):
             log.delivered.append(bid)
             log.delivered_set.add(bid)
             log.records.append({
                 "position": len(log.delivered) - 1,
                 "block": bid.hex(),
-                "creator": store.creator_of(bid),
-                "depth": store.depth_of(bid),
+                "creator": creators[i],
+                "depth": depths[i],
                 "leader_round": leader_round,
             })
             out.append(bid)

@@ -296,13 +296,17 @@ def _field_ok(row: dict, key: str, n: int) -> bool:
     return isinstance(value, _KEY_TYPES[key])
 
 
-def _create_error(row: dict, depths: dict[str, int]) -> str | None:
-    """Why a create event is unreadable or disagrees with its block and the
-    creates before it, or None."""
+def _create_error(row: dict, depths: dict[str, int], keyring: Keyring) -> str | None:
+    """Why a create event is unreadable or disagrees with its block, its
+    creator's key and the creates before it, or None."""
     try:
         blk = decode_block(bytes.fromhex(row["enc"]), bytes.fromhex(row["sig"]))
     except ValueError:
         return "with a malformed 'enc'"
+    if row["id"] != block_id(blk).hex():
+        return f"says id {row['id'][:12]}; its block's is {block_id(blk).hex()[:12]}"
+    if not keyring.verify(blk):
+        return "with a signature its creator's key did not make"
     pointees = [p.hex() for p in blk.pointers]
     if not all(p in depths for p in pointees):
         return "points at a block that no earlier create defines"
@@ -326,8 +330,10 @@ def load_transcript(text: str) -> Transcript:
             and rows[0][1].get("schema") == SCHEMA_TRANSCRIPT):
         raise ValueError("not a transcript file")
     transcript = Transcript(rows[0][1], [], {}, {})
-    n = transcript.scenario.n  # rejects a header that is not a valid scenario
+    scenario = transcript.scenario  # rejects a header that is not a valid scenario
+    n, keyring = scenario.n, Keyring(scenario.seed, scenario.n)
     depths: dict[str, int] = {}
+    accepted: set[tuple[int, str]] = set()
     for k, row in rows[1:]:
         kind = row.get("e") if isinstance(row, dict) else None
         if kind not in _LINE_KEYS:
@@ -336,9 +342,14 @@ def load_transcript(text: str) -> Transcript:
                     if key not in row or not _field_ok(row, key, n)), None)
         if bad:
             raise ValueError(f"line {k}: {kind} event with a missing or malformed {bad!r}")
-        problem = _create_error(row, depths) if kind == "create" else None
+        problem = _create_error(row, depths, keyring) if kind == "create" else None
         if problem:
             raise ValueError(f"line {k}: create event {problem}")
+        if kind == "accept":
+            if (row["m"], row["id"]) in accepted:
+                raise ValueError(f"line {k}: accept event repeats miner {row['m']}'s "
+                                 f"accept of {row['id'][:12]}")
+            accepted.add((row["m"], row["id"]))
         if kind == "log":
             transcript.logs[row["m"]] = {"records": row["records"],
                                          "suppressed": row["suppressed"]}

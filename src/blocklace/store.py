@@ -159,7 +159,7 @@ class BlockStore:
             return AcceptResult("buffered")
         reason = self._screen(bid, block)
         if not reason:
-            if any(p not in self._index for p in block.pointers):
+            if not all(map(self._index.__contains__, block.pointers)):
                 self.buffer[bid] = block
                 return AcceptResult("buffered")
             reason = self._admit(bid, block)
@@ -189,26 +189,31 @@ class BlockStore:
         there, whose creators are distinct once the duplicate check passes:
         cordiality counts them.
         """
-        pointees = [self._index[p] for p in block.pointers]
-        if len({self._creator[i] for i in pointees}) < len(pointees):
+        index, creators, depths = self._index, self._creator, self._depth
+        pointees = [index[p] for p in block.pointers]
+        if len({creators[i] for i in pointees}) < len(pointees):
             return REJECT_DUPLICATE_CREATOR
-        depth = 1 + max((self._depth[i] for i in pointees), default=0)
-        if pointees and sum(self._depth[i] == depth - 1 for i in pointees) < self.quorum:
+        below = [depths[i] for i in pointees]
+        depth = 1 + max(below, default=0)
+        if pointees and below.count(depth - 1) < self.quorum:
             return REJECT_NON_CORDIAL
         idx = len(self._ids)
         mask = 1 << idx
+        closure, pointed_from = self._closure, self._pointed_from
         for i in pointees:
-            mask |= self._closure[i]
-            self._pointed_from[i] = min(self._pointed_from[i], depth)
+            mask |= closure[i]
+            if depth < pointed_from[i]:
+                pointed_from[i] = depth
         self._ids.append(bid)
         self._blocks.append(block)
-        self._creator.append(block.creator)
-        self._depth.append(depth)
-        self._pointed_from.append(float("inf"))
-        self._closure.append(mask)
-        self._index[bid] = idx
+        creators.append(block.creator)
+        depths.append(depth)
+        pointed_from.append(float("inf"))
+        closure.append(mask)
+        index[bid] = idx
         self._by_depth.setdefault(depth, []).append(idx)
-        self._max_depth = max(self._max_depth, depth)
+        if depth > self._max_depth:
+            self._max_depth = depth
         siblings = self._by_creator.setdefault(block.creator, [])
         # The chain's last block cannot acknowledge the newcomer, and the
         # newcomer acknowledges the whole chain iff it acknowledges that one.
@@ -220,6 +225,8 @@ class BlockStore:
         return None
 
     def _cascade(self) -> list[bytes]:
+        if not self.buffer:
+            return []
         accepted: list[bytes] = []
         progress = True
         while progress:
@@ -246,8 +253,11 @@ class BlockStore:
     def closure_mask(self, bid: bytes) -> int:
         return self._closure[self._idx(bid)]
 
-    def ids_in_mask(self, mask: int) -> list[bytes]:
-        return [self._ids[i] for i in _bits(mask)]
+    def blocks_in_mask(self, mask: int) -> list[Block]:
+        """The blocks of mask, parents-first: by depth, then id."""
+        depths, ids = self._depth, self._ids
+        order = sorted(bits(mask), key=lambda i: (depths[i], ids[i]))
+        return [self._blocks[i] for i in order]
 
     def tips(self, r: int) -> dict[int, bytes]:
         """Creator -> its (depth, id)-greatest block of depth <= r that no
@@ -297,7 +307,9 @@ class BlockStore:
     def ratifies(self, b1: bytes, b2: bytes, alpha: int) -> bool:
         """b2 acknowledges blocks at depth(b1)+alpha approving b1 by >= 2f+1
         distinct creators."""
-        i1, i2 = self._idx(b1), self._idx(b2)
+        return self._ratifies(self._idx(b1), self._idx(b2), alpha)
+
+    def _ratifies(self, i1: int, i2: int, alpha: int) -> bool:
         target = self._depth[i1] + alpha
         m2 = self._closure[i2]
         creators: set[int] = set()
@@ -355,7 +367,8 @@ class BlockStore:
         return blk
 
 
-def _bits(mask: int):
+def bits(mask: int):
+    """The indices set in mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -250,7 +250,7 @@ def closure(store, roots) -> set:
     mask = 0
     for r in roots:
         mask |= store.closure_mask(r)
-    return set(store.ids_in_mask(mask))
+    return {b for b in store.accepted_ids() if (mask >> store.index_of(b)) & 1}
 
 
 def blocks_by(store, q) -> list:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blocklace.blocks import block_id, decode_block, encode_block, make_block
+from blocklace.blocks import Keyring, block_id, decode_block, encode_block, make_block
 from blocklace.cli import main
 from blocklace.simnet import Scenario, run
 
@@ -255,6 +255,9 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     elif mutation == "accept-miner":
         i = _nth(rows, "accept", k)
         rows[i]["m"] = 9
+    elif mutation == "accept-repeated":
+        i = _nth(rows, "accept", k) + 1
+        rows.insert(i, rows[i - 1])
     elif mutation == "coin-call-miner":
         i = _nth(rows, "coin-call", k)
         rows[i]["m"] = 9
@@ -264,6 +267,12 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     elif mutation == "create-creator":
         i = _nth(rows, "create", k)
         rows[i]["c"] = (rows[i]["c"] + 3) % 4  # 3 on the first create, miner 0's
+    elif mutation == "create-id-not-hash":
+        i = _nth(rows, "create", k)
+        rows[i]["id"] = "00" * 32
+    elif mutation == "create-zero-sig":
+        i = _nth(rows, "create", k)
+        rows[i]["sig"] = "00" * 32
     elif mutation == "create-no-enc":
         i = _nth(rows, "create", k)
         del rows[i]["enc"]
@@ -275,8 +284,9 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
 
 # Each makes the line it hits unreadable; coin-call-miner needs an
 # asynchronous run, the only kind with coin calls.
-MUTATIONS = ["not-an-object", "accept-miner", "coin-call-miner", "create-depth",
-             "create-creator", "create-no-enc", "create-enc-not-hex"]
+MUTATIONS = ["not-an-object", "accept-miner", "accept-repeated", "coin-call-miner",
+             "create-depth", "create-creator", "create-id-not-hash", "create-zero-sig",
+             "create-no-enc", "create-enc-not-hex"]
 # Whole-line changes to the event stream, and ids that no longer match.
 STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 
@@ -330,13 +340,14 @@ def test_check_on_a_mutated_transcript_never_raises(mutation, k, source):
 
 def test_trace_of_an_inadmissible_create_is_an_error(tmp_path, capsys):
     """A create whose block no store admits (a depth-2 block over one
-    depth-1 block: not cordial), with its id, creator and depth consistent,
-    cannot be replayed, so trace says so instead of drawing it."""
+    depth-1 block: not cordial), with its id, creator, depth and signature
+    consistent, cannot be replayed, so trace says so instead of drawing it."""
     rows = [json.loads(ln) for ln in SHORT_RUN]
     first = rows[_nth(rows, "create", 0)]
-    blk = make_block(first["c"], b"", [bytes.fromhex(first["id"])])
+    blk = Keyring(0, 4).sign(make_block(first["c"], b"", [bytes.fromhex(first["id"])]))
     bad = {"e": "create", "t": first["t"], "m": first["m"], "id": block_id(blk).hex(),
-           "c": blk.creator, "d": 2, "enc": encode_block(blk).hex(), "sig": ""}
+           "c": blk.creator, "d": 2, "enc": encode_block(blk).hex(),
+           "sig": blk.signature.hex()}
     rows.insert(_nth(rows, "log", 0), bad)
     path = tmp_path / "transcript.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))

@@ -219,6 +219,46 @@ def test_reference_order_matches_closure_difference(nf, seed, rounds, equivocate
             == bf_reference_order(store, sched, params))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4, 1), (7, 2)]), st.integers(0, 2 ** 16),
+       st.integers(1, 12), st.booleans(),
+       st.sampled_from([ES_PARAMS, ASYNC_PARAMS]))
+def test_tallied_anchor_matches_brute_force_rule(nf, seed, rounds, equivocate, params):
+    """Fed a blocklace block by block, extend_delivery anchors on the deepest
+    leader block above its previous anchor that the brute-force rule
+    accepts, and keeps its anchor when there is none; its tally holds no
+    candidate at or below the anchor's round."""
+    n, f = nf
+    grown, keyring = fresh_store(n=n, f=f, seed=seed)
+    forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
+    grow_random(grown, keyring, random.Random(seed), rounds, forkers)
+    if params.model == "asynchrony":
+        coin = CoinOracle(seed, n, f, params.leader_stride)
+        sched = LeaderSchedule(n, params.leader_stride, coin.value)
+    else:
+        sched = LeaderSchedule(n, params.leader_stride)
+    store, log = BlockStore(n, f, keyring), DeliveryLog()
+    pointers, creators, depth = {}, {}, {}
+    ratified = set()  # leader blocks the brute-force rule accepts so far
+    for bid in grown.accepted_ids():
+        blk = grown.get(bid)
+        pointers[bid], creators[bid] = tuple(blk.pointers), blk.creator
+        depth[bid] = 1 + max((depth[p] for p in blk.pointers), default=0)
+        # Only a block beta rounds deeper can change a candidate's verdict.
+        for cand in pointers:
+            if depth[cand] + params.beta == depth[bid] and bf_super_ratified(
+                    pointers, creators, sched.leader_at, params, store.quorum, cand):
+                ratified.add(cand)
+        floor, before = log.current_round(store), log.current_leader
+        store.insert(blk)
+        extend_delivery(store, log, sched, params)
+        above = [c for c in ratified if depth[c] > floor]
+        want = min(above, key=lambda c: (-depth[c], c)) if above else before
+        assert log.current_leader == want
+        ids = store.accepted_ids()
+        assert all(depth[ids[c]] > log.current_round(store) for c in log.tally)
+
+
 def _grown_store(seed: int, n: int, f: int, rounds: int, equivocate: bool):
     store, keyring = fresh_store(n=n, f=f, seed=seed)
     rng = random.Random(seed * 13 + 7)
