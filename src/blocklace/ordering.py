@@ -117,9 +117,9 @@ class DeliveryLog:
     """A miner's final output: the delivered order, permanently suppressed
     equivocation blocks, and the current super-ratified anchor.
 
-    tally maps the store index of each pending leader candidate, one above
-    the anchor's round, to how many blocks beta rounds deeper have been
-    examined (in acceptance order) and the creators of those that ratify it.
+    tally maps the store index of each leader candidate above the anchor's
+    round to how many blocks beta rounds deeper it has examined, in
+    acceptance order, and the creators of those that ratify it.
     """
 
     delivered: list[bytes] = field(default_factory=list)

@@ -303,8 +303,9 @@ def _create_error(row: dict, depths: dict[str, int], keyring: Keyring) -> str | 
         blk = decode_block(bytes.fromhex(row["enc"]), bytes.fromhex(row["sig"]))
     except ValueError:
         return "with a malformed 'enc'"
-    if row["id"] != block_id(blk).hex():
-        return f"says id {row['id'][:12]}; its block's is {block_id(blk).hex()[:12]}"
+    bid = block_id(blk).hex()
+    if row["id"] != bid:
+        return f"says id {row['id'][:12]}; its block's is {bid[:12]}"
     if not keyring.verify(blk):
         return "with a signature its creator's key did not make"
     pointees = [p.hex() for p in blk.pointers]
