@@ -31,6 +31,15 @@ from helpers_oracle import bf_reference_order, bf_super_ratified, closure, graph
 ES_SCHED = LeaderSchedule(4, 2)
 
 
+def _schedule(params, seed: int, n: int, f: int) -> LeaderSchedule:
+    """Round-robin leaders under eventual synchrony; the seed's coin under
+    asynchrony."""
+    if params.model == "asynchrony":
+        coin = CoinOracle(seed, n, f, params.leader_stride)
+        return LeaderSchedule(n, params.leader_stride, coin.value)
+    return LeaderSchedule(n, params.leader_stride)
+
+
 def test_wave_params_pinned():
     assert (ES_PARAMS.alpha, ES_PARAMS.beta, ES_PARAMS.leader_stride) == (1, 2, 2)
     assert (ASYNC_PARAMS.alpha, ASYNC_PARAMS.beta, ASYNC_PARAMS.leader_stride) == (2, 5, 5)
@@ -210,11 +219,7 @@ def test_reference_order_matches_closure_difference(nf, seed, rounds, equivocate
     store, keyring = fresh_store(n=n, f=f, seed=seed)
     forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
     grow_random(store, keyring, random.Random(seed), rounds, forkers)
-    if params.model == "asynchrony":
-        coin = CoinOracle(seed, n, f, params.leader_stride)
-        sched = LeaderSchedule(n, params.leader_stride, coin.value)
-    else:
-        sched = LeaderSchedule(n, params.leader_stride)
+    sched = _schedule(params, seed, n, f)
     assert (reference_order(store, sched, params)
             == bf_reference_order(store, sched, params))
 
@@ -232,11 +237,7 @@ def test_tallied_anchor_matches_brute_force_rule(nf, seed, rounds, equivocate, p
     grown, keyring = fresh_store(n=n, f=f, seed=seed)
     forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
     grow_random(grown, keyring, random.Random(seed), rounds, forkers)
-    if params.model == "asynchrony":
-        coin = CoinOracle(seed, n, f, params.leader_stride)
-        sched = LeaderSchedule(n, params.leader_stride, coin.value)
-    else:
-        sched = LeaderSchedule(n, params.leader_stride)
+    sched = _schedule(params, seed, n, f)
     store, log = BlockStore(n, f, keyring), DeliveryLog()
     pointers, creators, depth = {}, {}, {}
     ratified = set()  # leader blocks the brute-force rule accepts so far
@@ -279,11 +280,7 @@ def test_reference_prefix_monotone_on_snapshots(n, f, params):
     for seed in range(6):
         store, keyring, snapshots = _grown_store(seed, n, f, rounds=9,
                                                  equivocate=seed % 2 == 0)
-        if params.model == "asynchrony":
-            coin = CoinOracle(seed, n, f, params.leader_stride)
-            sched = LeaderSchedule(n, params.leader_stride, coin.value)
-        else:
-            sched = LeaderSchedule(n, params.leader_stride)
+        sched = _schedule(params, seed, n, f)
         ids = store.accepted_ids()
         prev_seq = []
         for cut in snapshots:
