@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 DIGEST_SIZE = 32
 MAX_POINTERS = 0xFFFF
-MAX_SHARE = 0xFFFF
 MAX_PAYLOAD = 0xFFFFFFFF
 
 MinerId = int
@@ -32,7 +31,6 @@ class Block:
     creator: MinerId
     payload: bytes
     pointers: tuple[bytes, ...]
-    share: bytes = b""
     signature: bytes = b""
 
     @cached_property
@@ -44,8 +42,6 @@ class Block:
             len(self.pointers).to_bytes(2, "big"),
         ]
         parts.extend(self.pointers)
-        parts.append(len(self.share).to_bytes(2, "big"))
-        parts.append(self.share)
         return b"".join(parts)
 
     @cached_property
@@ -53,10 +49,10 @@ class Block:
         return hashlib.sha256(self._encoding).digest()
 
 
-def make_block(creator: MinerId, payload: bytes, pointers, share: bytes = b"") -> Block:
+def make_block(creator: MinerId, payload: bytes, pointers) -> Block:
     """Build an unsigned block, normalizing the pointer set."""
     pts = tuple(sorted(set(pointers)))
-    blk = Block(creator=creator, payload=payload, pointers=pts, share=share)
+    blk = Block(creator=creator, payload=payload, pointers=pts)
     problem = structural_error(blk)
     if problem:
         raise BlockError(problem)
@@ -71,8 +67,6 @@ def structural_error(b: Block) -> str | None:
         return "payload too long"
     if len(b.pointers) > MAX_POINTERS:
         return "too many pointers"
-    if len(b.share) > MAX_SHARE:
-        return "share too long"
     for p in b.pointers:
         if len(p) != DIGEST_SIZE:
             return "pointer is not a 32-byte digest"
@@ -85,7 +79,7 @@ def encode_block(b: Block) -> bytes:
     """Canonical encoding; deterministic, signature excluded.
 
     Layout: creator u32be | payload-len u32be | payload | pointer-count u16be |
-    sorted pointer digests | share-len u16be | share.
+    sorted pointer digests.
     """
     return b._encoding
 
@@ -116,18 +110,11 @@ def decode_block(data: bytes, signature: bytes = b"") -> Block:
                 raise BlockError("truncated pointer")
             pointers.append(d)
             pos += DIGEST_SIZE
-        slen = int.from_bytes(data[pos:pos + 2], "big")
-        pos += 2
-        share = data[pos:pos + slen]
-        if len(share) != slen:
-            raise BlockError("truncated share")
-        pos += slen
         if pos != len(data):
             raise BlockError("trailing bytes")
     except (IndexError, ValueError) as exc:
         raise BlockError(str(exc)) from exc
-    blk = Block(creator=creator, payload=payload, pointers=tuple(pointers),
-                share=share, signature=signature)
+    blk = Block(creator=creator, payload=payload, pointers=tuple(pointers), signature=signature)
     problem = structural_error(blk)
     if problem:
         raise BlockError(problem)
@@ -152,8 +139,7 @@ class Keyring:
 
     def sign(self, b: Block) -> Block:
         sig = hmac.new(self.key(b.creator), encode_block(b), hashlib.sha256).digest()
-        return Block(creator=b.creator, payload=b.payload, pointers=b.pointers,
-                     share=b.share, signature=sig)
+        return replace(b, signature=sig)
 
     def verify(self, b: Block) -> bool:
         if not (0 <= b.creator < self.n):

@@ -28,14 +28,12 @@ GOLDEN_ENC = (
     "000000020000000e676f6c64656e207061796c6f61640002"
     "0303030303030303030303030303030303030303030303030303030303030303"
     "0707070707070707070707070707070707070707070707070707070707070707"
-    "0006736861726521"
 )
-GOLDEN_ID = "6d7ca0470a793884bae9b71f361b33858cace496f40dd595eb955375b3432123"
+GOLDEN_ID = "b620e17cb0c61453aca52d36fe3d27d2e554a0120a9efda3700c9f93124eafdd"
 
 
 def golden_block() -> Block:
-    return make_block(2, b"golden payload", [bytes([7]) * 32, bytes([3]) * 32],
-                      share=b"share!")
+    return make_block(2, b"golden payload", [bytes([7]) * 32, bytes([3]) * 32])
 
 
 def test_encoding_deterministic():
@@ -70,7 +68,7 @@ def test_no_collisions_over_random_blocks():
     for i in range(100_000):
         blk = Block(creator=rng.randrange(16),
                     payload=rng.randbytes(rng.randrange(8)),
-                    pointers=(), share=b"")
+                    pointers=())
         seen.add(block_id(blk))
         if i % 9 == 0:
             seen.add(block_id(Block(creator=blk.creator, payload=blk.payload + b"!",
@@ -91,7 +89,6 @@ def test_decode_roundtrip():
     assert again.creator == blk.creator
     assert again.payload == blk.payload
     assert again.pointers == blk.pointers
-    assert again.share == blk.share
     assert again.signature == b"sig"
 
 
@@ -110,10 +107,10 @@ def test_keyring_sign_and_verify():
     blk = keyring.sign(make_block(1, b"hello", []))
     assert keyring.verify(blk)
     forged = Block(creator=2, payload=blk.payload, pointers=blk.pointers,
-                   share=blk.share, signature=blk.signature)
+                   signature=blk.signature)
     assert not keyring.verify(forged)
     tampered = Block(creator=1, payload=b"hellO", pointers=blk.pointers,
-                     share=blk.share, signature=blk.signature)
+                     signature=blk.signature)
     assert not keyring.verify(tampered)
 
 
@@ -122,16 +119,14 @@ def random_blocks(draw):
     """Signed blocks with random fields within the structural limits."""
     keyring = Keyring(draw(st.integers(0, 2 ** 16)), 8)
     pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
-    blk = make_block(draw(st.integers(0, 7)), draw(st.binary(max_size=64)),
-                     pointers, share=draw(st.binary(max_size=16)))
+    blk = make_block(draw(st.integers(0, 7)), draw(st.binary(max_size=64)), pointers)
     return keyring, keyring.sign(blk)
 
 
 def layout_encoding(blk: Block) -> bytes:
     """The documented layout, built independently of encode_block."""
     return (struct.pack(">II", blk.creator, len(blk.payload)) + blk.payload
-            + struct.pack(">H", len(blk.pointers)) + b"".join(blk.pointers)
-            + struct.pack(">H", len(blk.share)) + blk.share)
+            + struct.pack(">H", len(blk.pointers)) + b"".join(blk.pointers))
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,13 +155,13 @@ def test_equality_and_hash_ignore_the_cached_id(case):
 def test_rebuilt_block_gets_a_fresh_id(case, data):
     keyring, blk = case
     old_id, old_enc = block_id(blk), encode_block(blk)
-    field = data.draw(st.sampled_from(["creator", "payload", "pointers", "share"]))
+    field = data.draw(st.sampled_from(["creator", "payload", "pointers"]))
     if field == "creator":
         value = (blk.creator + data.draw(st.integers(1, 7))) % 8
     elif field == "pointers":
         value = tuple(sorted(set(blk.pointers) ^ {bytes(32)}))  # toggle one
     else:
-        value = getattr(blk, field) + b"!"
+        value = blk.payload + b"!"
     rebuilt = dataclasses.replace(blk, **{field: value})
     assert rebuilt.signature == blk.signature
     assert encode_block(rebuilt) == layout_encoding(rebuilt) != old_enc

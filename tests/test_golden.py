@@ -52,24 +52,24 @@ SCENARIOS = {
 }
 
 DIGESTS = {
-    "es-n4": "a01e7840787e0bb25e0339824790bed0cc023e73b6904c2794036609f84c9bfe",
-    "es-n7": "b6e92975faa0ee3201de141b4979511b26c24d1be77e0136aabb28bfe34dcb04",
-    "es-n10-timer": "4a311ab4fcdb5f2f18037b7e95711b605a7cf3d325b97c8cfaed5d380ff35435",
-    "es-n16": "4bf0ea772fa2156716dafdc8c1bfb6cefad6215bd1ea794cd9d6097bc1e05d37",
-    "async-n4": "9ea12dc49e272c96a8933898375edea77a491095c0a870139ef3b42bb736538e",
-    "async-n7": "86f7c0f9b754ee625ddd6c9cbce325e3f00ebcb3de804dc749d183353b44baa3",
-    "async-n10": "5df8759a7e9c7f37cf8308bb92b4204137332ac6b4e5f3f1d72507dbea460240",
-    "async-n16": "940cf4f5f668d2d251e8e04582af3986b176f98a59cb96cdb2776f46f10967e5",
-    "es-random-delay": "2436b213c88d4145146f098a73b7527ea142b87b7b8c4ec5e0fd5337524062e1",
-    "es-pre-gst": "26e0fbc9dc9f39cf462b27e66f64f346d3224c18ea7bc3a94a70941154ce03b9",
-    "es-corrupt-leader": "fb076fc05b147a9d60aa792de24ebf4f2a16e8b6c117b9ac08d1e7c810a8d04d",
-    "async-reorder": "9ff346d68c705cc8214893d26cb6fa8a3f4671909e4fa2e29545a037a8d02568",
-    "async-random-delay": "0813f4584bc68f94f863a428f8ea417016efe816ed67dadeffde2917de87080c",
-    "es-equivocate-0.5": "6cdcd1f2fe7b953f6422cac221d076c84a9e38421a7b974db0b2a8f6c91b0ad6",
-    "async-equivocate-1.0": "dd94e1f8bbaa72dd294c7827718a6a2787be85c7b650190517dc1e1c05a15897",
-    "es-equivocate-1.0": "18d6813e4acba9660737de898c0a9ad060a25c202c5566bc43376c49edca2382",
-    "es-crash": "076ad50faf2c97604a7cb24bb02dc31aa529e49d21aa9dbb232e634aaa0d51c1",
-    "async-silent": "4a1398ac61ba042b5a9b46cba3d755af365b614fccbf1b3c8f63b94d0f784df9",
+    "es-n4": "40f398681a4c0e0a1449d3d129b8146a75431ff41b9c83388f80e8c7c2eb5802",
+    "es-n7": "8d4fa7a33dc4fc95d531aa1b975106667ec2bfd068041435ab03ef9fa80608dd",
+    "es-n10-timer": "ea8f4777f7ccfaa0503e6aa45a2a751a5bc37488933fe6618aa9a44bc569a48d",
+    "es-n16": "59550095506ad499e9b10410a9c3f341b512700b922e3440966d7d0a32408fc0",
+    "async-n4": "d5365f38b33e4eb04c5402f7eff616b709aa3f09dd6a3234936e67a81bfb6f5b",
+    "async-n7": "b25e2fbfa389bdb2b2d16177bd37a54dba7bb01858df37f03a2bc406b6d2536b",
+    "async-n10": "538feb3c4375a5f4ecded967ebe4d141ef437e08fd8688f9f483ddb8f8d9c567",
+    "async-n16": "f4063f0c0ec2c7eb192a296c76b505d837c237da9d3bf101c70c00b971246719",
+    "es-random-delay": "ca45ff87a5099bf70b63ae46dfef21e9db089c2208d4da794c243bf0f57aad16",
+    "es-pre-gst": "2cde3885e13ec0364fa3f45a2445470b2b441223587cb8e284f29c4af00406a7",
+    "es-corrupt-leader": "61f54226a8b3981da8d6218ed9fa2000f36abf674f144cfbdb1ad74bce50773c",
+    "async-reorder": "061c053b28ed2f2022f66790b8dcc839e7aedb257cb1cb1bc4c64072295ba603",
+    "async-random-delay": "c7bd117c2d12cd91afa353eeeea8413433a43b1f5e2652e10b0c1bd0fe57b917",
+    "es-equivocate-0.5": "ef70901e084295e965c8171bb26cdaf58ec962fabe2f977716d2d7998436b341",
+    "async-equivocate-1.0": "b4f701ec9b12b133da4e6e4c0ac34dc2588dccf3db28c9096d0c3e60cdceceaf",
+    "es-equivocate-1.0": "d20f92961bbf2892c4fae7a5c65b98a11985781be71cd3a13dcfa6800fd1e88c",
+    "es-crash": "301ff8a6eda712d20cb9dd8993a523f3647096132c7518b4c34a1a7a6977b581",
+    "async-silent": "755365113cd11580d65a9eed8a07f9b74006ed3a6504c8952d0637a3fec6bd2c",
 }
 
 
