@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .blocks import block_id, decode_block
+from .blocks import block_id
 from .leaders import LeaderSchedule
 from .ordering import MODEL_ASYNC, MODEL_ES, reference_order
 from .simnet import Transcript
@@ -31,16 +31,15 @@ class Verdict:
 
 
 class RunView:
-    """Decoded view of one transcript: block registry, per-miner accept
+    """View of one transcript: its blocks by id, per-miner accept
     order, delivered sequences, and the leader schedule in force."""
 
     def __init__(self, transcript: Transcript):
         self.scenario = transcript.scenario
         self.params = self.scenario.params
         self.correct = self.scenario.correct_miners()
-        self.blocks = {}
+        self.blocks = transcript.blocks
         self.block_depth = {}
-        self.block_creator = {}
         self.accepts: dict[int, list[str]] = {i: [] for i in range(self.scenario.n)}
         self.revealed: dict[int, int] = {}
         self.reveals: list[tuple[int, int]] = []  # (round, distinct callers so far)
@@ -50,10 +49,7 @@ class RunView:
         for ev in transcript.events:
             kind = ev["e"]
             if kind == "create":
-                self.blocks[ev["id"]] = decode_block(bytes.fromhex(ev["enc"]),
-                                                     bytes.fromhex(ev["sig"]))
                 self.block_depth[ev["id"]] = ev["d"]
-                self.block_creator[ev["id"]] = ev["c"]
             elif kind == "accept":
                 self.accepts[ev["m"]].append(ev["id"])
             elif kind == "coin-call":
@@ -139,8 +135,8 @@ def check_liveness(view: RunView) -> Verdict:
     """Every correct-miner block created at least two waves before the
     horizon must be delivered by every correct miner."""
     cutoff = view.scenario.rounds - 2 * view.params.wave_length
-    due = [hid for hid, c in view.block_creator.items()
-           if c in view.correct and view.block_depth[hid] <= cutoff]
+    due = [hid for hid, blk in view.blocks.items()
+           if blk.creator in view.correct and view.block_depth[hid] <= cutoff]
     missing = []
     for mid in view.correct:
         got = set(view.delivered.get(mid, []))

@@ -10,7 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import Keyring, block_id, decode_block, encode_block, make_block
+from .blocks import Block, Keyring, block_id, decode_block, encode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -246,6 +246,8 @@ class Transcript:
     events: list[dict]
     logs: dict[int, list[dict]]
     metrics: dict
+    # Each create's block by hex id, in create order, so no verifier decodes it again.
+    blocks: dict[str, Block] = field(default_factory=dict, init=False)
 
     def lines(self) -> list[str]:
         out = [json.dumps(self.header, sort_keys=True, separators=(",", ":"))]
@@ -296,9 +298,13 @@ def _field_ok(row: dict, key: str, n: int) -> bool:
     return isinstance(value, _KEY_TYPES[key])
 
 
-def _create_error(row: dict, depths: dict[str, int], keyring: Keyring) -> str | None:
-    """Why a create event is unreadable or disagrees with its block, its
-    creator's key and the creates before it, or None."""
+def _create_error(row: dict, blocks: dict[str, Block], depths: dict[str, int],
+                  keyring: Keyring) -> str | None:
+    """Why a create event is unreadable, repeats an earlier one or disagrees
+    with its block, its creator's key and the creates before it, or None,
+    when its block joins blocks."""
+    if row["id"] in blocks:
+        return f"repeats block {row['id'][:12]}"
     try:
         blk = decode_block(bytes.fromhex(row["enc"]), bytes.fromhex(row["sig"]))
     except ValueError:
@@ -314,12 +320,13 @@ def _create_error(row: dict, depths: dict[str, int], keyring: Keyring) -> str | 
     depth = depths[row["id"]] = 1 + max((depths[p] for p in pointees), default=0)
     if (row["c"], row["d"]) != (blk.creator, depth):
         return f"says creator {row['c']}, depth {row['d']}; its block's are {blk.creator}, {depth}"
+    blocks[row["id"]] = blk
     return None
 
 
 def load_transcript(text: str) -> Transcript:
-    """The transcript a JSON-lines text holds; raises ValueError, naming the
-    line, on any line the verifiers could not read or could not trust."""
+    """The transcript a JSON-lines text holds; raises ValueError naming the
+    line the verifiers could not read or trust, or the miner with no log."""
     rows = []
     for k, line in enumerate(text.splitlines(), 1):
         if line.strip():
@@ -343,7 +350,7 @@ def load_transcript(text: str) -> Transcript:
                     if key not in row or not _field_ok(row, key, n)), None)
         if bad:
             raise ValueError(f"line {k}: {kind} event with a missing or malformed {bad!r}")
-        problem = _create_error(row, depths, keyring) if kind == "create" else None
+        problem = kind == "create" and _create_error(row, transcript.blocks, depths, keyring)
         if problem:
             raise ValueError(f"line {k}: create event {problem}")
         if kind == "accept":
@@ -352,12 +359,18 @@ def load_transcript(text: str) -> Transcript:
                                  f"accept of {row['id'][:12]}")
             accepted.add((row["m"], row["id"]))
         if kind == "log":
+            if row["m"] in transcript.logs:
+                raise ValueError(f"line {k}: log event repeats miner {row['m']}")
             transcript.logs[row["m"]] = {"records": row["records"],
                                          "suppressed": row["suppressed"]}
         elif kind == "end":
             transcript.metrics = row["metrics"]
         else:
             transcript.events.append(row)
+    # Stops at the first gap, so the header's n costs no more than the log lines.
+    for m in range(n):
+        if m not in transcript.logs:
+            raise ValueError(f"no log line for miner {m}")
     return transcript
 
 
@@ -387,6 +400,7 @@ class Simulation:
         self._mempool = [random.Random(f"{scenario.seed}:mempool:{i}")
                          for i in range(scenario.n)]
         self.events: list[dict] = []
+        self.blocks: dict[str, Block] = {}
         self.heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self.messages_sent = 0
@@ -453,6 +467,7 @@ class Simulation:
 
     def record_create(self, now: int, m: MinerState, blk) -> None:
         bid = block_id(blk)
+        self.blocks[bid.hex()] = blk
         self.events.append({
             "e": "create", "t": now, "m": m.id, "id": bid.hex(),
             "c": blk.creator, "d": m.store.depth_of(bid),
@@ -598,7 +613,9 @@ class Simulation:
         logs = {m.id: {"records": list(m.log.records),
                        "suppressed": sorted(b.hex() for b in m.log.suppressed)}
                 for m in self.miners}
-        return Transcript(header, self.events, logs, metrics)
+        transcript = Transcript(header, self.events, logs, metrics)
+        transcript.blocks = self.blocks
+        return transcript
 
     def _metrics(self, end_time: int) -> dict:
         sc = self.scenario

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import copy
 import gc
+import sys
 
 import pytest
 
-from blocklace import checks
-from blocklace.simnet import ByzSpec, Scenario, run
+from blocklace import blocks, checks
+from blocklace.simnet import ByzSpec, Scenario, load_transcript, run
 from helpers_oracle import bf_ordering_equivalence
 
 
@@ -247,6 +248,26 @@ def test_equivocator_run_reports_suppressed():
                      byzantine={0: ByzSpec("equivocate", rate=0.7)}))
     assert checks.all_passed(checks.run_all_checks(t))
     assert any(t.logs[m]["suppressed"] for m in t.logs)
+
+
+def test_each_create_is_decoded_once(monkeypatch):
+    """A view of an in-process run decodes no block; reading a transcript
+    file and checking it decodes each create line once."""
+    t = healthy_transcript()
+    real, calls = blocks.decode_block, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("blocklace") and \
+                getattr(module, "decode_block", None) is real:
+            monkeypatch.setattr(module, "decode_block", counting)
+    checks.RunView(t)
+    assert calls == []
+    assert checks.all_passed(checks.run_all_checks(load_transcript(t.jsonl())))
+    assert len(calls) == sum(e["e"] == "create" for e in t.events)
 
 
 def test_verification_leaves_no_cyclic_garbage():

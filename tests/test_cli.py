@@ -255,8 +255,8 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     elif mutation == "accept-miner":
         i = _nth(rows, "accept", k)
         rows[i]["m"] = 9
-    elif mutation == "accept-repeated":
-        i = _nth(rows, "accept", k) + 1
+    elif mutation in ("accept-repeated", "create-repeated", "log-repeated"):
+        i = _nth(rows, mutation.split("-")[0], k) + 1
         rows.insert(i, rows[i - 1])
     elif mutation == "coin-call-miner":
         i = _nth(rows, "coin-call", k)
@@ -286,7 +286,7 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
 # asynchronous run, the only kind with coin calls.
 MUTATIONS = ["not-an-object", "accept-miner", "accept-repeated", "coin-call-miner",
              "create-depth", "create-creator", "create-id-not-hash", "create-zero-sig",
-             "create-no-enc", "create-enc-not-hex"]
+             "create-no-enc", "create-enc-not-hex", "create-repeated", "log-repeated"]
 # Whole-line changes to the event stream, and ids that no longer match.
 STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 
@@ -314,6 +314,18 @@ def test_create_of_an_undefined_pointee_is_a_read_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error reading {path}: line {k}: create event points at a block that no earlier ")
+
+
+def test_check_of_a_huge_header_n_stops_at_the_first_missing_log(tmp_path, capsys):
+    """A four-miner run whose header claims a million miners is refused at
+    miner 4, the first without a log line, so what check does is bounded by
+    the file, not by the n its header claims."""
+    doc = json.loads(SHORT_RUN[0])
+    doc["scenario"]["n"] = 10 ** 6
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("\n".join([json.dumps(doc), *SHORT_RUN[1:]]) + "\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error reading {path}: no log line for miner 4\n"
 
 
 @settings(max_examples=80, deadline=None)

@@ -96,7 +96,7 @@ def test_crashed_miner_blocks_still_delivered():
     sc = Scenario(rounds=20, seed=2, byzantine={1: ByzSpec("crash", round=5)})
     t = run(sc)
     view = checks.RunView(t)
-    pre_crash = [h for h, c in view.block_creator.items() if c == 1]
+    pre_crash = [h for h, blk in view.blocks.items() if blk.creator == 1]
     assert max(view.block_depth[h] for h in pre_crash) == 5  # the crash round
     for mid in view.correct:
         got = set(view.delivered[mid])
