@@ -54,6 +54,9 @@ class MinerState:
         self._last_sent: list[bytes | None] = [None] * config.n  # own block
         self._heard_since_send: list[bool] = [False] * config.n
         self.last_send: int = 0  # timer reset at startup
+        # Packages built since the last step, by mask: a mask's blocks never
+        # change, since the store only grows and an index's block is fixed.
+        self._built: dict[int, Package] = {}
         self.outbox: list[dict] = []  # protocol events drained by the simulator
         self._coin_next = config.params.leader_stride
         self._violations_seen = 0
@@ -145,15 +148,18 @@ class MinerState:
         The backlog is the new block's closure less its pointees one round
         below (depth falls along every pointer, so those are the only
         closure blocks there); it is built once and each peer's evidence is
-        applied to it."""
+        applied to it. Peers whose masks come out equal share one Package."""
         blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
         self.note_accept(bid)
-        backlog = self.store.closure_mask(bid)
-        below = self.store.depth_of(bid) - 1
+        store = self.store
+        backlog = store.closure_mask(bid)
+        below = store.depth_of(bid) - 1
         for p in blk.pointers:
-            if self.store.depth_of(p) == below:
-                backlog &= ~(1 << self.store.index_of(p))
+            i = store.index_of(p)
+            if store._depth[i] == below:
+                backlog &= ~(1 << i)
+        self._built.clear()
         sends = []
         for q in range(self.config.n):
             if q == self.id or self.store.is_faulty(q):
@@ -191,13 +197,17 @@ class MinerState:
         """The blocks of mask that q has shown no evidence of knowing,
         parents-first, counted as known to q from now on. own, when given, is
         the new own block this send carries: q's responsiveness is judged
-        against it from now on."""
+        against it from now on. A mask built since the last step returns
+        the same Package object."""
         mask &= ~(self._sent[q] | self.store.creator_ack_mask(q))
         self._sent[q] |= mask
         if own is not None:
             self._last_sent[q] = own
             self._heard_since_send[q] = False
-        return Package(tuple(self.store.blocks_in_mask(mask)))
+        pkg = self._built.get(mask)
+        if pkg is None:
+            pkg = self._built[mask] = Package(tuple(self.store.blocks_in_mask(mask)))
+        return pkg
 
     def responsive(self, q: MinerId) -> bool:
         """q has responded to the last block sent to it: either something

@@ -406,6 +406,9 @@ class Simulation:
         self.messages_sent = 0
         self.bytes_sent = 0
         self._reveals_seen = 0
+        # id(pkg) -> (pkg, wire size, adversary meta, hex ids) for the packages
+        # of the current batch of sends; holding pkg keeps its id unique.
+        self._described: dict[int, tuple[Package, int, list, list]] = {}
         self._timer_poke: set[int] = set()
         # Liveness is an eventual property: if unlucky leader draws leave the
         # horizon uncovered at quiescence, the run extends wave by wave
@@ -431,11 +434,12 @@ class Simulation:
             return False
         if kind == "equivocate" and self._byz_rng[m.id].random() < spec.rate:
             self._equivocate(m, now, r)
-            return True
-        blk, sends = m.step(now, self.next_payload(m.id), r)
-        self.record_create(now, m, blk)
-        for q, pkg in sends:
-            self.send(now, m.id, q, pkg)
+        else:
+            blk, sends = m.step(now, self.next_payload(m.id), r)
+            self.record_create(now, m, blk)
+            for q, pkg in sends:
+                self.send(now, m.id, q, pkg)
+        self._described.clear()
         return True
 
     def _equivocate(self, m: MinerState, now: int, r: int) -> None:
@@ -476,15 +480,22 @@ class Simulation:
         self._drain_protocol_events(now, m)
 
     def send(self, now: int, frm: int, to: int, pkg: Package) -> None:
-        wire = pkg.wire()
+        """Schedule pkg's delivery from frm to to. A package sent to several
+        peers is encoded and described once; each send draws its own delay."""
+        described = self._described.get(id(pkg))
+        if described is None:
+            depth_of = self.miners[frm].store.depth_of
+            bids = [block_id(b) for b in pkg.blocks]
+            described = self._described[id(pkg)] = (
+                pkg, len(pkg.wire()),
+                [(b.creator, depth_of(i)) for b, i in zip(pkg.blocks, bids)],
+                [i.hex() for i in bids])
+        _, size, meta, ids = described
         self.messages_sent += 1
-        self.bytes_sent += len(wire)
-        meta = [(b.creator, self.miners[frm].store.depth_of(block_id(b)))
-                for b in pkg.blocks]
+        self.bytes_sent += size
         delay = self.adversary.delay(frm, to, meta, now)
-        ids = [block_id(b).hex() for b in pkg.blocks]
         self.events.append({"e": "send", "t": now, "from": frm, "to": to,
-                            "ids": ids, "bytes": len(wire)})
+                            "ids": ids, "bytes": size})
         self._push(now + delay, "pkg", (frm, to, pkg, ids))
 
     def _push(self, t: int, kind: str, payload) -> None:
@@ -493,7 +504,6 @@ class Simulation:
 
     def _drain_protocol_events(self, now: int, m: MinerState) -> None:
         for ev in m.drain_outbox():
-            ev = dict(ev)
             if isinstance(ev.get("id"), bytes):
                 ev["id"] = ev["id"].hex()
             ev["t"] = now
@@ -564,6 +574,7 @@ class Simulation:
                                         "count": len(pkg.blocks)})
                     self.send(t, i, q, pkg)
                     sent = True
+        self._described.clear()
         return sent
 
     def _drain(self, t: int) -> bool:

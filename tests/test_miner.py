@@ -172,3 +172,32 @@ def test_responsive_by_acknowledgement():
     miner.store.insert(store.get(made[(1, 2)]))
     assert miner.responsive(1)
 
+
+
+def test_step_builds_each_distinct_package_once(monkeypatch):
+    """With f=0 miner 0 builds a chain alone. Peer 1's genesis block sits in
+    the backlog, so it is the one block peer 1 shows evidence of; peers 2
+    and 3 show none. They get one shared package, built once, and peer 1
+    its own without its block; each is blocks_in_mask of the peer's mask."""
+    config = ProtocolConfig(4, 0, ES_PARAMS, 0)
+    miner = MinerState(0, config, SCHED, Keyring(0, 4))
+    store = miner.store
+    genesis = block_id(store.create_block(1, b"g1", 0))
+    chain = [block_id(store.create_block(0, f"c{r}".encode(), r)) for r in range(3)]
+    built = []
+    blocks_in_mask = store.blocks_in_mask
+    monkeypatch.setattr(store, "blocks_in_mask",
+                        lambda mask: built.append(mask) or blocks_in_mask(mask))
+    blk, sends = proceed(miner, 0, b"new")
+    pkgs = dict(sends)
+    assert sorted(pkgs) == [1, 2, 3]
+    assert pkgs[2] is pkgs[3] and pkgs[1] is not pkgs[2]
+    assert len(built) == 2
+    assert genesis in {block_id(b) for b in pkgs[2].blocks}
+    assert genesis not in {block_id(b) for b in pkgs[1].blocks}
+    # Everything but the pointee one round below the new block.
+    assert blk.pointers == (chain[-1],)
+    backlog = ((1 << len(store)) - 1) & ~(1 << store.index_of(chain[-1]))
+    for q, pkg in pkgs.items():
+        mask = backlog & ~store.creator_ack_mask(q)
+        assert pkg.blocks == tuple(blocks_in_mask(mask))

@@ -8,6 +8,7 @@ import gc
 import pytest
 
 from blocklace import checks
+from blocklace.blocks import encode_package
 from blocklace.simnet import ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run
 
 from helpers_oracle import blocks_by
@@ -198,6 +199,26 @@ def test_message_counters_consistent():
     t = run(Scenario(rounds=10, seed=1))
     sends = [e for e in t.events if e["e"] == "send"]
     assert t.metrics["messages_sent"] == len(sends)
+    assert t.metrics["bytes_sent"] == sum(e["bytes"] for e in sends)
+
+
+@pytest.mark.parametrize("sc", [
+    Scenario(rounds=12, seed=4, delays={"kind": "uniform", "min": 1, "max": 3},
+             byzantine={1: ByzSpec("crash", round=5)}),
+    Scenario(model="asynchrony", rounds=15, seed=4,
+             delays={"kind": "uniform", "min": 1, "max": 3},
+             byzantine={3: ByzSpec("crash", round=6)}),
+    Scenario(n=7, f=2, rounds=12, seed=4, delays={"kind": "uniform", "min": 1, "max": 3},
+             byzantine={6: ByzSpec("equivocate", rate=0.5)}),
+], ids=["es-crash", "async-crash", "n7-equivocate"])
+def test_send_bytes_are_the_encoded_package(sc):
+    """Each send's bytes are its package's encoding, however many peers
+    share the package, and bytes_sent is their sum."""
+    t = run(sc)
+    sends = [e for e in t.events if e["e"] == "send"]
+    assert sends
+    for ev in sends:
+        assert ev["bytes"] == len(encode_package([t.blocks[i] for i in ev["ids"]]))
     assert t.metrics["bytes_sent"] == sum(e["bytes"] for e in sends)
 
 
