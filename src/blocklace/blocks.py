@@ -24,14 +24,29 @@ class Block:
 
     Pointers are unique 32-byte digests kept in sorted order so that two
     structurally equal blocks encode identically. The signature covers the
-    canonical encoding and is excluded from it. A block is never mutated, so
-    its encoding and id are built once, on first use, and then kept.
+    canonical encoding and is excluded from it. Building a block that breaks
+    these structural limits raises BlockError, so every Block is well formed.
+    A block is never mutated, so its encoding and id are built once, on
+    first use, and then kept.
     """
 
     creator: MinerId
     payload: bytes
     pointers: tuple[bytes, ...]
     signature: bytes = b""
+
+    def __post_init__(self):
+        if self.creator < 0:
+            raise BlockError("negative creator")
+        if len(self.payload) > MAX_PAYLOAD:
+            raise BlockError("payload too long")
+        if len(self.pointers) > MAX_POINTERS:
+            raise BlockError("too many pointers")
+        for p in self.pointers:
+            if len(p) != DIGEST_SIZE:
+                raise BlockError("pointer is not a 32-byte digest")
+        if list(self.pointers) != sorted(set(self.pointers)):
+            raise BlockError("pointers not sorted and unique")
 
     @cached_property
     def _encoding(self) -> bytes:
@@ -51,28 +66,7 @@ class Block:
 
 def make_block(creator: MinerId, payload: bytes, pointers) -> Block:
     """Build an unsigned block, normalizing the pointer set."""
-    pts = tuple(sorted(set(pointers)))
-    blk = Block(creator=creator, payload=payload, pointers=pts)
-    problem = structural_error(blk)
-    if problem:
-        raise BlockError(problem)
-    return blk
-
-
-def structural_error(b: Block) -> str | None:
-    """Return a reason string if the block violates structural limits."""
-    if b.creator < 0:
-        return "negative creator"
-    if len(b.payload) > MAX_PAYLOAD:
-        return "payload too long"
-    if len(b.pointers) > MAX_POINTERS:
-        return "too many pointers"
-    for p in b.pointers:
-        if len(p) != DIGEST_SIZE:
-            return "pointer is not a 32-byte digest"
-    if list(b.pointers) != sorted(set(b.pointers)):
-        return "pointers not sorted and unique"
-    return None
+    return Block(creator=creator, payload=payload, pointers=tuple(sorted(set(pointers))))
 
 
 def encode_block(b: Block) -> bytes:
@@ -114,11 +108,7 @@ def decode_block(data: bytes, signature: bytes = b"") -> Block:
             raise BlockError("trailing bytes")
     except (IndexError, ValueError) as exc:
         raise BlockError(str(exc)) from exc
-    blk = Block(creator=creator, payload=payload, pointers=tuple(pointers), signature=signature)
-    problem = structural_error(blk)
-    if problem:
-        raise BlockError(problem)
-    return blk
+    return Block(creator=creator, payload=payload, pointers=tuple(pointers), signature=signature)
 
 
 class Keyring:

@@ -240,7 +240,7 @@ def check_model_conformance(view: RunView) -> Verdict:
 
 def check_common_core(view: RunView) -> Verdict:
     """Asynchrony: for each completed leader round r there must exist block
-    sets U at r+2 and V at r+5, each with >= 2f+1 distinct creators, with
+    sets U at r+2 and V at r+5, each with a quorum of distinct creators, with
     every member of V acknowledging every member of U."""
     if view.scenario.model != MODEL_ASYNC:
         return Verdict("common-core", True, "asynchrony only", applicable=False)

@@ -67,9 +67,9 @@ def _leader_indices(store: BlockStore, schedule, d: int) -> list[int]:
 
 def super_ratified_leader(store: BlockStore, schedule,
                           params: WaveParams) -> bytes | None:
-    """Deepest leader block ratified by a >= 2f+1-creator supermajority of
-    blocks beta rounds deeper; under eventual synchrony the leader block of
-    that deeper round must itself ratify it."""
+    """Deepest leader block ratified by a quorum of creators' blocks beta
+    rounds deeper; under eventual synchrony the leader block of that deeper
+    round must itself ratify it."""
     top = store.max_depth() - params.beta
     stride = params.leader_stride
     start = (top // stride) * stride

@@ -447,8 +447,10 @@ class Simulation:
         to one half of the peers, so both halves spread and detection is
         prompt."""
         blk = m.store.create_block(m.id, self.next_payload(m.id), r)
-        twin = make_block(m.id, self.next_payload(m.id), blk.pointers)
-        twin = self.keyring.sign(twin)
+        payload = self.next_payload(m.id)
+        if payload == blk.payload:  # an empty payload would repeat the block
+            payload += b"\0"
+        twin = self.keyring.sign(make_block(m.id, payload, blk.pointers))
         m.store.insert(twin)
         bid, tid = block_id(blk), block_id(twin)
         m.note_accept(bid)

@@ -7,14 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .blocks import (
-    Block,
-    Keyring,
-    MinerId,
-    block_id,
-    make_block,
-    structural_error,
-)
+from .blocks import Block, Keyring, MinerId, block_id, make_block
 
 REJECT_BAD_SIGNATURE = "bad-signature"
 REJECT_MALFORMED = "malformed"
@@ -50,8 +43,8 @@ class BlockStore:
     Closures are kept as bitmasks over dense per-store indices, which makes
     acknowledgement, approval and set-difference queries cheap enough for
     thousand-run sweeps. The accepted set is append-only; every accepted
-    block satisfied the signature, structure and cordiality guards at
-    acceptance time.
+    block satisfied the signature and cordiality guards at acceptance time
+    (its own blocks the cordiality guard alone).
     """
 
     def __init__(self, n: int, f: int, keyring: Keyring | None = None):
@@ -59,7 +52,9 @@ class BlockStore:
             raise ValueError(f"n={n} violates n >= 3f+1 for f={f}")
         self.n = n
         self.f = f
-        self.quorum = 2 * f + 1
+        # Any two quorums share f+1 creators, so a correct one, for every
+        # n >= 3f+1; at n = 3f+1 this is 2f+1.
+        self.quorum = (n + f) // 2 + 1
         self.keyring = keyring
         # Dense per-index columns for accepted blocks.
         self._ids: list[bytes] = []
@@ -149,8 +144,9 @@ class BlockStore:
         """Accept, buffer or reject a block; cascades the buffer on success.
 
         Re-inserting a known block is a no-op. A block with a dangling
-        pointer is buffered; a structurally bad, badly signed or non-cordial
-        block is rejected and recorded in ``violations``.
+        pointer is buffered; a badly signed, self-pointing or non-cordial
+        block, or one whose creator is out of range, is rejected and
+        recorded in ``violations``.
         """
         bid = block_id(block)
         if bid in self._index:
@@ -169,9 +165,8 @@ class BlockStore:
         return AcceptResult("accepted", (bid, *self._cascade()))
 
     def _screen(self, bid: bytes, block: Block) -> str | None:
-        problem = structural_error(block)
-        if problem:
-            return REJECT_MALFORMED
+        """The checks that depend on the store; a Block is well formed by
+        construction."""
         if self.keyring is not None and not self.keyring.verify(block):
             return REJECT_BAD_SIGNATURE
         if not (0 <= block.creator < self.n):
@@ -181,8 +176,8 @@ class BlockStore:
         return None
 
     def _admit(self, bid: bytes, block: Block) -> str | None:
-        """Accept a screened block whose pointees are all accepted, or return
-        why it is rejected.
+        """Accept a screened or own block whose pointees are all accepted, or
+        return why it is rejected.
 
         Depth falls by at least one along every pointer, so the closure's
         blocks one round below the new block are exactly its direct pointees
@@ -305,8 +300,8 @@ class BlockStore:
         return bool((m >> i1) & 1) and not (m & self._partner_mask(i1))
 
     def ratifies(self, b1: bytes, b2: bytes, alpha: int) -> bool:
-        """b2 acknowledges blocks at depth(b1)+alpha approving b1 by >= 2f+1
-        distinct creators."""
+        """b2 acknowledges blocks at depth(b1)+alpha approving b1 by a quorum
+        of distinct creators."""
         return self._ratifies(self._idx(b1), self._idx(b2), alpha)
 
     def _ratifies(self, i1: int, i2: int, alpha: int) -> bool:
@@ -328,9 +323,10 @@ class BlockStore:
         return q in self._equivocators
 
     def cordial_round(self, p: MinerId) -> int | None:
-        """Deepest round with blocks by >= 2f+1 creators that p has not built
-        past; 0 authorizes p's initial block; None if p must wait. Creators
-        are counted as admission counts them, equivocators included."""
+        """Deepest round with blocks by a quorum of creators that p has not
+        built past; 0 authorizes p's initial block; None if p must wait.
+        Creators are counted as admission counts them, equivocators
+        included."""
         latest = self._latest(p)
         own_max = 0 if latest is None else self._depth[latest]
         for d in range(self._max_depth, max(own_max, 1) - 1, -1):
@@ -361,9 +357,13 @@ class BlockStore:
         blk = make_block(p, payload, [self._ids[i] for i in chosen])
         if self.keyring is not None:
             blk = self.keyring.sign(blk)
-        res = self.insert(blk)
-        if res.status != "accepted":
-            raise StoreError(f"own block not accepted: {res.reason}")
+        # Admitted without a screen: the store just built and signed it, its
+        # pointees are accepted, and no buffered block can name a new id.
+        bid = block_id(blk)
+        reason = self._admit(bid, blk)
+        if reason:
+            self.violations.append((bid, reason))
+            raise StoreError(f"own block not accepted: {reason}")
         return blk
 
 

@@ -102,6 +102,25 @@ def test_make_block_rejects_bad_pointer():
         make_block(0, b"", [b"short"])
 
 
+LOW, HIGH = bytes([1]) * 32, bytes([2]) * 32
+
+
+@pytest.mark.parametrize("fields", [
+    {"creator": -1},
+    {"pointers": (b"short",)},
+    {"pointers": (HIGH, LOW)},
+    {"pointers": (LOW, LOW)},
+], ids=["negative-creator", "short-pointer", "unsorted", "duplicate"])
+def test_block_constructor_rejects_malformed_fields(fields):
+    """Every Block is well formed: building or rebuilding one that breaks a
+    structural limit raises, so no receiver needs to check structure."""
+    base = {"creator": 0, "payload": b"x", "pointers": (LOW, HIGH)}
+    with pytest.raises(BlockError):
+        Block(**{**base, **fields})
+    with pytest.raises(BlockError):
+        dataclasses.replace(Block(**base), **fields)
+
+
 def test_keyring_sign_and_verify():
     keyring = Keyring(42, 4)
     blk = keyring.sign(make_block(1, b"hello", []))

@@ -175,15 +175,17 @@ def test_responsive_by_acknowledgement():
 
 
 def test_step_builds_each_distinct_package_once(monkeypatch):
-    """With f=0 miner 0 builds a chain alone. Peer 1's genesis block sits in
-    the backlog, so it is the one block peer 1 shows evidence of; peers 2
-    and 3 show none. They get one shared package, built once, and peer 1
-    its own without its block; each is blocks_in_mask of the peer's mask."""
-    config = ProtocolConfig(4, 0, ES_PARAMS, 0)
-    miner = MinerState(0, config, SCHED, Keyring(0, 4))
+    """Miners 0, 2 and 3 build two quorum rounds over each other's blocks;
+    peer 1's genesis block, made after them, is a tip of round 1. It sits in
+    the backlog and is the one block peer 1 shows evidence of; peers 2 and 3
+    show the same evidence, of round 1's other blocks. They get one shared
+    package, built once, and peer 1 its own without its block; each is
+    blocks_in_mask of the peer's mask."""
+    miner = make_miner(0)
     store = miner.store
+    for r in range(2):  # rounds 1 and 2; round2 keeps the second
+        round2 = [block_id(store.create_block(p, f"p{p}r{r}".encode(), r)) for p in (0, 2, 3)]
     genesis = block_id(store.create_block(1, b"g1", 0))
-    chain = [block_id(store.create_block(0, f"c{r}".encode(), r)) for r in range(3)]
     built = []
     blocks_in_mask = store.blocks_in_mask
     monkeypatch.setattr(store, "blocks_in_mask",
@@ -195,9 +197,9 @@ def test_step_builds_each_distinct_package_once(monkeypatch):
     assert len(built) == 2
     assert genesis in {block_id(b) for b in pkgs[2].blocks}
     assert genesis not in {block_id(b) for b in pkgs[1].blocks}
-    # Everything but the pointee one round below the new block.
-    assert blk.pointers == (chain[-1],)
-    backlog = ((1 << len(store)) - 1) & ~(1 << store.index_of(chain[-1]))
+    # Everything but the pointees one round below the new block.
+    assert blk.pointers == tuple(sorted([genesis, *round2]))
+    backlog = ((1 << len(store)) - 1) & ~sum(1 << store.index_of(b) for b in round2)
     for q, pkg in pkgs.items():
         mask = backlog & ~store.creator_ack_mask(q)
         assert pkg.blocks == tuple(blocks_in_mask(mask))

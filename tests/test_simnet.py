@@ -93,6 +93,31 @@ def test_n4_es_equivocator_run_passes_every_verifier():
         assert v.passed, (v.name, v.detail)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("model", ["eventual-synchrony", "asynchrony"])
+def test_fault_free_runs_with_f_0_pass_every_verifier(n, model):
+    """Two quorums must share a correct creator for every n >= 3f+1, not
+    only at n = 3f+1: with f=0 a quorum of 2f+1 = 1 let miners diverge."""
+    for seed in range(6):
+        t = run(Scenario(n=n, f=0, model=model, rounds=20, seed=seed))
+        assert t.metrics["decided_rounds"], seed
+        for v in checks.run_all_checks(t):
+            assert v.passed, (seed, v.name, v.detail)
+
+
+def test_equivocator_with_empty_payloads_forks():
+    """With empty payloads the twin would equal its block: it must still
+    differ, so the transcript repeats no create and reloads."""
+    sc = Scenario(n=7, f=2, rounds=12, seed=0, payload_size=0,
+                  byzantine={6: ByzSpec("equivocate", rate=1.0)})
+    sim = Simulation(sc)
+    t = sim.run()
+    for i in sc.correct_miners():
+        assert sim.miners[i].store.is_faulty(6)
+    for v in checks.run_all_checks(load_transcript(t.jsonl())):
+        assert v.passed, (v.name, v.detail)
+
+
 def test_crashed_miner_blocks_still_delivered():
     sc = Scenario(rounds=20, seed=2, byzantine={1: ByzSpec("crash", round=5)})
     t = run(sc)

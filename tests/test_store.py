@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from blocklace.blocks import block_id, make_block
+from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.store import BlockStore, WouldEquivocate
 
 from conftest import forge, fresh_store, grow_full, grow_random
@@ -76,6 +76,18 @@ def test_non_cordial_block_rejected_when_the_cascade_releases_it():
     assert (res.status, res.newly_accepted) == ("accepted", (made[(1, 1)],))
     assert store.violations == [(block_id(thin), "non-cordial")]
     assert block_id(thin) not in store and not store.buffer
+
+
+def test_create_block_admits_its_own_block_without_a_signature_check(monkeypatch):
+    store, keyring = fresh_store()
+    grow_full(store, 2)
+    calls = []
+    verify = Keyring.verify
+    monkeypatch.setattr(Keyring, "verify", lambda kr, b: calls.append(b) or verify(kr, b))
+    blk = store.create_block(0, b"own", 2)
+    assert calls == []
+    assert block_id(blk) in store and store.depth_of(block_id(blk)) == 3
+    assert keyring.verify(blk)
 
 
 def test_insert_idempotent():
