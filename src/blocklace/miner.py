@@ -174,8 +174,8 @@ class MinerState:
         knowing; for a nonresponsive peer, the bare block.
 
         Blocks of the round just built on are not in the backlog: they are
-        still in flight from their own creators and are relayed one round
-        later if evidence is still missing.
+        in flight from their creators (a twin, to half the peers only) and
+        are relayed one round later if evidence is still missing.
         """
         if not self.responsive(q):
             return self._package(q, 1 << self.store.index_of(bid), bid)

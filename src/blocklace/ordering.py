@@ -114,8 +114,9 @@ def prev_ratified_leader(store: BlockStore, schedule, params: WaveParams,
 
 @dataclass
 class DeliveryLog:
-    """A miner's final output: the delivered order, permanently suppressed
-    equivocation blocks, and the current super-ratified anchor.
+    """A miner's final output: the delivered order with each block's leader
+    round, permanently suppressed equivocation blocks, their union placed as
+    a bitmask over store indices, and the current super-ratified anchor.
 
     tally maps the store index of each leader candidate above the anchor's
     round to how many blocks beta rounds deeper it has examined, in
@@ -123,10 +124,10 @@ class DeliveryLog:
     """
 
     delivered: list[bytes] = field(default_factory=list)
-    delivered_set: set[bytes] = field(default_factory=set)
+    leader_rounds: list[int] = field(default_factory=list)
     suppressed: set[bytes] = field(default_factory=set)
+    placed: int = 0
     current_leader: bytes | None = None
-    records: list[dict] = field(default_factory=list)
     tally: dict[int, tuple[int, set[int]]] = field(default_factory=dict)
 
     def current_round(self, store: BlockStore) -> int:
@@ -136,8 +137,8 @@ class DeliveryLog:
 def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
                     params: WaveParams) -> list[bytes]:
     """Incremental delivery: when a new super-ratified leader appears, walk
-    back through ratified leaders to the previous anchor and emit each
-    fragment in topological order, filtering non-approved blocks.
+    back through ratified leaders to the first one placed and emit each
+    newer one's fragment in topological order, filtering non-approved blocks.
 
     Returns the newly delivered ids in delivery order.
     """
@@ -145,15 +146,14 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     anchor = _tallied_leader(store, log, schedule, params, floor)
     if anchor is None:
         return []
-    chain: list[tuple[bytes, bytes | None]] = []
+    chain: list[bytes] = []
     cur: bytes | None = anchor
-    while cur is not None and cur not in log.delivered_set:
-        prev = prev_ratified_leader(store, schedule, params, cur)
-        chain.append((cur, prev))
-        cur = prev
+    while cur is not None and not (log.placed >> store.index_of(cur)) & 1:
+        chain.append(cur)
+        cur = prev_ratified_leader(store, schedule, params, cur)
     new: list[bytes] = []
-    for b1, b2 in reversed(chain):
-        new.extend(_deliver_fragment(store, log, b1, b2))
+    for b1 in reversed(chain):
+        new.extend(_deliver_fragment(store, log, b1))
     log.current_leader = anchor
     anchor_round, depths = store.depth_of(anchor), store._depth
     log.tally = {c: entry for c, entry in log.tally.items() if depths[c] > anchor_round}
@@ -190,32 +190,21 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     return None
 
 
-def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes,
-                      b2: bytes | None) -> list[bytes]:
+def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes) -> list[bytes]:
+    """Place what b1's closure adds to log.placed, in topological order:
+    deliver the blocks b1 approves and suppress the rest."""
     i1 = store.index_of(b1)
-    frag_mask = store.closure_mask(b1)
-    if b2 is not None:
-        frag_mask &= ~store.closure_mask(b2)
+    frag_mask = store._closure[i1] & ~log.placed
+    log.placed |= frag_mask
     ids, creators, depths = store._ids, store._creator, store._depth
     out = []
-    leader_round = depths[i1]
     for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
-        bid = ids[i]
-        if bid in log.delivered_set or bid in log.suppressed:
-            continue
         if store._approves(i, i1):
-            log.delivered.append(bid)
-            log.delivered_set.add(bid)
-            log.records.append({
-                "position": len(log.delivered) - 1,
-                "block": bid.hex(),
-                "creator": creators[i],
-                "depth": depths[i],
-                "leader_round": leader_round,
-            })
-            out.append(bid)
+            out.append(ids[i])
         else:
-            log.suppressed.add(bid)
+            log.suppressed.add(ids[i])
+    log.delivered += out
+    log.leader_rounds += [depths[i1]] * len(out)
     return out
 
 

@@ -22,7 +22,7 @@ SCHEMA_METRICS = "blocklace-metrics/1"
 MAX_DELAY = 64
 
 BEHAVIORS = ("equivocate", "crash", "silent")
-ADVERSARIES = ("none", "random-delay", "pre-gst", "corrupt-leader", "reorder")
+ADVERSARIES = ("none", "pre-gst", "corrupt-leader", "reorder")
 DELAY_KINDS = ("zero", "fixed", "uniform")
 
 
@@ -71,9 +71,7 @@ class Scenario:
         defaults to (n-1)//3."""
         if not isinstance(doc, dict):
             raise ScenarioError("scenario must be an object")
-        unknown = set(doc) - {fl.name for fl in fields(cls)}
-        if unknown:
-            raise ScenarioError(f"unknown keys {sorted(unknown)}")
+        _reject_unknown(doc, {fl.name for fl in fields(cls)}, "")
         values = {}
         for key, value in doc.items():
             if key == "byzantine":
@@ -104,9 +102,11 @@ class Scenario:
                 raise ScenarioError(f"byzantine miner {mid} out of range")
             if spec.behavior not in BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {spec.behavior!r}")
-        for name in ("delays", "adversary"):
+        for name, keys in (("delays", {"kind", "ticks", "min", "max"}),
+                           ("adversary", {"kind", "miner", "lag", "max_delay"})):
             if not isinstance(getattr(self, name), dict):
                 raise ScenarioError(f"{name} must be an object")
+            _reject_unknown(getattr(self, name), keys, f"{name}: ")
         if self.delays.get("kind") not in DELAY_KINDS:
             raise ScenarioError(f"unknown delay kind {self.delays.get('kind')!r}")
         if self.adversary.get("kind") not in ADVERSARIES:
@@ -181,10 +181,18 @@ def _byzantine_from(doc) -> dict[int, ByzSpec]:
         mid = as_number(key, int, "byzantine key")
         if not isinstance(spec, dict) or "behavior" not in spec:
             raise ScenarioError(f"byzantine[{key}] needs a behavior")
+        _reject_unknown(spec, {"behavior", "rate", "round"}, f"byzantine[{key}]: ")
         out[mid] = ByzSpec(spec["behavior"],
                            as_number(spec.get("rate", 0.0), float, f"byzantine[{key}].rate"),
                            as_number(spec.get("round", 0), int, f"byzantine[{key}].round"))
     return out
+
+
+def _reject_unknown(doc: dict, keys: set, where: str) -> None:
+    """Refuse a key outside keys, which the run would silently ignore."""
+    unknown = set(doc) - keys
+    if unknown:
+        raise ScenarioError(f"{where}unknown keys {sorted(unknown)}")
 
 
 # -- adversarial scheduling ------------------------------------------------
@@ -559,7 +567,8 @@ class Simulation:
 
     def _flush(self, t: int) -> bool:
         """At quiescence with diverged correct stores, run one anti-entropy
-        pass so every fair run converges; normal runs never need this."""
+        pass that reads every store, as no miner could. Only runs with an
+        equivocator need it, whose twins each go to half of the peers."""
         correct = self.scenario.correct_miners()
         base = {b for b in self.miners[correct[0]].store.accepted_ids()}
         if all(set(self.miners[i].store.accepted_ids()) == base for i in correct[1:]):
@@ -623,7 +632,7 @@ class Simulation:
     def _finish(self, end_time: int) -> Transcript:
         metrics = self._metrics(end_time)
         header = {"schema": SCHEMA_TRANSCRIPT, "scenario": self.scenario.to_dict()}
-        logs = {m.id: {"records": list(m.log.records),
+        logs = {m.id: {"records": _log_records(m),
                        "suppressed": sorted(b.hex() for b in m.log.suppressed)}
                 for m in self.miners}
         transcript = Transcript(header, self.events, logs, metrics)
@@ -649,18 +658,12 @@ class Simulation:
                 latencies.append(d["trigger"] - r + 1 + wave * skipped)
                 decided_rounds.append(r)
             prev = r
-        blocks_delivered = sum(len(self.miners[i].log.delivered) for i in correct)
-        payloads = 0
-        if sc.payload_size > 0:
-            for i in correct:
-                for bid in self.miners[i].log.delivered:
-                    payloads += len(self.miners[i].store.get(bid).payload) // sc.payload_size
-        unique_payloads = 0
-        if sc.payload_size > 0:
-            unique_payloads = sum(
-                len(self.miners[observer].store.get(bid).payload) // sc.payload_size
-                for bid in self.miners[observer].log.delivered)
-        out = {
+        size = sc.payload_size
+        per_miner = {i: sum(len(self.miners[i].store.get(b).payload) // size
+                            for b in self.miners[i].log.delivered) if size else 0
+                     for i in correct}
+        payloads, unique_payloads = sum(per_miner.values()), per_miner[observer]
+        return {
             "schema": SCHEMA_METRICS,
             "scenario": sc.to_dict(),
             "end_time": end_time,
@@ -673,7 +676,7 @@ class Simulation:
             "waves_skipped": len(measured) - len(decided_rounds),
             "messages_sent": self.messages_sent,
             "bytes_sent": self.bytes_sent,
-            "blocks_delivered": blocks_delivered,
+            "blocks_delivered": sum(len(self.miners[i].log.delivered) for i in correct),
             "payloads_delivered": payloads,
             "unique_payloads_delivered": unique_payloads,
             "bytes_per_delivery": round(self.bytes_sent / payloads, 6) if payloads else None,
@@ -681,7 +684,13 @@ class Simulation:
             if unique_payloads else None,
             "max_round": max((m.store.max_depth() for m in self.miners), default=0),
         }
-        return out
+
+
+def _log_records(m: MinerState) -> list[dict]:
+    """One transcript record per block m delivered, in delivery order."""
+    return [{"position": k, "block": b.hex(), "creator": m.store.creator_of(b),
+             "depth": m.store.depth_of(b), "leader_round": r}
+            for k, (b, r) in enumerate(zip(m.log.delivered, m.log.leader_rounds))]
 
 
 def run(scenario: Scenario) -> Transcript:

@@ -86,12 +86,19 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     {"gst": 5, "adversary": {"kind": "pre-gst", "max_delay": 0}},
     {"delta": -1},
     {"delay_bound": -1},
+    {"delays": {"kind": "fixed", "tick": 3}},
+    {"adversary": {"kind": "reorder", "lags": 5}},
+    {"byzantine": {"3": {"behavior": "crash", "rnd": 5}}},
+    {"adversary": {"kind": "random-delay"}},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
-        "negative-delay-bound"])
+        "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
+        "random-delay"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
-    delays before sends, a failed liveness check, or no victim at all."""
+    delays before sends, a failed liveness check, no victim at all, a
+    misspelled key's default (1-tick delays, a crash at round 0) or the
+    delays of adversary kind none."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -103,7 +110,8 @@ def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, o
     {"seed_count": "x"},
     {"n": ["x"]},
     {"adversary": [{"kind": "corrupt-leader", "lag": "x"}]},
-], ids=["n-not-a-list", "seed_count", "n", "adversary-lag"])
+    {"adversary": [{"kind": "corrupt-leader", "lga": 3}]},
+], ids=["n-not-a-list", "seed_count", "n", "adversary-lag", "adversary-lag-misspelled"])
 def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
     cfg = write_config(tmp_path, sweep=sweep)
     assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2

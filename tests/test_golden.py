@@ -24,17 +24,16 @@ SCENARIOS = {
     "async-n7": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=2),
     "async-n10": Scenario(n=10, f=3, model=ASYNC, rounds=10, seed=3, delays=UNIFORM),
     "async-n16": Scenario(n=16, f=5, model=ASYNC, rounds=10, seed=4),
-    "es-random-delay": Scenario(rounds=20, seed=5,
-                                delays={"kind": "uniform", "min": 0, "max": 4},
-                                adversary={"kind": "random-delay"}),
+    "es-uniform-0-4": Scenario(rounds=20, seed=5,
+                               delays={"kind": "uniform", "min": 0, "max": 4}),
     "es-pre-gst": Scenario(n=7, f=2, rounds=16, seed=6, gst=10, delay_bound=4,
                            adversary={"kind": "pre-gst", "max_delay": 9}),
     "es-corrupt-leader": Scenario(rounds=20, seed=7, delays=UNIFORM,
                                   adversary={"kind": "corrupt-leader", "lag": 3}),
     "async-reorder": Scenario(model=ASYNC, rounds=20, seed=8, delays=UNIFORM,
                               adversary={"kind": "reorder", "lag": 2}),
-    "async-random-delay": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=9,
-                                   delays=UNIFORM, adversary={"kind": "random-delay"}),
+    "async-n7-uniform": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=9,
+                                 delays=UNIFORM),
     "es-equivocate-0.5": Scenario(n=7, f=2, rounds=16, seed=10, delays=UNIFORM,
                                   byzantine={6: ByzSpec("equivocate", rate=0.5)}),
     "async-equivocate-1.0": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=11,
@@ -60,11 +59,11 @@ DIGESTS = {
     "async-n7": "b25e2fbfa389bdb2b2d16177bd37a54dba7bb01858df37f03a2bc406b6d2536b",
     "async-n10": "538feb3c4375a5f4ecded967ebe4d141ef437e08fd8688f9f483ddb8f8d9c567",
     "async-n16": "f4063f0c0ec2c7eb192a296c76b505d837c237da9d3bf101c70c00b971246719",
-    "es-random-delay": "ca45ff87a5099bf70b63ae46dfef21e9db089c2208d4da794c243bf0f57aad16",
+    "es-uniform-0-4": "f0c59d59cabc751dc4850bb7504841070ce3954fc8052fb424350c0d0fef76d9",
     "es-pre-gst": "2cde3885e13ec0364fa3f45a2445470b2b441223587cb8e284f29c4af00406a7",
     "es-corrupt-leader": "61f54226a8b3981da8d6218ed9fa2000f36abf674f144cfbdb1ad74bce50773c",
     "async-reorder": "061c053b28ed2f2022f66790b8dcc839e7aedb257cb1cb1bc4c64072295ba603",
-    "async-random-delay": "c7bd117c2d12cd91afa353eeeea8413433a43b1f5e2652e10b0c1bd0fe57b917",
+    "async-n7-uniform": "a3fd64f540cd2c4952a23b323e777514f83ea50fb727321d9b1159d3929b0317",
     "es-equivocate-0.5": "ef70901e084295e965c8171bb26cdaf58ec962fabe2f977716d2d7998436b341",
     "async-equivocate-1.0": "b4f701ec9b12b133da4e6e4c0ac34dc2588dccf3db28c9096d0c3e60cdceceaf",
     "es-equivocate-1.0": "d20f92961bbf2892c4fae7a5c65b98a11985781be71cd3a13dcfa6800fd1e88c",
@@ -75,5 +74,10 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_transcript(name):
-    got = hashlib.sha256(run(SCENARIOS[name]).jsonl().encode()).hexdigest()
+    transcript = run(SCENARIOS[name])
+    got = hashlib.sha256(transcript.jsonl().encode()).hexdigest()
     assert got == DIGESTS[name]
+    # No run without an equivocator needs the simulator's anti-entropy pass.
+    specs = SCENARIOS[name].byzantine.values()
+    if all(spec.behavior != "equivocate" for spec in specs):
+        assert not any(e["e"] == "flush" for e in transcript.events)

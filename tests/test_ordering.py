@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocklace.blocks import block_id
@@ -23,7 +23,7 @@ from blocklace.ordering import (
     super_ratified_leader,
     topo_sorted,
 )
-from blocklace.store import BlockStore
+from blocklace.store import BlockStore, bits
 
 from conftest import fresh_store, grow_full, grow_random
 from helpers_oracle import bf_reference_order, bf_super_ratified, closure, graph_of
@@ -122,7 +122,7 @@ def test_first_delivery_is_leader_closure(full_lattice):
     assert new == want
     assert len(new) == 5
     assert log.current_leader == made[(1, 2)]
-    assert [r["leader_round"] for r in log.records] == [2] * 5
+    assert log.leader_rounds == [2] * 5
 
 
 def test_no_anchor_no_delivery():
@@ -187,7 +187,7 @@ def test_equivocation_suppressed_not_delivered():
     assert anchor == r4[2]  # leader(4) = miner 2
     assert store.acknowledges(anchor, e1) and store.acknowledges(anchor, e2)
     assert e1 in log.suppressed and e2 in log.suppressed
-    assert e1 not in log.delivered_set and e2 not in log.delivered_set
+    assert e1 not in log.delivered and e2 not in log.delivered
     assert set(log.delivered) == closure(store, [anchor]) - {e1, e2}
     seq, suppressed = reference_order(store, ES_SCHED, ES_PARAMS)
     assert log.delivered == seq
@@ -258,6 +258,30 @@ def test_tallied_anchor_matches_brute_force_rule(nf, seed, rounds, equivocate, p
         assert log.current_leader == want
         ids = store.accepted_ids()
         assert all(depth[ids[c]] > log.current_round(store) for c in log.tally)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4, 1), (7, 2)]), st.integers(0, 2 ** 16),
+       st.integers(1, 14), st.booleans(),
+       st.sampled_from([ES_PARAMS, ASYNC_PARAMS]))
+@example((7, 2), 4, 12, True, ES_PARAMS)  # suppresses 15 blocks
+def test_placed_mask_is_delivered_and_suppressed(nf, seed, rounds, equivocate, params):
+    """Fed a blocklace block by block, extend_delivery keeps log.placed equal
+    to the store indices of what it delivered or suppressed, delivers no
+    block twice and gives each delivered block one leader round."""
+    n, f = nf
+    grown, keyring = fresh_store(n=n, f=f, seed=seed)
+    forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
+    grow_random(grown, keyring, random.Random(seed), rounds, forkers)
+    sched = _schedule(params, seed, n, f)
+    store, log = BlockStore(n, f, keyring), DeliveryLog()
+    for bid in grown.accepted_ids():
+        store.insert(grown.get(bid))
+        extend_delivery(store, log, sched, params)
+        placed = {store.index_of(b) for b in [*log.delivered, *log.suppressed]}
+        assert set(bits(log.placed)) == placed
+        assert len(set(log.delivered)) == len(log.delivered)
+        assert len(log.leader_rounds) == len(log.delivered)
 
 
 def _grown_store(seed: int, n: int, f: int, rounds: int, equivocate: bool):

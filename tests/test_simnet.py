@@ -158,11 +158,11 @@ def test_equivocator_halves_never_both_delivered():
         for a in halves:
             for b in halves:
                 if a < b and store.is_equivocation(a, b):
-                    assert not (a in log.delivered_set and b in log.delivered_set)
+                    assert not (a in log.delivered and b in log.delivered)
                     if store.acknowledges(log.current_leader or a, a) and \
                             store.acknowledges(log.current_leader or b, b):
                         assert a in log.suppressed or b in log.suppressed \
-                            or a in log.delivered_set or b in log.delivered_set
+                            or a in log.delivered or b in log.delivered
 
 
 def test_silent_miner_tolerated():
