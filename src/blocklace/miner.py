@@ -77,9 +77,11 @@ class MinerState:
             for bid in res.newly_accepted:
                 self.note_accept(bid)
                 accepted.append(bid)
-        for bid, reason in self.store.violations[self._violations_seen:]:
-            self.outbox.append({"e": "reject", "id": bid, "reason": reason})
-        self._violations_seen = len(self.store.violations)
+        violations = self.store.violations
+        if len(violations) > self._violations_seen:
+            for bid, reason in violations[self._violations_seen:]:
+                self.outbox.append({"e": "reject", "id": bid, "reason": reason})
+            self._violations_seen = len(violations)
         return accepted
 
     def note_accept(self, bid: bytes) -> None:

@@ -5,7 +5,6 @@ ratification, cordiality) that everything else is built on."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .blocks import Block, Keyring, MinerId, block_id, make_block
 
@@ -155,10 +154,11 @@ class BlockStore:
             return AcceptResult("buffered")
         reason = self._screen(bid, block)
         if not reason:
-            if not all(map(self._index.__contains__, block.pointers)):
+            pointees = list(map(self._index.get, block.pointers))
+            if None in pointees:
                 self.buffer[bid] = block
                 return AcceptResult("buffered")
-            reason = self._admit(bid, block)
+            reason = self._admit(bid, block, pointees)
         if reason:
             self.violations.append((bid, reason))
             return AcceptResult("rejected", reason=reason)
@@ -175,17 +175,16 @@ class BlockStore:
             return REJECT_SELF_POINTER
         return None
 
-    def _admit(self, bid: bytes, block: Block) -> str | None:
-        """Accept a screened or own block whose pointees are all accepted, or
-        return why it is rejected.
+    def _admit(self, bid: bytes, block: Block, pointees: list[int]) -> str | None:
+        """Accept a screened or own block whose pointees, given as store
+        indices, are all accepted, or return why it is rejected.
 
         Depth falls by at least one along every pointer, so the closure's
         blocks one round below the new block are exactly its direct pointees
         there, whose creators are distinct once the duplicate check passes:
         cordiality counts them.
         """
-        index, creators, depths = self._index, self._creator, self._depth
-        pointees = [index[p] for p in block.pointers]
+        creators, depths = self._creator, self._depth
         if len({creators[i] for i in pointees}) < len(pointees):
             return REJECT_DUPLICATE_CREATOR
         below = [depths[i] for i in pointees]
@@ -205,7 +204,7 @@ class BlockStore:
         depths.append(depth)
         pointed_from.append(float("inf"))
         closure.append(mask)
-        index[bid] = idx
+        self._index[bid] = idx
         self._by_depth.setdefault(depth, []).append(idx)
         if depth > self._max_depth:
             self._max_depth = depth
@@ -227,10 +226,11 @@ class BlockStore:
         while progress:
             progress = False
             for bid, blk in list(self.buffer.items()):
-                if any(p not in self._index for p in blk.pointers):
+                pointees = list(map(self._index.get, blk.pointers))
+                if None in pointees:
                     continue
                 del self.buffer[bid]
-                reason = self._admit(bid, blk)
+                reason = self._admit(bid, blk, pointees)
                 if reason:
                     self.violations.append((bid, reason))
                 else:
@@ -258,15 +258,21 @@ class BlockStore:
         """Creator -> its (depth, id)-greatest block of depth <= r that no
         block of depth <= r points at. On a chain only the deepest block of
         depth <= r can qualify: a later one reaches it by a path of depth
-        <= r."""
+        <= r. That block is found by walking the chain back from its end;
+        an equivocator's blocks are all scanned."""
+        depths, pointed_from, ids = self._depth, self._pointed_from, self._ids
         out: dict[int, bytes] = {}
         for c, idxs in self._by_creator.items():
-            below = (i for i in reversed(idxs) if self._depth[i] <= r)
-            if c not in self._equivocators:
-                below = islice(below, 1)
-            tips = [i for i in below if self._pointed_from[i] > r]
-            if tips:
-                out[c] = self._ids[max(tips, key=self._rank)]
+            if c in self._equivocators:
+                tips = [i for i in idxs if depths[i] <= r and pointed_from[i] > r]
+                if tips:
+                    out[c] = ids[max(tips, key=self._rank)]
+                continue
+            k = len(idxs) - 1
+            while k >= 0 and depths[idxs[k]] > r:
+                k -= 1
+            if k >= 0 and pointed_from[idxs[k]] > r:
+                out[c] = ids[idxs[k]]
         return out
 
     # -- fault analysis ------------------------------------------------
@@ -360,7 +366,7 @@ class BlockStore:
         # Admitted without a screen: the store just built and signed it, its
         # pointees are accepted, and no buffered block can name a new id.
         bid = block_id(blk)
-        reason = self._admit(bid, blk)
+        reason = self._admit(bid, blk, chosen)
         if reason:
             self.violations.append((bid, reason))
             raise StoreError(f"own block not accepted: {reason}")

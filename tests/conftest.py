@@ -76,13 +76,18 @@ def fork_fixture():
 
 def grow_random(store: BlockStore, keyring: Keyring, rng: random.Random,
                 rounds: int, equivocators: dict[int, float] | None = None,
-                on_round=None) -> None:
-    """Round-by-round growth with random >=2f+1 parent subsets; designated
-    miners fork with the given probability (at most f of them)."""
+                on_round=None, skippers: dict[int, float] | None = None) -> None:
+    """Round-by-round growth with random parent subsets holding a quorum of
+    the round below; designated miners fork with the given probability (at
+    most f of them), and designated miners sit out a round with the given
+    probability (at most f of them), so their chains skip depths. A miner
+    always chains its next block to its own last one."""
     equivocators = equivocators or {}
-    assert len(equivocators) <= store.f
+    skippers = skippers or {}
+    assert len(equivocators) <= store.f and len(skippers) <= store.f
     n = store.n
     latest: dict[int, list[bytes]] = {p: [] for p in range(n)}
+    own: dict[int, bytes] = {}  # each miner's last block, at any depth
     for d in range(1, rounds + 1):
         prev_rows = {p: list(latest[p]) for p in range(n)}
         new: dict[int, list[bytes]] = {p: [] for p in range(n)}
@@ -91,12 +96,18 @@ def grow_random(store: BlockStore, keyring: Keyring, rng: random.Random,
                 if d == 1:
                     return []
                 others = [q for q in range(n) if q != p and prev_rows[q]]
-                take = rng.randint(store.quorum - 1, len(others))
+                # The own chain pointer counts towards the quorum only when
+                # it is one round below.
+                need = store.quorum - 1 if prev_rows[p] else store.quorum
+                take = rng.randint(need, len(others))
                 chosen = rng.sample(others, take)
                 pts = [rng.choice(prev_rows[q]) for q in chosen]
-                pts.append(prev_rows[p][-1])  # own chain pointer
+                if p in own:
+                    pts.append(own[p])  # own chain pointer
                 return pts
 
+            if p in skippers and rng.random() < skippers[p]:
+                continue
             if p in equivocators and d > 1 and rng.random() < equivocators[p]:
                 a = forge(store, keyring, p, f"e{p}.{d}a".encode(), parents_for())
                 b = forge(store, keyring, p, f"e{p}.{d}b".encode(), parents_for())
@@ -104,6 +115,7 @@ def grow_random(store: BlockStore, keyring: Keyring, rng: random.Random,
             else:
                 bid = forge(store, keyring, p, f"b{p}.{d}".encode(), parents_for())
                 new[p] = [bid]
+            own[p] = new[p][-1]
         latest = new
         if on_round is not None:
             on_round(d)

@@ -139,7 +139,8 @@ def test_sweep_csv(tmp_path):
                        sweep={"n": [4, 7], "seeds": [0, 1]})
     out = tmp_path / "sweep.csv"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     per_seed = [r for r in rows if r["seed"] != "*"]
     agg = [r for r in rows if r["seed"] == "*"]
     assert len(per_seed) == 4

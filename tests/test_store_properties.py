@@ -25,17 +25,25 @@ from helpers_oracle import (
 )
 
 
+def draw_skippers(draw, n: int, f: int) -> dict[int, float]:
+    """Up to f miners that sit out rounds, so their chains skip depths."""
+    skippers = draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
+    return {p: draw(st.sampled_from([0.3, 0.6])) for p in skippers}
+
+
 @st.composite
 def shuffled_blocklaces(draw):
-    """A store holding a random blocklace with up to f equivocators, every
-    block inserted in a drawn order."""
+    """A store holding a random blocklace with up to f equivocators and up
+    to f miners whose chains skip depths, every block inserted in a drawn
+    order."""
     n, f = draw(st.sampled_from([(4, 1), (7, 2)]))
     seed = draw(st.integers(0, 2 ** 16))
     rounds = draw(st.integers(1, 5))
     forkers = draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
     rates = {p: draw(st.sampled_from([0.3, 0.6, 1.0])) for p in forkers}
+    skippers = draw_skippers(draw, n, f)
     src, keyring = fresh_store(n, f, seed)
-    grow_random(src, keyring, random.Random(seed), rounds, rates)
+    grow_random(src, keyring, random.Random(seed), rounds, rates, skippers=skippers)
     blocks = [src.get(b) for b in src.accepted_ids()]
     order = draw(st.permutations(range(len(blocks))))
     store, _ = fresh_store(n, f, seed)
@@ -98,15 +106,18 @@ def test_tips_and_create_block_match_oracle(case, data):
 
 @st.composite
 def admission_cases(draw):
-    """A random blocklace with up to f equivocators, signed blocks crafted
-    over random pointer subsets of it (thin, duplicate-creator and cordial
-    ones), and an insertion order over both."""
+    """A random blocklace with up to f equivocators and up to f miners whose
+    chains skip depths, signed blocks crafted over random pointer subsets of
+    it (thin, duplicate-creator and cordial ones), and an insertion order
+    over both."""
     n, f = draw(st.sampled_from([(4, 1), (7, 2)]))
     seed = draw(st.integers(0, 2 ** 16))
     rounds = draw(st.integers(1, 4))
     forkers = draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
+    skippers = draw_skippers(draw, n, f)
     src, keyring = fresh_store(n, f, seed)
-    grow_random(src, keyring, random.Random(seed), rounds, dict.fromkeys(forkers, 0.5))
+    grow_random(src, keyring, random.Random(seed), rounds, dict.fromkeys(forkers, 0.5),
+                skippers=skippers)
     pointers, creators = graph_of(src)
     depth = bf_depths(pointers)
     ids = sorted(pointers)
