@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 DIGEST_SIZE = 32
 MAX_POINTERS = 0xFFFF
 MAX_PAYLOAD = 0xFFFFFFFF
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 MinerId = int
 
@@ -112,30 +115,52 @@ def decode_block(data: bytes, signature: bytes = b"") -> Block:
 
 
 class Keyring:
-    """Simulator-issued per-miner MAC keys standing in for a real PKI."""
+    """Simulator-issued per-miner MAC keys standing in for a real PKI.
+
+    A signature is HMAC-SHA256 (RFC 2104) under the creator's key over the
+    block's canonical encoding. The padded inner and outer hash states are
+    derived once per key; each MAC copies them and hashes the full encoding,
+    so every receiver still checks every signature itself.
+    """
 
     def __init__(self, seed: int, n: int):
         self.n = n
         self._seed = seed.to_bytes(8, "big", signed=False)
-        # Derived on first use, so a transcript header's n costs nothing.
-        self._keys: dict[MinerId, bytes] = {}
+        # Each key's (inner, outer) HMAC states, derived on first use, so a
+        # transcript header's n costs nothing.
+        self._pads: dict[MinerId, tuple] = {}
 
     def key(self, i: MinerId) -> bytes:
-        key = self._keys.get(i)
-        if key is None:
-            key = self._keys[i] = hashlib.sha256(
-                b"blocklace/key/" + self._seed + i.to_bytes(4, "big")).digest()
-        return key
+        return hashlib.sha256(b"blocklace/key/" + self._seed + i.to_bytes(4, "big")).digest()
+
+    def _mac(self, b: Block) -> bytes:
+        """hmac.new(self.key(b.creator), encode_block(b), sha256).digest()."""
+        pads = self._pads.get(b.creator)
+        if pads is None:
+            # A 32-byte key is shorter than SHA-256's block, so HMAC pads it
+            # with zeros and never hashes it first.
+            key = self.key(b.creator).ljust(_SHA256_BLOCK, b"\0")
+            pads = self._pads[b.creator] = (hashlib.sha256(key.translate(_IPAD)),
+                                            hashlib.sha256(key.translate(_OPAD)))
+        inner, outer = pads[0].copy(), pads[1].copy()
+        inner.update(b._encoding)
+        outer.update(inner.digest())
+        return outer.digest()
 
     def sign(self, b: Block) -> Block:
-        sig = hmac.new(self.key(b.creator), encode_block(b), hashlib.sha256).digest()
-        return replace(b, signature=sig)
+        mac = self._mac(b)
+        # Equal to dataclasses.replace(b, signature=mac), built without a
+        # second __post_init__: b's fields were checked when b was built,
+        # and the signature lies outside the encoding, so b's cached
+        # encoding and id hold for the signed block too.
+        signed = object.__new__(Block)
+        signed.__dict__.update(b.__dict__, signature=mac)
+        return signed
 
     def verify(self, b: Block) -> bool:
         if not (0 <= b.creator < self.n):
             return False
-        want = hmac.new(self.key(b.creator), encode_block(b), hashlib.sha256).digest()
-        return hmac.compare_digest(want, b.signature)
+        return hmac.compare_digest(self._mac(b), b.signature)
 
 
 def block_wire(b: Block) -> bytes:

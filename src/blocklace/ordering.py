@@ -166,9 +166,10 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     super_ratified_leader would find it (super-ratification is monotone, so
     nothing at or below the anchor need be inspected), from running tallies.
     Whether a block ratifies a candidate is fixed once both are accepted, so
-    each block beta rounds deeper than a candidate is examined for it once;
-    under eventual synchrony the leader block there is still checked
-    directly."""
+    each block beta rounds deeper than a candidate is examined for it once.
+    The tally holds the creators of the ratifying blocks there, so under
+    eventual synchrony a leader block there ratifies the candidate exactly
+    when that round's leader is among them."""
     creators, by_depth = store._creator, store._by_depth
     alpha, beta, stride = params.alpha, params.beta, params.leader_stride
     top = store.max_depth() - beta
@@ -182,9 +183,7 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
             log.tally[cand] = (len(deeper), ratifiers)
             if len(ratifiers) < store.quorum:
                 continue
-            if params.model == MODEL_ES and not any(
-                    store._ratifies(cand, lb, alpha)
-                    for lb in _leader_indices(store, schedule, r + beta)):
+            if params.model == MODEL_ES and schedule.leader_at(r + beta) not in ratifiers:
                 continue
             return store._ids[cand]
     return None

@@ -166,11 +166,12 @@ class BlockStore:
 
     def _screen(self, bid: bytes, block: Block) -> str | None:
         """The checks that depend on the store; a Block is well formed by
-        construction."""
-        if self.keyring is not None and not self.keyring.verify(block):
-            return REJECT_BAD_SIGNATURE
+        construction. The creator range comes first, so an out-of-range
+        creator is malformed with or without a keyring, and costs no MAC."""
         if not (0 <= block.creator < self.n):
             return REJECT_MALFORMED
+        if self.keyring is not None and not self.keyring.verify(block):
+            return REJECT_BAD_SIGNATURE
         if bid in block.pointers:
             return REJECT_SELF_POINTER
         return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import hmac
 import random
 import struct
 
@@ -146,6 +147,59 @@ def layout_encoding(blk: Block) -> bytes:
     """The documented layout, built independently of encode_block."""
     return (struct.pack(">II", blk.creator, len(blk.payload)) + blk.payload
             + struct.pack(">H", len(blk.pointers)) + b"".join(blk.pointers))
+
+
+def reference_mac(keyring: Keyring, blk: Block) -> bytes:
+    return hmac.new(keyring.key(blk.creator), encode_block(blk), hashlib.sha256).digest()
+
+
+@st.composite
+def unsigned_blocks(draw):
+    """An unsigned block by one of 7 miners, with a payload from empty to
+    longer than SHA-256's 64-byte block and 0-6 pointers."""
+    pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
+    return make_block(draw(st.integers(0, 6)), draw(st.binary(max_size=100)), pointers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unsigned_blocks(), st.integers(0, 2 ** 16), st.integers(1, 2 ** 16))
+def test_sign_and_verify_match_hmac(blk, seed, shift):
+    keyring, other = Keyring(seed, 7), Keyring(seed + shift, 7)
+    signed = keyring.sign(blk)
+    for _ in range(2):  # the per-key pads are derived, then reused
+        assert signed.signature == reference_mac(keyring, blk)
+        assert keyring.verify(signed)
+    assert other.sign(blk).signature == reference_mac(other, blk) != signed.signature
+    assert not other.verify(signed)
+    assert not keyring.verify(other.sign(blk))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unsigned_blocks(), st.integers(0, 2 ** 16), st.booleans())
+def test_sign_equals_replace_with_the_signature(blk, seed, cached):
+    keyring = Keyring(seed, 7)
+    if cached:
+        block_id(blk)
+    signed = keyring.sign(blk)
+    want = dataclasses.replace(blk, signature=reference_mac(keyring, blk))
+    assert signed == want and hash(signed) == hash(want)
+    assert encode_block(signed) == encode_block(want) == layout_encoding(blk)
+    assert block_id(signed) == block_id(want) == hashlib.sha256(layout_encoding(blk)).digest()
+    assert blk.signature == b""
+
+
+@settings(max_examples=100, deadline=None)
+@given(unsigned_blocks(), st.integers(0, 2 ** 16), st.integers(0, 31), st.integers(1, 255))
+def test_flipped_signature_byte_fails_after_the_original_verified(blk, seed, at, flip):
+    keyring = Keyring(seed, 7)
+    signed = keyring.sign(blk)
+    assert keyring.verify(signed)
+    sig = bytearray(signed.signature)
+    sig[at] ^= flip
+    forged = Block(creator=blk.creator, payload=blk.payload, pointers=blk.pointers,
+                   signature=bytes(sig))
+    assert not keyring.verify(forged)
+    assert keyring.verify(signed)
 
 
 @settings(max_examples=100, deadline=None)

@@ -105,6 +105,20 @@ def test_bad_signature_rejected():
     assert store.insert(unsigned).status == "rejected"
 
 
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
+def test_out_of_range_creator_is_malformed_without_a_signature_check(monkeypatch, keyed):
+    """The creator range is checked before the signature, so both stores
+    give the same reason and no signature check runs for the block."""
+    blk = Keyring(1, 5).sign(make_block(4, b"x", []))
+    store = BlockStore(4, 1, Keyring(1, 4) if keyed else None)
+    calls = []
+    verify = Keyring.verify
+    monkeypatch.setattr(Keyring, "verify", lambda kr, b: calls.append(b) or verify(kr, b))
+    res = store.insert(blk)
+    assert (res.status, res.reason) == ("rejected", "malformed")
+    assert calls == [] and len(store) == 0
+
+
 def test_duplicate_pointer_creator_rejected():
     store, keyring = fresh_store()
     made = grow_full(store, 2)
