@@ -135,12 +135,18 @@ def test_keyring_sign_and_verify():
 
 
 @st.composite
+def unsigned_blocks(draw):
+    """An unsigned block by one of 7 miners, with a payload from empty to
+    longer than SHA-256's 64-byte block and 0-6 pointers."""
+    pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
+    return make_block(draw(st.integers(0, 6)), draw(st.binary(max_size=100)), pointers)
+
+
+@st.composite
 def random_blocks(draw):
     """Signed blocks with random fields within the structural limits."""
-    keyring = Keyring(draw(st.integers(0, 2 ** 16)), 8)
-    pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
-    blk = make_block(draw(st.integers(0, 7)), draw(st.binary(max_size=64)), pointers)
-    return keyring, keyring.sign(blk)
+    keyring = Keyring(draw(st.integers(0, 2 ** 16)), 7)
+    return keyring, keyring.sign(draw(unsigned_blocks()))
 
 
 def layout_encoding(blk: Block) -> bytes:
@@ -151,14 +157,6 @@ def layout_encoding(blk: Block) -> bytes:
 
 def reference_mac(keyring: Keyring, blk: Block) -> bytes:
     return hmac.new(keyring.key(blk.creator), encode_block(blk), hashlib.sha256).digest()
-
-
-@st.composite
-def unsigned_blocks(draw):
-    """An unsigned block by one of 7 miners, with a payload from empty to
-    longer than SHA-256's 64-byte block and 0-6 pointers."""
-    pointers = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=6))
-    return make_block(draw(st.integers(0, 6)), draw(st.binary(max_size=100)), pointers)
 
 
 @settings(max_examples=100, deadline=None)
