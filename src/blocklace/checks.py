@@ -1,15 +1,14 @@
 """Run verifiers: safety (prefix consistency), liveness, store convergence,
 incremental-vs-reference ordering equivalence, coin blindness, model
-conformance, and the common-core structure check for asynchronous runs."""
+conformance, and, for asynchronous runs, the common core of each wave."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .blocks import block_id
 from .leaders import LeaderSchedule
-from .ordering import MODEL_ASYNC, MODEL_ES, reference_order
+from .ordering import MODEL_ASYNC, MODEL_ES, WaveParams, reference_order
 from .simnet import Transcript
 from .store import BlockStore
 
@@ -239,54 +238,49 @@ def check_model_conformance(view: RunView) -> Verdict:
 
 
 def check_common_core(view: RunView) -> Verdict:
-    """Asynchrony: for each completed leader round r there must exist block
-    sets U at r+2 and V at r+5, each with a quorum of distinct creators, with
-    every member of V acknowledging every member of U."""
+    """Asynchrony: for each completed leader round r, the blocks at r+β
+    have a quorum of creators, and so do the blocks at r+α that every block
+    at r+β acknowledges. That is one AND of closure masks per block at r+β
+    and one bit per block at r+α. The blocks are all created blocks,
+    Byzantine miners' included. This strong form implies the weak one that
+    `bf_common_core` in tests/helpers_oracle.py searches for: some blocks
+    at r+β by a quorum of creators all acknowledging some blocks at r+α by
+    a quorum of creators."""
     if view.scenario.model != MODEL_ASYNC:
         return Verdict("common-core", True, "asynchrony only", applicable=False)
     try:
         store = view.replay(None)
     except ReplayError as exc:
         return Verdict("common-core", False, str(exc))
+    alpha, beta, quorum = view.params.alpha, view.params.beta, store.quorum
     checked = 0
     for r in range(view.params.leader_stride, view.scenario.rounds + 1,
                    view.params.leader_stride):
-        if r + 5 > store.max_depth():
+        if r + beta > store.max_depth():
             continue
         checked += 1
-        if not _common_core_at(store, r):
-            return Verdict("common-core", False, f"no common core at round {r}")
+        deep, deep_creators, core = _common_core_at(store, view.params, r)
+        if min(deep_creators, core) < quorum:
+            return Verdict("common-core", False,
+                           f"round {r}: the {deep} blocks at round {r + beta}, by "
+                           f"{deep_creators} creators, all acknowledge blocks by "
+                           f"{core} creators at round {r + alpha}; quorum {quorum}")
     if checked == 0:
         return Verdict("common-core", True, "no completed leader rounds",
                        applicable=False)
     return Verdict("common-core", True, f"{checked} leader rounds have a common core")
 
 
-def _common_core_at(store: BlockStore, r: int) -> bool:
-    quorum = store.quorum
-    shallow = store.blocks_at(r + 2)
-    deep = store.blocks_at(r + 5)
-    by_creator: dict[int, list[bytes]] = {}
-    for b in deep:
-        by_creator.setdefault(store.creator_of(b), []).append(b)
-    creators = sorted(by_creator)
-    if len(creators) < quorum:
-        return False
-    # Per deep creator keep the block that acknowledges the most shallow
-    # creators, then search creator combinations for a joint core.
-    best: dict[int, set[int]] = {}
-    for c, blocks in by_creator.items():
-        cover = max(
-            ({store.creator_of(u) for u in shallow if store.acknowledges(v, u)}
-             for v in blocks),
-            key=len,
-        )
-        best[c] = cover
-    for combo in combinations(creators, quorum):
-        core = set.intersection(*(best[c] for c in combo))
-        if len(core) >= quorum:
-            return True
-    return False
+def _common_core_at(store: BlockStore, params: WaveParams, r: int) -> tuple[int, int, int]:
+    """The number of blocks at r+β, their creators, and the creators of the
+    blocks at r+α that all of them acknowledge."""
+    deep = store.blocks_at(r + params.beta)
+    common = -1
+    for v in deep:
+        common &= store.closure_mask(v)
+    shallow = sum(1 << store.index_of(u) for u in store.blocks_at(r + params.alpha))
+    core = {b.creator for b in store.blocks_in_mask(common & shallow)}
+    return len(deep), len(store.creators_at(r + params.beta)), len(core)
 
 
 def run_all_checks(transcript: Transcript) -> list[Verdict]:

@@ -31,8 +31,13 @@ class ScenarioError(ValueError):
 
 
 def as_number(value, kind, where: str):
-    """kind(value), or a ScenarioError naming where the value came from."""
+    """kind(value), or a ScenarioError naming where the value came from. An
+    int is read from neither a bool nor a float with a fractional part, which
+    int() would silently truncate."""
     try:
+        if kind is int and (isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer())):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: expected {kind.__name__}, got {value!r}") from None

@@ -241,11 +241,6 @@ class BlockStore:
 
     # -- relations -----------------------------------------------------
 
-    def acknowledges(self, a: bytes, b: bytes) -> bool:
-        """Strict: a non-empty pointer path leads from a to b."""
-        ia, ib = self._idx(a), self._idx(b)
-        return ia != ib and bool((self._closure[ia] >> ib) & 1)
-
     def closure_mask(self, bid: bytes) -> int:
         return self._closure[self._idx(bid)]
 

@@ -11,6 +11,8 @@ store through its public API.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 from blocklace.checks import ReplayError, Verdict, prefix_divergence
 from blocklace.ordering import (
     _super_ratified,
@@ -189,6 +191,30 @@ def bf_admission(pointers: dict, creators: dict, block_pointers,
     return None if len(below) >= quorum else "non-cordial"
 
 
+def bf_common_core(pointers: dict, creators: dict, r: int, params,
+                   quorum: int) -> bool:
+    """The weak common core at leader round r, by exhaustive search: some
+    blocks at r+β by a quorum of creators that all acknowledge some blocks
+    at r+α by a quorum of creators. One block per creator at r+β is tried,
+    since more blocks only shrink what they all acknowledge; the search is
+    exponential in n, so n <= 7."""
+    assert len(set(creators.values())) <= 7
+    depth = bf_depths(pointers)
+    shallow = [u for u in pointers if depth[u] == r + params.alpha]
+    deep: dict = {}
+    for v in pointers:
+        if depth[v] == r + params.beta:
+            deep.setdefault(creators[v], []).append(v)
+    reach = {v: bf_reachable(pointers, v) for vs in deep.values() for v in vs}
+    for combo in combinations(sorted(deep), quorum):
+        for picked in product(*(deep[c] for c in combo)):
+            core = {creators[u] for u in shallow
+                    if all(u in reach[v] for v in picked)}
+            if len(core) >= quorum:
+                return True
+    return False
+
+
 def bf_rebuild_store(view, mid):
     """A fresh store holding miner mid's accepts, inserted in accept order;
     `RunView.rebuild_store` as it was before the view cached its replays."""
@@ -242,6 +268,13 @@ def bf_reference_order(store, schedule, params):
 
 
 # -- store queries only tests use -------------------------------------------
+
+
+def acknowledges(store, a, b) -> bool:
+    """Strict: a non-empty pointer path leads from a to b, read from a's
+    closure mask. An id the store lacks raises UnknownBlock."""
+    ib = store.index_of(b)
+    return store.index_of(a) != ib and bool((store.closure_mask(a) >> ib) & 1)
 
 
 def closure(store, roots) -> set:

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import copy
 import gc
+import random
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from blocklace import blocks, checks
+from blocklace.blocks import block_id, make_block
+from blocklace.ordering import ASYNC_PARAMS, MODEL_ASYNC
 from blocklace.simnet import ByzSpec, Scenario, load_transcript, run
-from helpers_oracle import bf_ordering_equivalence
+from blocklace.store import BlockStore
+from conftest import fresh_store, grow_random
+from helpers_oracle import bf_common_core, bf_ordering_equivalence, graph_of
 
 
 def healthy_transcript(model="eventual-synchrony", **kw):
@@ -240,6 +248,95 @@ def test_common_core_under_reorder_adversary():
                      adversary={"kind": "reorder", "lag": 2}))
     v = checks.check_common_core(checks.RunView(t))
     assert v.passed and v.applicable
+
+
+def split_view(n, f):
+    """An unkeyed store at n miners: a full lattice up to round 6, then two
+    sides that never see each other. From round 7 (r+α of leader round 5)
+    to round 10 (its r+β), one side's blocks are by the first quorum of
+    creators and the other's by the last quorum, each block pointing at its
+    own side's round below; the creators in both fork, one block per side.
+    The store allows more than f equivocators. Returns a view of it for
+    `check_common_core`, with the blocks at rounds 7 and 10."""
+    store = BlockStore(n, f)
+    q = store.quorum
+
+    def add(creator, payload, pointers):
+        blk = make_block(creator, payload, pointers)
+        assert store.insert(blk).status == "accepted"
+        return block_id(blk)
+
+    row = []
+    for d in range(1, 7):
+        row = [add(p, f"{p}.{d}".encode(), row) for p in range(n)]
+    sides = [(range(q), row), (range(n - q, n), row)]
+    for d in range(7, 11):
+        sides = [(who, [add(p, f"{p}.{d}.{who[0]}".encode(), below) for p in who])
+                 for who, below in sides]
+    view = SimpleNamespace(scenario=SimpleNamespace(model=MODEL_ASYNC, rounds=10),
+                           params=ASYNC_PARAMS, replay=lambda mid: store)
+    return view, store.blocks_at(7), store.blocks_at(10)
+
+
+def test_common_core_fails_on_two_sides_at_n7():
+    """Each side alone is a weak core: its 5 creators at round 10 all
+    acknowledge its 5 creators at round 7. But no block at round 7 is
+    acknowledged by every block at round 10, so the check fails, naming
+    the round, the shared acknowledgements against the quorum, and the
+    blocks at r+β."""
+    view, shallow, deep = split_view(7, 2)
+    assert (len(shallow), len(deep)) == (10, 10)
+    v = checks.check_common_core(view)
+    assert not v.passed and v.applicable
+    assert v.detail == ("round 5: the 10 blocks at round 10, by 7 creators, all "
+                        "acknowledge blocks by 0 creators at round 7; quorum 5")
+    pointers, creators = graph_of(view.replay(None))
+    assert bf_common_core(pointers, creators, 5, ASYNC_PARAMS, 5)
+
+
+def test_common_core_fails_at_n31_within_counted_store_reads(monkeypatch):
+    """At n=31 a search over quorum-sized sets of creators would try
+    C(31, 21) of them. The check makes one store read per block at r+β and
+    r+α, plus a few per round: counted here, with no timer."""
+    view, shallow, deep = split_view(31, 10)
+    reads = []
+
+    def counted(name, fn):
+        def read(self, *args):
+            reads.append(name)
+            return fn(self, *args)
+        return read
+
+    for name, fn in list(vars(BlockStore).items()):
+        if callable(fn) and not name.startswith("_"):
+            monkeypatch.setattr(BlockStore, name, counted(name, fn))
+    v = checks.check_common_core(view)
+    assert not v.passed
+    assert v.detail == ("round 5: the 42 blocks at round 10, by 31 creators, all "
+                        "acknowledge blocks by 0 creators at round 7; quorum 21")
+    assert reads.count("closure_mask") == len(deep)
+    assert len(reads) <= len(deep) + len(shallow) + 6, sorted(set(reads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(4, 1), (7, 2)]), st.integers(11, 16), st.integers(0, 2 ** 32),
+       st.floats(0, 1), st.floats(0, 0.5))
+def test_strong_common_core_implies_the_exhaustive_one(nf, rounds, seed, forks, skips):
+    """On random blocklaces with f equivocators and f skippers, every
+    leader round whose strong core the verifier finds has a weak core that
+    the exhaustive oracle finds; the events record how often they differ."""
+    n, f = nf
+    store, keyring = fresh_store(n, f)
+    rng = random.Random(seed)
+    grow_random(store, keyring, rng, rounds, equivocators=dict.fromkeys(range(f), forks),
+                skippers=dict.fromkeys(range(n - f, n), skips))
+    pointers, creators = graph_of(store)
+    for r in range(5, rounds - ASYNC_PARAMS.beta + 1, ASYNC_PARAMS.leader_stride):
+        _, deep_creators, core = checks._common_core_at(store, ASYNC_PARAMS, r)
+        strong = min(deep_creators, core) >= store.quorum
+        weak = bf_common_core(pointers, creators, r, ASYNC_PARAMS, store.quorum)
+        event(f"n={n} strong={strong} exhaustive={weak}")
+        assert weak or not strong
 
 
 def test_equivocator_run_reports_suppressed():

@@ -90,15 +90,20 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     {"adversary": {"kind": "reorder", "lags": 5}},
     {"byzantine": {"3": {"behavior": "crash", "rnd": 5}}},
     {"adversary": {"kind": "random-delay"}},
+    {"rounds": 2.7},
+    {"n": True, "f": 0},
+    {"delays": {"kind": "fixed", "ticks": 1.9}},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
         "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
-        "random-delay"])
+        "random-delay", "fractional-rounds", "bool-n", "fractional-ticks"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
     delays before sends, a failed liveness check, no victim at all, a
-    misspelled key's default (1-tick delays, a crash at round 0) or the
-    delays of adversary kind none."""
+    misspelled key's default (1-tick delays, a crash at round 0), the
+    delays of adversary kind none, or an int read from a bool or truncated
+    from a fraction (2 rounds for 2.7, one miner for true, 1-tick delays
+    for 1.9 while the header records 1.9)."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -111,7 +116,9 @@ def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, o
     {"n": ["x"]},
     {"adversary": [{"kind": "corrupt-leader", "lag": "x"}]},
     {"adversary": [{"kind": "corrupt-leader", "lga": 3}]},
-], ids=["n-not-a-list", "seed_count", "n", "adversary-lag", "adversary-lag-misspelled"])
+    {"seeds": [1.5]},
+], ids=["n-not-a-list", "seed_count", "n", "adversary-lag", "adversary-lag-misspelled",
+        "fractional-seed"])
 def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
     cfg = write_config(tmp_path, sweep=sweep)
     assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2

@@ -26,7 +26,13 @@ from blocklace.ordering import (
 from blocklace.store import BlockStore, bits
 
 from conftest import fresh_store, grow_full, grow_random
-from helpers_oracle import bf_reference_order, bf_super_ratified, closure, graph_of
+from helpers_oracle import (
+    acknowledges,
+    bf_reference_order,
+    bf_super_ratified,
+    closure,
+    graph_of,
+)
 
 ES_SCHED = LeaderSchedule(4, 2)
 
@@ -66,7 +72,7 @@ def test_topo_sort_respects_acknowledgement():
     pos = {bid: i for i, bid in enumerate(order)}
     for a in order:
         for b in order:
-            if store.acknowledges(a, b):
+            if acknowledges(store, a, b):
                 assert pos[b] < pos[a]
 
 
@@ -185,7 +191,7 @@ def test_equivocation_suppressed_not_delivered():
     extend_delivery(store, log, ES_SCHED, ES_PARAMS)
     anchor = log.current_leader
     assert anchor == r4[2]  # leader(4) = miner 2
-    assert store.acknowledges(anchor, e1) and store.acknowledges(anchor, e2)
+    assert acknowledges(store, anchor, e1) and acknowledges(store, anchor, e2)
     assert e1 in log.suppressed and e2 in log.suppressed
     assert e1 not in log.delivered and e2 not in log.delivered
     assert set(log.delivered) == closure(store, [anchor]) - {e1, e2}

@@ -11,7 +11,7 @@ from blocklace import checks
 from blocklace.blocks import encode_package
 from blocklace.simnet import ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run
 
-from helpers_oracle import blocks_by
+from helpers_oracle import acknowledges, blocks_by
 
 
 def test_scenario_validation_errors():
@@ -159,8 +159,8 @@ def test_equivocator_halves_never_both_delivered():
             for b in halves:
                 if a < b and store.is_equivocation(a, b):
                     assert not (a in log.delivered and b in log.delivered)
-                    if store.acknowledges(log.current_leader or a, a) and \
-                            store.acknowledges(log.current_leader or b, b):
+                    if acknowledges(store, log.current_leader or a, a) and \
+                            acknowledges(store, log.current_leader or b, b):
                         assert a in log.suppressed or b in log.suppressed \
                             or a in log.delivered or b in log.delivered
 
@@ -266,7 +266,7 @@ def test_correct_miners_emit_one_block_per_depth():
         assert len(depths) == len(set(depths))
         ordered = sorted(own, key=m.store.depth_of)
         for shallow, deep in zip(ordered, ordered[1:]):
-            assert m.store.acknowledges(deep, shallow)
+            assert acknowledges(m.store, deep, shallow)
 
 
 def test_no_duplicate_sends():
