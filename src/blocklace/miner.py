@@ -59,7 +59,6 @@ class MinerState:
         self._built: dict[int, Package] = {}
         self.outbox: list[dict] = []  # protocol events drained by the simulator
         self._coin_next = config.params.leader_stride
-        self._violations_seen = 0
 
     # -- receiving -------------------------------------------------------
 
@@ -77,11 +76,9 @@ class MinerState:
             for bid in res.newly_accepted:
                 self.note_accept(bid)
                 accepted.append(bid)
-        violations = self.store.violations
-        if len(violations) > self._violations_seen:
-            for bid, reason in violations[self._violations_seen:]:
-                self.outbox.append({"e": "reject", "id": bid, "reason": reason})
-            self._violations_seen = len(violations)
+        for bid, reason in self.store.violations:
+            self.outbox.append({"e": "reject", "id": bid, "reason": reason})
+        self.store.violations.clear()
         return accepted
 
     def note_accept(self, bid: bytes) -> None:
@@ -100,10 +97,8 @@ class MinerState:
             return
         stride = self.config.params.leader_stride
         beta = self.config.params.beta
-        while self._coin_next + beta <= self.store.max_depth():
+        while self._coin_next + beta <= self.store.quorum_round:
             r = self._coin_next
-            if len(self.store.creators_at(r + beta)) < self.store.quorum:
-                break
             self.oracle.request(self.id, r)
             self.outbox.append({"e": "coin-call", "r": r})
             self._coin_next = r + stride

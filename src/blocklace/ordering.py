@@ -172,7 +172,7 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     when that round's leader is among them."""
     creators, by_depth = store._creator, store._by_depth
     alpha, beta, stride = params.alpha, params.beta, params.leader_stride
-    top = store.max_depth() - beta
+    top = store.quorum_round - beta  # deeper rounds lack a quorum of ratifiers
     for r in range((top // stride) * stride, floor, -stride):
         deeper = by_depth.get(r + beta, ())
         for cand in _leader_indices(store, schedule, r):

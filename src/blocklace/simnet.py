@@ -127,6 +127,8 @@ class Scenario:
             raise ScenarioError("negative delta or delay_bound")
         if self.rounds < 1:
             raise ScenarioError("rounds must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ScenarioError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.payload_size < 0 or (self.batch is not None and self.batch < 0):
             raise ScenarioError("negative batch or payload size")
 
@@ -184,6 +186,8 @@ def _byzantine_from(doc) -> dict[int, ByzSpec]:
     out = {}
     for key, spec in doc.items():
         mid = as_number(key, int, "byzantine key")
+        if mid in out:
+            raise ScenarioError(f"byzantine miner {mid} named twice")
         if not isinstance(spec, dict) or "behavior" not in spec:
             raise ScenarioError(f"byzantine[{key}] needs a behavior")
         _reject_unknown(spec, {"behavior", "rate", "round"}, f"byzantine[{key}]: ")

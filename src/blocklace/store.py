@@ -71,8 +71,12 @@ class BlockStore:
         self._creator_ack: dict[int, int] = {}  # OR of closures of creator's blocks
         self._equivocators: set[int] = set()
         self.buffer: dict[bytes, Block] = {}
-        self.violations: list[tuple[bytes, str]] = []  # rejected (id, reason)
+        self.violations: list[tuple[bytes, str]] = []  # rejected (id, reason), until drained
         self._max_depth = 0
+        # Rounds 1..quorum_round, and no others, have blocks by a quorum of
+        # creators, equivocators included: a block with pointers is admitted
+        # only over a quorum of creators one round below it.
+        self.quorum_round = 0
 
     # -- basic lookups -------------------------------------------------
 
@@ -209,6 +213,8 @@ class BlockStore:
         self._by_depth.setdefault(depth, []).append(idx)
         if depth > self._max_depth:
             self._max_depth = depth
+        if depth > self.quorum_round and len(self.creators_at(depth)) >= self.quorum:
+            self.quorum_round = depth
         siblings = self._by_creator.setdefault(block.creator, [])
         # The chain's last block cannot acknowledge the newcomer, and the
         # newcomer acknowledges the whole chain iff it acknowledges that one.
@@ -325,16 +331,13 @@ class BlockStore:
         return q in self._equivocators
 
     def cordial_round(self, p: MinerId) -> int | None:
-        """Deepest round with blocks by a quorum of creators that p has not
-        built past; 0 authorizes p's initial block; None if p must wait.
-        Creators are counted as admission counts them, equivocators
-        included."""
+        """quorum_round, the deepest round with blocks by a quorum of
+        creators, unless p has built past it, when p must wait (None). On
+        an empty store it is 0, which authorizes p's initial block."""
         latest = self._latest(p)
-        own_max = 0 if latest is None else self._depth[latest]
-        for d in range(self._max_depth, max(own_max, 1) - 1, -1):
-            if len(self.creators_at(d)) >= self.quorum:
-                return d
-        return 0 if own_max == 0 else None
+        if latest is not None and self._depth[latest] > self.quorum_round:
+            return None
+        return self.quorum_round
 
     # -- block creation ------------------------------------------------
 

@@ -3,10 +3,10 @@
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
-`bf_rebuild_store`, `bf_ordering_equivalence` and `bf_reference_order`,
-verbatim copies of retired library code kept to check their replacements,
-and the store queries at the end, which only tests need and which read a
-store through its public API.
+`bf_rebuild_store`, `bf_ordering_equivalence`, `bf_reference_order` and
+`bf_cordial_round`, copies of retired library code kept to check their
+replacements, and the store queries at the end, which only tests need and
+which read a store through its public API.
 """
 
 from __future__ import annotations
@@ -265,6 +265,17 @@ def bf_reference_order(store, schedule, params):
         order += [x for x in topo_sorted(store, frag) if store.approves(x, b1)]
         suppressed |= {x for x in frag if not store.approves(x, b1)}
     return order, suppressed
+
+
+def bf_cordial_round(store, p):
+    """`BlockStore.cordial_round` as it was before the store kept its quorum
+    round: a scan down from the deepest round for one whose blocks have a
+    quorum of creators, stopping at p's deepest block."""
+    own_max = max((store.depth_of(b) for b in blocks_by(store, p)), default=0)
+    for d in range(store.max_depth(), max(own_max, 1) - 1, -1):
+        if len(store.creators_at(d)) >= store.quorum:
+            return d
+    return 0 if own_max == 0 else None
 
 
 # -- store queries only tests use -------------------------------------------

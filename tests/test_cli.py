@@ -93,17 +93,24 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     {"rounds": 2.7},
     {"n": True, "f": 0},
     {"delays": {"kind": "fixed", "ticks": 1.9}},
+    {"seed": -1},
+    {"seed": 2 ** 64},
+    {"byzantine": {"1": {"behavior": "silent"},
+                   "01": {"behavior": "equivocate", "rate": 1.0}}},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
         "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
-        "random-delay", "fractional-rounds", "bool-n", "fractional-ticks"])
+        "random-delay", "fractional-rounds", "bool-n", "fractional-ticks",
+        "negative-seed", "seed-above-64-bits", "byzantine-named-twice"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
     delays before sends, a failed liveness check, no victim at all, a
     misspelled key's default (1-tick delays, a crash at round 0), the
-    delays of adversary kind none, or an int read from a bool or truncated
+    delays of adversary kind none, an int read from a bool or truncated
     from a fraction (2 rounds for 2.7, one miner for true, 1-tick delays
-    for 1.9 while the header records 1.9)."""
+    for 1.9 while the header records 1.9), a seed the keyring cannot
+    encode in 8 bytes, or one miner named by two Byzantine specs, the
+    later one silently winning."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -117,8 +124,9 @@ def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, o
     {"adversary": [{"kind": "corrupt-leader", "lag": "x"}]},
     {"adversary": [{"kind": "corrupt-leader", "lga": 3}]},
     {"seeds": [1.5]},
+    {"seeds": [-1]},
 ], ids=["n-not-a-list", "seed_count", "n", "adversary-lag", "adversary-lag-misspelled",
-        "fractional-seed"])
+        "fractional-seed", "negative-seed"])
 def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
     cfg = write_config(tmp_path, sweep=sweep)
     assert main(["sweep", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
@@ -225,7 +233,9 @@ def test_check_reports_undefined_accept(tmp_path, capsys):
     {"model": "bogus"},
     {"byzantine": {"x": {"behavior": "silent"}}},
     {"f": 3},
-], ids=["model", "byzantine-key", "quorum"])
+    {"seed": -1},
+    {"seed": 2 ** 64},
+], ids=["model", "byzantine-key", "quorum", "negative-seed", "seed-above-64-bits"])
 @pytest.mark.parametrize("command", ["check", "trace"])
 def test_bad_transcript_header_is_a_read_error(tmp_path, capsys, command, change):
     cfg = write_config(tmp_path, rounds=4)

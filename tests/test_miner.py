@@ -3,7 +3,7 @@ responsiveness."""
 
 from __future__ import annotations
 
-from blocklace.blocks import Keyring, block_id
+from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, Package, ProtocolConfig
 from blocklace.ordering import ES_PARAMS
@@ -62,6 +62,19 @@ def test_full_lattice_package_triggers_first_decision():
     decides = [e for e in miner.drain_outbox() if e["e"] == "decide"]
     assert decides and decides[-1]["round"] == 2
     assert decides[-1]["trigger"] == 4
+
+
+def test_rejected_block_resent_leaves_no_log_behind():
+    """A peer re-sending one badly signed block costs a correct miner one
+    reject event per arrival and no memory: the store's rejection log is
+    emptied into the outbox."""
+    miner = make_miner(0)
+    forged = Keyring(1, 4).sign(make_block(1, b"forged", []))
+    for _ in range(3):
+        assert miner.on_receive(Package((forged,))) == []
+        assert miner.drain_outbox() == [
+            {"e": "reject", "id": block_id(forged), "reason": "bad-signature"}]
+        assert miner.store.violations == []
 
 
 def test_can_proceed_async_returns_cordial_round():

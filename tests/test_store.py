@@ -372,20 +372,21 @@ def test_cordial_round_bootstrap():
     assert store.cordial_round(2) is None
 
 
-def test_cordial_round_excludes_equivocators(fork_fixture):
+def test_cordial_round_counts_equivocators(fork_fixture):
     store = fork_fixture["store"]
-    # Round 2 has creators {0,1,2,3} but 3 is a detected equivocator; the
-    # remaining three still form a quorum, so round 2 stays cordial for a
-    # miner still at depth 2 , but not once we drop another creator.
+    # Round 2 counts its creators as admission does, equivocator 3
+    # included, so it becomes a quorum round with its third creator.
     sub = BlockStore(4, 1, fork_fixture["keyring"])
     for bid in fork_fixture["round1"]:
         sub.insert(store.get(bid))
     sub.insert(store.get(fork_fixture["e1"]))
     sub.insert(store.get(fork_fixture["e2"]))
     sub.insert(store.get(fork_fixture["r2"][0]))
-    # Round 2 creators: {0, 3}, and 3 is an equivocator -> only 1 counts.
+    # Round 2 creators: {0, 3}, two of the quorum of three.
     assert sub.cordial_round(1) != 2
     sub.insert(store.get(fork_fixture["r2"][1]))
+    # Round 2 creators: {0, 1, 3}, a quorum only if the equivocator counts.
+    assert sub.cordial_round(2) == 2
     sub.insert(store.get(fork_fixture["r2"][2]))
     assert sub.cordial_round(3) == 2
 

@@ -1,6 +1,6 @@
 """Property tests: a store fed a random blocklace in a random order (so the
 buffer and cascade run) agrees with the brute-force oracles on admission,
-equivocation, approval, tips and block creation."""
+equivocation, approval, tips, block creation and the proceed rule."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from helpers_oracle import (
     bf_admission,
     bf_approves,
     bf_closure,
+    bf_cordial_round,
     bf_create_pointers,
     bf_depths,
     bf_equivocation,
@@ -170,3 +171,31 @@ def test_admission_matches_oracle(case):
     assert not store.buffer
     admitted = [bid for bid, why in verdict.items() if why is None]
     assert set(store.accepted_ids()) == set(pointers) | set(admitted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quorum_round_and_cordial_round_match_the_scan(data):
+    """A random blocklace with up to f equivocators and up to f skippers,
+    replayed block by block in acceptance order, so every round is seen
+    part-built and complete: after each insert the rounds with a quorum of
+    creators are exactly 1..quorum_round, and cordial_round agrees with the
+    old scan for every miner."""
+    n, f = data.draw(st.sampled_from([(4, 1), (7, 2)]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    forkers = data.draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
+    rates = {p: data.draw(st.sampled_from([0.3, 0.6, 1.0])) for p in forkers}
+    skippers = draw_skippers(data.draw, n, f)
+    src, keyring = fresh_store(n, f, seed)
+    grow_random(src, keyring, random.Random(seed), data.draw(st.integers(1, 6)), rates,
+                skippers=skippers)
+    store = BlockStore(n, f, keyring)
+    for bid in src.accepted_ids():
+        store.insert(src.get(bid))
+        quorate = [d for d in range(1, store.max_depth() + 1)
+                   if len(store.creators_at(d)) >= store.quorum]
+        assert quorate == list(range(1, store.quorum_round + 1))
+        for p in range(n):
+            got = store.cordial_round(p)
+            assert got == bf_cordial_round(store, p)
+            event("waits" if got is None else "proceeds")
