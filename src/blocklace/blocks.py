@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import cached_property
 
 DIGEST_SIZE = 32
 MAX_POINTERS = 0xFFFF
@@ -29,8 +28,8 @@ class Block:
     structurally equal blocks encode identically. The signature covers the
     canonical encoding and is excluded from it. Building a block that breaks
     these structural limits raises BlockError, so every Block is well formed.
-    A block is never mutated, so its encoding and id are built once, on
-    first use, and then kept.
+    A block is never mutated, so its encoding and id are built once, with
+    the block, and then kept.
     """
 
     creator: MinerId
@@ -39,8 +38,8 @@ class Block:
     signature: bytes = b""
 
     def __post_init__(self):
-        if self.creator < 0:
-            raise BlockError("negative creator")
+        if not 0 <= self.creator <= 0xFFFFFFFF:
+            raise BlockError("creator outside the u32 range")
         if len(self.payload) > MAX_PAYLOAD:
             raise BlockError("payload too long")
         if len(self.pointers) > MAX_POINTERS:
@@ -50,21 +49,10 @@ class Block:
                 raise BlockError("pointer is not a 32-byte digest")
         if list(self.pointers) != sorted(set(self.pointers)):
             raise BlockError("pointers not sorted and unique")
-
-    @cached_property
-    def _encoding(self) -> bytes:
-        parts = [
-            self.creator.to_bytes(4, "big"),
-            len(self.payload).to_bytes(4, "big"),
-            self.payload,
-            len(self.pointers).to_bytes(2, "big"),
-        ]
-        parts.extend(self.pointers)
-        return b"".join(parts)
-
-    @cached_property
-    def _id(self) -> bytes:
-        return hashlib.sha256(self._encoding).digest()
+        encoding = b"".join((self.creator.to_bytes(4, "big"), len(self.payload).to_bytes(4, "big"),
+                             self.payload, len(self.pointers).to_bytes(2, "big"), *self.pointers))
+        object.__setattr__(self, "_encoding", encoding)
+        object.__setattr__(self, "_id", hashlib.sha256(encoding).digest())
 
 
 def make_block(creator: MinerId, payload: bytes, pointers) -> Block:
@@ -151,8 +139,8 @@ class Keyring:
         mac = self._mac(b)
         # Equal to dataclasses.replace(b, signature=mac), built without a
         # second __post_init__: b's fields were checked when b was built,
-        # and the signature lies outside the encoding, so b's cached
-        # encoding and id hold for the signed block too.
+        # and the signature lies outside the encoding, so b's encoding and
+        # id hold for the signed block too.
         signed = object.__new__(Block)
         signed.__dict__.update(b.__dict__, signature=mac)
         return signed

@@ -44,8 +44,7 @@ def cmd_run(args) -> int:
     _write(os.path.join(out, "metrics.json"),
            json.dumps(transcript.metrics, sort_keys=True, indent=2) + "\n")
     for mid, log in sorted(transcript.logs.items()):
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                 for r in log["records"]]
+        lines = [simnet.json_line(r) for r in log["records"]]
         _write(os.path.join(out, f"deliveries-{mid}.jsonl"),
                "\n".join(lines) + ("\n" if lines else ""))
     verdicts = checks.run_all_checks(transcript)

@@ -143,6 +143,9 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     Returns the newly delivered ids in delivery order.
     """
     floor = log.current_round(store)
+    # floor is 0 or a leader round, so _tallied_leader would scan no round.
+    if store.quorum_round - params.beta < floor + params.leader_stride:
+        return []
     anchor = _tallied_leader(store, log, schedule, params, floor)
     if anchor is None:
         return []

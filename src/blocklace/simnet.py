@@ -18,6 +18,10 @@ from .ordering import MODEL_ASYNC, MODEL_ES, params_for
 SCHEMA_TRANSCRIPT = "blocklace-transcript/1"
 SCHEMA_METRICS = "blocklace-metrics/1"
 
+# One compact, key-sorted line of JSON; one encoder serves every line, where
+# each json.dumps call with these settings would build its own.
+json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 # Hard ceiling on adversarial delay so every message is eventually delivered.
 MAX_DELAY = 64
 
@@ -267,15 +271,13 @@ class Transcript:
     blocks: dict[str, Block] = field(default_factory=dict, init=False)
 
     def lines(self) -> list[str]:
-        out = [json.dumps(self.header, sort_keys=True, separators=(",", ":"))]
-        out.extend(json.dumps(e, sort_keys=True, separators=(",", ":"))
-                   for e in self.events)
+        out = [json_line(self.header)]
+        out.extend(map(json_line, self.events))
         for mid in sorted(self.logs):
             row = {"e": "log", "m": mid}
             row.update(self.logs[mid])
-            out.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
-        out.append(json.dumps({"e": "end", "metrics": self.metrics},
-                              sort_keys=True, separators=(",", ":")))
+            out.append(json_line(row))
+        out.append(json_line({"e": "end", "metrics": self.metrics}))
         return out
 
     def jsonl(self) -> str:
@@ -418,6 +420,9 @@ class Simulation:
                          for i in range(scenario.n)]
         self.events: list[dict] = []
         self.blocks: dict[str, Block] = {}
+        # Each created block's hex id, made once: every event, log record and
+        # key of blocks that names the block holds this one string.
+        self._hex: dict[bytes, str] = {}
         self.heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self.messages_sent = 0
@@ -490,9 +495,10 @@ class Simulation:
 
     def record_create(self, now: int, m: MinerState, blk) -> None:
         bid = block_id(blk)
-        self.blocks[bid.hex()] = blk
+        hid = self._hex[bid] = bid.hex()
+        self.blocks[hid] = blk
         self.events.append({
-            "e": "create", "t": now, "m": m.id, "id": bid.hex(),
+            "e": "create", "t": now, "m": m.id, "id": hid,
             "c": blk.creator, "d": m.store.depth_of(bid),
             "enc": encode_block(blk).hex(), "sig": blk.signature.hex(),
         })
@@ -508,7 +514,7 @@ class Simulation:
             described = self._described[id(pkg)] = (
                 pkg, len(pkg.wire()),
                 [(b.creator, depth_of(i)) for b, i in zip(pkg.blocks, bids)],
-                [i.hex() for i in bids])
+                [self._hex[i] for i in bids])
         _, size, meta, ids = described
         self.messages_sent += 1
         self.bytes_sent += size
@@ -523,8 +529,8 @@ class Simulation:
 
     def _drain_protocol_events(self, now: int, m: MinerState) -> None:
         for ev in m.drain_outbox():
-            if isinstance(ev.get("id"), bytes):
-                ev["id"] = ev["id"].hex()
+            if "id" in ev:
+                ev["id"] = self._hex[ev["id"]]
             ev["t"] = now
             ev["m"] = m.id
             self.events.append(ev)
@@ -641,8 +647,8 @@ class Simulation:
     def _finish(self, end_time: int) -> Transcript:
         metrics = self._metrics(end_time)
         header = {"schema": SCHEMA_TRANSCRIPT, "scenario": self.scenario.to_dict()}
-        logs = {m.id: {"records": _log_records(m),
-                       "suppressed": sorted(b.hex() for b in m.log.suppressed)}
+        logs = {m.id: {"records": _log_records(m, self._hex),
+                       "suppressed": sorted(self._hex[b] for b in m.log.suppressed)}
                 for m in self.miners}
         transcript = Transcript(header, self.events, logs, metrics)
         transcript.blocks = self.blocks
@@ -695,9 +701,9 @@ class Simulation:
         }
 
 
-def _log_records(m: MinerState) -> list[dict]:
+def _log_records(m: MinerState, hexes: dict[bytes, str]) -> list[dict]:
     """One transcript record per block m delivered, in delivery order."""
-    return [{"position": k, "block": b.hex(), "creator": m.store.creator_of(b),
+    return [{"position": k, "block": hexes[b], "creator": m.store.creator_of(b),
              "depth": m.store.depth_of(b), "leader_round": r}
             for k, (b, r) in enumerate(zip(m.log.delivered, m.log.leader_rounds))]
 

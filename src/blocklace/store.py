@@ -4,7 +4,7 @@ ratification, cordiality) that everything else is built on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import Block, Keyring, MinerId, block_id, make_block
 
@@ -27,13 +27,17 @@ class WouldEquivocate(StoreError):
     pass
 
 
-@dataclass(frozen=True)
-class AcceptResult:
+class AcceptResult(NamedTuple):
     """Outcome of one insert: status plus any cascade of newly accepted ids."""
 
     status: str  # "accepted" | "buffered" | "rejected"
     newly_accepted: tuple[bytes, ...] = ()
     reason: str | None = None
+
+
+# The outcomes of inserting a known or a buffered block, shared by every insert.
+_KNOWN = AcceptResult("accepted")
+_BUFFERED = AcceptResult("buffered")
 
 
 class BlockStore:
@@ -68,6 +72,7 @@ class BlockStore:
         # pointer, and a block acknowledging another is deeper than it.
         self._by_creator: dict[int, list[int]] = {}
         self._by_depth: dict[int, list[int]] = {}
+        self._round_creators: dict[int, int] = {}  # depth -> bitmask of creators
         self._creator_ack: dict[int, int] = {}  # OR of closures of creator's blocks
         self._equivocators: set[int] = set()
         self.buffer: dict[bytes, Block] = {}
@@ -128,7 +133,7 @@ class BlockStore:
         return out
 
     def creators_at(self, d: int) -> set[int]:
-        return {self._creator[i] for i in self._by_depth.get(d, ())}
+        return set(bits(self._round_creators.get(d, 0)))
 
     def _latest(self, q: MinerId) -> int | None:
         """Index of q's (depth, id)-greatest block: the chain's last one
@@ -153,20 +158,20 @@ class BlockStore:
         """
         bid = block_id(block)
         if bid in self._index:
-            return AcceptResult("accepted")
+            return _KNOWN
         if bid in self.buffer:
-            return AcceptResult("buffered")
+            return _BUFFERED
         reason = self._screen(bid, block)
         if not reason:
             pointees = list(map(self._index.get, block.pointers))
             if None in pointees:
                 self.buffer[bid] = block
-                return AcceptResult("buffered")
+                return _BUFFERED
             reason = self._admit(bid, block, pointees)
         if reason:
             self.violations.append((bid, reason))
             return AcceptResult("rejected", reason=reason)
-        return AcceptResult("accepted", (bid, *self._cascade()))
+        return AcceptResult("accepted", (bid, *self._cascade()) if self.buffer else (bid,))
 
     def _screen(self, bid: bytes, block: Block) -> str | None:
         """The checks that depend on the store; a Block is well formed by
@@ -213,7 +218,9 @@ class BlockStore:
         self._by_depth.setdefault(depth, []).append(idx)
         if depth > self._max_depth:
             self._max_depth = depth
-        if depth > self.quorum_round and len(self.creators_at(depth)) >= self.quorum:
+        round_creators = self._round_creators[depth] = (
+            self._round_creators.get(depth, 0) | 1 << block.creator)
+        if depth > self.quorum_round and round_creators.bit_count() >= self.quorum:
             self.quorum_round = depth
         siblings = self._by_creator.setdefault(block.creator, [])
         # The chain's last block cannot acknowledge the newcomer, and the
@@ -226,8 +233,6 @@ class BlockStore:
         return None
 
     def _cascade(self) -> list[bytes]:
-        if not self.buffer:
-            return []
         accepted: list[bytes] = []
         progress = True
         while progress:

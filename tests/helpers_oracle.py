@@ -267,13 +267,19 @@ def bf_reference_order(store, schedule, params):
     return order, suppressed
 
 
+def bf_creators_at(store, d):
+    """The creators of round d's blocks, read block by block, independent of
+    the per-round record behind `BlockStore.creators_at`."""
+    return {store.creator_of(b) for b in store.blocks_at(d)}
+
+
 def bf_cordial_round(store, p):
     """`BlockStore.cordial_round` as it was before the store kept its quorum
     round: a scan down from the deepest round for one whose blocks have a
     quorum of creators, stopping at p's deepest block."""
     own_max = max((store.depth_of(b) for b in blocks_by(store, p)), default=0)
     for d in range(store.max_depth(), max(own_max, 1) - 1, -1):
-        if len(store.creators_at(d)) >= store.quorum:
+        if len(bf_creators_at(store, d)) >= store.quorum:
             return d
     return 0 if own_max == 0 else None
 

@@ -108,10 +108,11 @@ LOW, HIGH = bytes([1]) * 32, bytes([2]) * 32
 
 @pytest.mark.parametrize("fields", [
     {"creator": -1},
+    {"creator": 2 ** 32},
     {"pointers": (b"short",)},
     {"pointers": (HIGH, LOW)},
     {"pointers": (LOW, LOW)},
-], ids=["negative-creator", "short-pointer", "unsorted", "duplicate"])
+], ids=["negative-creator", "wide-creator", "short-pointer", "unsorted", "duplicate"])
 def test_block_constructor_rejects_malformed_fields(fields):
     """Every Block is well formed: building or rebuilding one that breaks a
     structural limit raises, so no receiver needs to check structure."""
@@ -208,6 +209,21 @@ def test_cached_id_is_hash_of_documented_layout(case):
     for _ in range(2):  # computed, then cached
         assert encode_block(blk) == want
         assert block_id(blk) == hashlib.sha256(want).digest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_blocks())
+def test_every_way_of_building_a_block_sets_its_id(case):
+    """The encoding and id are built with the block, by whichever path
+    built it: each block's id is the hash of its encoding."""
+    keyring, blk = case
+    built = [make_block(blk.creator, blk.payload, blk.pointers),
+             decode_block(encode_block(blk), blk.signature),
+             keyring.sign(make_block(blk.creator, blk.payload, blk.pointers)),
+             dataclasses.replace(blk), dataclasses.replace(blk, payload=blk.payload + b"!")]
+    for b in [blk, *built]:
+        assert encode_block(b) == layout_encoding(b)
+        assert block_id(b) == hashlib.sha256(encode_block(b)).digest()
 
 
 @settings(max_examples=100, deadline=None)

@@ -193,6 +193,24 @@ def test_payload_drawn_only_for_blocks_made():
     assert len(creates) == 130
 
 
+def test_each_block_id_is_one_string():
+    """A block's hex id is made once, at its create: every event and log
+    record naming the block holds the very string keying transcript.blocks."""
+    sc = Scenario(n=7, f=2, rounds=16, seed=5,
+                  delays={"kind": "uniform", "min": 1, "max": 3},
+                  byzantine={1: ByzSpec("equivocate", rate=0.5),
+                             4: ByzSpec("crash", round=6)})
+    t = run(sc)
+    key = {h: h for h in t.blocks}
+    named = [e["id"] for e in t.events if e["e"] in ("create", "accept", "reject")]
+    named += [h for e in t.events if e["e"] in ("send", "deliver") for h in e["ids"]]
+    for log in t.logs.values():
+        named += [r["block"] for r in log["records"]] + log["suppressed"]
+    assert {e["e"] for e in t.events} >= {"accept", "send", "deliver"}
+    assert len(named) > 10 * len(key)
+    assert all(key[h] is h for h in named)
+
+
 def test_corrupt_leader_expected_case_band():
     sc = Scenario(rounds=60, seed=0, adversary={"kind": "corrupt-leader",
                                                 "miner": 3, "lag": 2})

@@ -19,6 +19,7 @@ from helpers_oracle import (
     bf_closure,
     bf_cordial_round,
     bf_create_pointers,
+    bf_creators_at,
     bf_depths,
     bf_equivocation,
     bf_tips,
@@ -180,7 +181,8 @@ def test_quorum_round_and_cordial_round_match_the_scan(data):
     replayed block by block in acceptance order, so every round is seen
     part-built and complete: after each insert the rounds with a quorum of
     creators are exactly 1..quorum_round, and cordial_round agrees with the
-    old scan for every miner."""
+    old scan for every miner. creators_at matches the creators read block by
+    block at every round, and returns a copy of the store's record."""
     n, f = data.draw(st.sampled_from([(4, 1), (7, 2)]))
     seed = data.draw(st.integers(0, 2 ** 16))
     forkers = data.draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
@@ -192,8 +194,14 @@ def test_quorum_round_and_cordial_round_match_the_scan(data):
     store = BlockStore(n, f, keyring)
     for bid in src.accepted_ids():
         store.insert(src.get(bid))
+        for d in range(store.max_depth() + 2):
+            want = bf_creators_at(store, d)
+            got = store.creators_at(d)
+            assert got == want
+            got.add(n)
+            assert store.creators_at(d) == want
         quorate = [d for d in range(1, store.max_depth() + 1)
-                   if len(store.creators_at(d)) >= store.quorum]
+                   if len(bf_creators_at(store, d)) >= store.quorum]
         assert quorate == list(range(1, store.quorum_round + 1))
         for p in range(n):
             got = store.cordial_round(p)
