@@ -144,39 +144,44 @@ class MinerState:
 
         The backlog is the new block's closure less its pointees one round
         below (depth falls along every pointer, so those are the only
-        closure blocks there); it is built once and each peer's evidence is
-        applied to it. Peers whose masks come out equal share one Package."""
+        closure blocks there) that are in flight from their creators. A
+        pointee by a known equivocator is not: its twin went to half of the
+        peers only. So it stays in the backlog, and goes with the bare
+        block too. Both masks are built once and each peer's evidence is
+        applied to them. Peers whose masks come out equal share one Package."""
         blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
         self.note_accept(bid)
         store = self.store
         backlog = store.closure_mask(bid)
+        bare = 1 << store.index_of(bid)
         below = store.depth_of(bid) - 1
         for p in blk.pointers:
             i = store.index_of(p)
-            if store._depth[i] == below:
+            if store.is_faulty(store._creator[i]):
+                bare |= 1 << i
+            elif store._depth[i] == below:
                 backlog &= ~(1 << i)
         self._built.clear()
         sends = []
         for q in range(self.config.n):
             if q == self.id or self.store.is_faulty(q):
                 continue
-            sends.append((q, self.package_for(q, bid, backlog)))
+            sends.append((q, self.package_for(q, bid, backlog, bare)))
         self.last_send = now
         return blk, sends
 
-    def package_for(self, q: MinerId, bid: bytes, backlog: int) -> Package:
-        """Build and record the package carrying bid to q: for a responsive
-        peer, every block of the backlog mask q has shown no evidence of
-        knowing; for a nonresponsive peer, the bare block.
+    def package_for(self, q: MinerId, bid: bytes, backlog: int, bare: int) -> Package:
+        """Build and record the package carrying bid to q: the blocks of the
+        backlog mask, for a responsive peer, or of the bare mask, for a
+        nonresponsive one, that q has shown no evidence of knowing.
 
-        Blocks of the round just built on are not in the backlog: they are
-        in flight from their creators (a twin, to half the peers only) and
-        are relayed one round later if evidence is still missing.
+        Blocks of the round just built on are in neither mask unless their
+        creator is a known equivocator: the others are in flight from their
+        creators and are relayed one round later if evidence is still
+        missing.
         """
-        if not self.responsive(q):
-            return self._package(q, 1 << self.store.index_of(bid), bid)
-        return self._package(q, backlog, bid)
+        return self._package(q, backlog if self.responsive(q) else bare, bid)
 
     def closure_package(self, q: MinerId, bid: bytes) -> Package:
         """The whole closure of own block bid that q has shown no evidence
@@ -184,9 +189,11 @@ class MinerState:
         return self._package(q, self.store.closure_mask(bid), bid)
 
     def flush_package(self, q: MinerId) -> Package | None:
-        """Anti-entropy fallback: everything accepted that q has shown no
-        evidence of knowing, parents-first; None when nothing is missing.
-        Used only when the network is otherwise quiescent."""
+        """Everything accepted that q has shown no evidence of knowing,
+        parents-first; None when nothing is missing. No miner or simulator
+        path calls it: its only user is the benchmark's per-layer wrapper in
+        bench/layers.py, which wraps it by name. It goes together with that
+        wrapper in a change to the benchmark (ROADMAP item 6)."""
         pkg = self._package(q, (1 << len(self.store)) - 1)
         return pkg if pkg.blocks else None
 

@@ -298,7 +298,7 @@ _LINE_KEYS = {
     "send": ("t", "from", "to", "ids"), "deliver": ("t", "from", "to", "ids"),
     "coin-call": ("t", "m", "r"), "coin-reveal": ("t", "r", "leader"),
     "log": ("m", "records", "suppressed"), "end": ("metrics",),
-    "decide": (), "reject": (), "flush": (),
+    "decide": (), "reject": (),
 }
 _KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str, "enc": str,
               "metrics": dict}
@@ -548,7 +548,6 @@ class Simulation:
     def run(self) -> Transcript:
         t = 0
         guard = 0
-        flushes = 2 * self.scenario.n
         while True:
             guard += 1
             if guard > 10_000_000:
@@ -559,9 +558,6 @@ class Simulation:
                 if self._step_phase(t):
                     progressed = True
             if not self.heap:
-                if flushes > 0 and self._flush(t):
-                    flushes -= 1
-                    continue
                 if self._extend(t):
                     continue
                 break
@@ -579,29 +575,6 @@ class Simulation:
         self._extensions -= 1
         self.create_cap += self.params.wave_length
         return True
-
-    def _flush(self, t: int) -> bool:
-        """At quiescence with diverged correct stores, run one anti-entropy
-        pass that reads every store, as no miner could. Only runs with an
-        equivocator need it, whose twins each go to half of the peers."""
-        correct = self.scenario.correct_miners()
-        base = {b for b in self.miners[correct[0]].store.accepted_ids()}
-        if all(set(self.miners[i].store.accepted_ids()) == base for i in correct[1:]):
-            return False
-        sent = False
-        for i in correct:
-            m = self.miners[i]
-            for q in range(self.scenario.n):
-                if q == i or m.store.is_faulty(q):
-                    continue
-                pkg = m.flush_package(q)
-                if pkg is not None:
-                    self.events.append({"e": "flush", "t": t, "from": i, "to": q,
-                                        "count": len(pkg.blocks)})
-                    self.send(t, i, q, pkg)
-                    sent = True
-        self._described.clear()
-        return sent
 
     def _drain(self, t: int) -> bool:
         did = False

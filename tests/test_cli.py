@@ -262,7 +262,8 @@ def _nth(rows, kind, k):
 
 def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     """The source run's lines with one line malformed, dropped, duplicated,
-    swapped with the next or given another id, and that line's number."""
+    swapped with the next, given another id or inserted as a flush line, and
+    that line's number."""
     rows = [json.loads(ln) for ln in source]
     i = 1 + k % (len(rows) - 1)  # any line but the header
     if mutation == "not-an-object":
@@ -302,6 +303,8 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     elif mutation == "create-no-enc":
         i = _nth(rows, "create", k)
         del rows[i]["enc"]
+    elif mutation == "flush-line":  # a step no miner can take: reading every store
+        rows.insert(i, {"e": "flush", "t": 0, "from": 0, "to": 1, "count": 1})
     else:
         i = _nth(rows, "create", k)
         rows[i]["enc"] = "zz"
@@ -312,7 +315,8 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
 # asynchronous run, the only kind with coin calls.
 MUTATIONS = ["not-an-object", "accept-miner", "accept-repeated", "coin-call-miner",
              "create-depth", "create-creator", "create-id-not-hash", "create-zero-sig",
-             "create-no-enc", "create-enc-not-hex", "create-repeated", "log-repeated"]
+             "create-no-enc", "create-enc-not-hex", "create-repeated", "log-repeated",
+             "flush-line"]
 # Whole-line changes to the event stream, and ids that no longer match.
 STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 

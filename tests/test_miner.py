@@ -155,6 +155,45 @@ def test_step_skips_detected_equivocator(fork_fixture):
     assert sorted(q for q, _ in sends) == [1, 2]
 
 
+def _over_fork_round2(fork):
+    """Miner 0 holding round 1, both twins and the round-2 blocks; its next
+    block is over round 2 and points at the twin e2."""
+    src = fork["store"]
+    miner = make_miner(0)
+    held = [*fork["round1"], fork["e1"], fork["e2"], *fork["r2"].values()]
+    miner.on_receive(Package(tuple(src.get(b) for b in held)))
+    assert miner.store.is_faulty(3)
+    return miner
+
+
+def test_step_backlog_keeps_equivocators_pointee(fork_fixture):
+    """A pointee one round below is left out of the backlog as in flight
+    from its creator, but a twin went to half of the peers only: it stays,
+    and a responsive peer with no evidence of it gets it."""
+    miner = _over_fork_round2(fork_fixture)
+    e2 = fork_fixture["e2"]
+    assert miner.responsive(1)
+    assert not (miner.store.creator_ack_mask(1) >> miner.store.index_of(e2)) & 1
+    blk, sends = proceed(miner, 0, b"r3")
+    assert e2 in blk.pointers
+    ids = [block_id(b) for b in dict(sends)[1].blocks]
+    assert e2 in ids
+    assert not set(fork_fixture["r2"].values()) & set(ids)
+
+
+def test_step_bare_package_carries_equivocators_pointees(fork_fixture):
+    """A nonresponsive peer gets the new block and, parents-first, its
+    pointees by the known equivocator, miner 3."""
+    miner = _over_fork_round2(fork_fixture)
+    miner._last_sent[1] = fork_fixture["r2"][0]
+    miner._heard_since_send[1] = False
+    assert not miner.responsive(1)
+    blk, sends = proceed(miner, 0, b"r3")
+    by3 = [p for p in blk.pointers if miner.store.creator_of(p) == 3]
+    assert by3 == [fork_fixture["e2"]]
+    assert [block_id(b) for b in dict(sends)[1].blocks] == [*by3, block_id(blk)]
+
+
 def test_responsive_before_any_send():
     miner = make_miner(0)
     assert miner.responsive(1)

@@ -93,6 +93,31 @@ def test_n4_es_equivocator_run_passes_every_verifier():
         assert v.passed, (v.name, v.detail)
 
 
+UNIFORM_1_2 = {"kind": "uniform", "min": 1, "max": 2}
+
+
+@pytest.mark.parametrize("sc", [
+    Scenario(n=4, f=1, model="asynchrony", rounds=25, seed=784, delays=UNIFORM_1_2,
+             byzantine={0: ByzSpec("equivocate", rate=0.445, round=4)}),
+    Scenario(n=4, f=1, rounds=16, seed=190, delays=UNIFORM_1_2,
+             byzantine={0: ByzSpec("equivocate", rate=0.579, round=3)}),
+    Scenario(n=7, f=2, model="asynchrony", rounds=25, seed=31,
+             delays={"kind": "fixed", "ticks": 1},
+             byzantine={3: ByzSpec("equivocate", rate=0.43, round=5),
+                        1: ByzSpec("silent")}),
+    Scenario(n=7, f=2, model="asynchrony", rounds=25, seed=44,
+             delays={"kind": "uniform", "min": 1, "max": 3},
+             byzantine={4: ByzSpec("equivocate", rate=0.3),
+                        1: ByzSpec("equivocate", rate=0.79)}),
+], ids=["784", "190", "31", "44"])
+def test_twins_spread_through_the_blocklace(sc):
+    """Each twin goes with its closure to half of the peers; the others get
+    it only in correct miners' backlogs and bare packages. These runs once
+    stalled there, each correct miner buffering blocks over a missing twin."""
+    for v in checks.run_all_checks(run(sc)):
+        assert v.passed, (v.name, v.detail)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("model", ["eventual-synchrony", "asynchrony"])
 def test_fault_free_runs_with_f_0_pass_every_verifier(n, model):
