@@ -164,6 +164,11 @@ def encode_package(blocks) -> bytes:
     return b"".join(out)
 
 
+def package_size(blocks) -> int:
+    """len(encode_package(blocks)), counted without building it."""
+    return 4 + sum(6 + len(b._encoding) + len(b.signature) for b in blocks)
+
+
 def decode_package(data: bytes) -> list[Block]:
     count = int.from_bytes(data[0:4], "big")
     pos = 4

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Block, Keyring, MinerId, block_id, encode_package
+from .blocks import Block, Keyring, MinerId, block_id
 from .leaders import CoinOracle
 from .ordering import (
     MODEL_ES,
@@ -30,9 +30,6 @@ class Package:
     """Blocks sorted parents-first so a receiver can cascade in one pass."""
 
     blocks: tuple[Block, ...]
-
-    def wire(self) -> bytes:
-        return encode_package(self.blocks)
 
 
 class MinerState:
@@ -66,7 +63,7 @@ class MinerState:
         """Buffer and accept-cascade a package; returns newly accepted ids.
 
         Per accepted block: invoke the coin when a new leader round becomes
-        electable, and re-run delivery.
+        electable, and re-run delivery once it can decide something.
         """
         accepted: list[bytes] = []
         for block in pkg.blocks:
@@ -84,39 +81,36 @@ class MinerState:
     def note_accept(self, bid: bytes) -> None:
         """Bookkeeping for a newly accepted block, received or own."""
         self.outbox.append({"e": "accept", "id": bid})
-        self._maybe_request_coins()
-        self._run_delivery(self.store.depth_of(bid))
+        self._advance(bid)
 
     def poke(self) -> None:
         """Re-check delivery without a new block (after a coin reveal)."""
-        self._maybe_request_coins()
-        self._run_delivery(None)
+        self._advance(None)
 
-    def _maybe_request_coins(self) -> None:
-        if self.oracle is None:
+    def _advance(self, bid: bytes | None) -> None:
+        """Request the coins now due, then extend delivery, writing a decide
+        event, triggered by bid if given, when the anchor moves. Delivery is
+        skipped while quorum_round - beta is below the first leader round
+        above the anchor's (the anchor's round is 0 or a leader round): no
+        round there has a quorum of possible ratifiers, so nothing could be
+        decided and no tally could change."""
+        params, top = self.config.params, self.store.quorum_round
+        while self.oracle is not None and self._coin_next + params.beta <= top:
+            self.oracle.request(self.id, self._coin_next)
+            self.outbox.append({"e": "coin-call", "r": self._coin_next})
+            self._coin_next += params.leader_stride
+        if top - params.beta < self.log.current_round + params.leader_stride:
             return
-        stride = self.config.params.leader_stride
-        beta = self.config.params.beta
-        while self._coin_next + beta <= self.store.quorum_round:
-            r = self._coin_next
-            self.oracle.request(self.id, r)
-            self.outbox.append({"e": "coin-call", "r": r})
-            self._coin_next = r + stride
-
-    def _run_delivery(self, trigger_depth: int | None) -> list[bytes]:
         before = self.log.current_leader
-        new = extend_delivery(self.store, self.log, self.schedule, self.config.params)
+        new = extend_delivery(self.store, self.log, self.schedule, params)
         if self.log.current_leader != before:
-            anchor_round = self.store.depth_of(self.log.current_leader)
-            if trigger_depth is None:
-                trigger_depth = anchor_round + self.config.params.beta
+            anchor_round = self.log.current_round
             self.outbox.append({
                 "e": "decide",
                 "round": anchor_round,
-                "trigger": trigger_depth,
+                "trigger": anchor_round + params.beta if bid is None else self.store.depth_of(bid),
                 "delivered": len(new),
             })
-        return new
 
     # -- proceeding --------------------------------------------------------
 
@@ -153,19 +147,19 @@ class MinerState:
         bid = block_id(blk)
         self.note_accept(bid)
         store = self.store
-        backlog = store.closure_mask(bid)
-        bare = 1 << store.index_of(bid)
-        below = store.depth_of(bid) - 1
+        index, depths, faulty = store._index, store._depth, store._equivocators
+        own = index[bid]
+        backlog, bare, below = store._closure[own], 1 << own, depths[own] - 1
         for p in blk.pointers:
-            i = store.index_of(p)
-            if store.is_faulty(store._creator[i]):
+            i = index[p]
+            if store._creator[i] in faulty:
                 bare |= 1 << i
-            elif store._depth[i] == below:
+            elif depths[i] == below:
                 backlog &= ~(1 << i)
         self._built.clear()
         sends = []
         for q in range(self.config.n):
-            if q == self.id or self.store.is_faulty(q):
+            if q == self.id or q in faulty:
                 continue
             sends.append((q, self.package_for(q, bid, backlog, bare)))
         self.last_send = now
@@ -203,7 +197,7 @@ class MinerState:
         the new own block this send carries: q's responsiveness is judged
         against it from now on. A mask built since the last step returns
         the same Package object."""
-        mask &= ~(self._sent[q] | self.store.creator_ack_mask(q))
+        mask &= ~(self._sent[q] | self.store._creator_ack.get(q, 0))
         self._sent[q] |= mask
         if own is not None:
             self._last_sent[q] = own
@@ -221,8 +215,7 @@ class MinerState:
         sent = self._last_sent[q]
         if sent is None or self._heard_since_send[q]:
             return True
-        ack = self.store.creator_ack_mask(q)
-        return bool((ack >> self.store.index_of(sent)) & 1)
+        return bool((self.store._creator_ack.get(q, 0) >> self.store._index[sent]) & 1)
 
     def drain_outbox(self) -> list[dict]:
         out = self.outbox

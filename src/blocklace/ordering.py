@@ -116,7 +116,8 @@ def prev_ratified_leader(store: BlockStore, schedule, params: WaveParams,
 class DeliveryLog:
     """A miner's final output: the delivered order with each block's leader
     round, permanently suppressed equivocation blocks, their union placed as
-    a bitmask over store indices, and the current super-ratified anchor.
+    a bitmask over store indices, and the current super-ratified anchor with
+    its round (0 before the first).
 
     tally maps the store index of each leader candidate above the anchor's
     round to how many blocks beta rounds deeper it has examined, in
@@ -128,10 +129,8 @@ class DeliveryLog:
     suppressed: set[bytes] = field(default_factory=set)
     placed: int = 0
     current_leader: bytes | None = None
+    current_round: int = 0
     tally: dict[int, tuple[int, set[int]]] = field(default_factory=dict)
-
-    def current_round(self, store: BlockStore) -> int:
-        return store.depth_of(self.current_leader) if self.current_leader else 0
 
 
 def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
@@ -140,13 +139,11 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     back through ratified leaders to the first one placed and emit each
     newer one's fragment in topological order, filtering non-approved blocks.
 
-    Returns the newly delivered ids in delivery order.
+    Returns the newly delivered ids in delivery order. While quorum_round
+    - beta is below the first leader round above the anchor's, no round is
+    scanned and nothing changes; MinerState skips the call then.
     """
-    floor = log.current_round(store)
-    # floor is 0 or a leader round, so _tallied_leader would scan no round.
-    if store.quorum_round - params.beta < floor + params.leader_stride:
-        return []
-    anchor = _tallied_leader(store, log, schedule, params, floor)
+    anchor = _tallied_leader(store, log, schedule, params, log.current_round)
     if anchor is None:
         return []
     chain: list[bytes] = []
@@ -158,8 +155,8 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     for b1 in reversed(chain):
         new.extend(_deliver_fragment(store, log, b1))
     log.current_leader = anchor
-    anchor_round, depths = store.depth_of(anchor), store._depth
-    log.tally = {c: entry for c, entry in log.tally.items() if depths[c] > anchor_round}
+    anchor_round = log.current_round = store.depth_of(anchor)
+    log.tally = {c: entry for c, entry in log.tally.items() if store._depth[c] > anchor_round}
     return new
 
 
@@ -200,8 +197,9 @@ def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes) -> list[by
     log.placed |= frag_mask
     ids, creators, depths = store._ids, store._creator, store._depth
     out = []
+    # b1 acknowledges every fragment block, so only an equivocator's can fail.
     for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
-        if store._approves(i, i1):
+        if creators[i] not in store._equivocators or store._approves(i, i1):
             out.append(ids[i])
         else:
             log.suppressed.add(ids[i])

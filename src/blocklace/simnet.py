@@ -10,7 +10,8 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import Block, Keyring, block_id, decode_block, encode_block, make_block
+from .blocks import (Block, Keyring, block_id, decode_block, encode_block, make_block,
+                     package_size)
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -35,12 +36,12 @@ class ScenarioError(ValueError):
 
 
 def as_number(value, kind, where: str):
-    """kind(value), or a ScenarioError naming where the value came from. An
-    int is read from neither a bool nor a float with a fractional part, which
-    int() would silently truncate."""
+    """kind(value), or a ScenarioError naming where the value came from. No
+    number is read from a bool, and no int from a float with a fractional
+    part, which int() would silently truncate."""
     try:
-        if kind is int and (isinstance(value, bool) or (
-                isinstance(value, float) and not value.is_integer())):
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError):
@@ -111,6 +112,10 @@ class Scenario:
                 raise ScenarioError(f"byzantine miner {mid} out of range")
             if spec.behavior not in BEHAVIORS:
                 raise ScenarioError(f"unknown behavior {spec.behavior!r}")
+            if not 0 <= spec.rate <= 1:  # NaN fails this too
+                raise ScenarioError(f"byzantine[{mid}].rate must be in [0, 1], got {spec.rate!r}")
+            if spec.round < 0:
+                raise ScenarioError(f"byzantine[{mid}].round must not be negative, got {spec.round}")
         for name, keys in (("delays", {"kind", "ticks", "min", "max"}),
                            ("adversary", {"kind", "miner", "lag", "max_delay"})):
             if not isinstance(getattr(self, name), dict):
@@ -509,11 +514,11 @@ class Simulation:
         peers is encoded and described once; each send draws its own delay."""
         described = self._described.get(id(pkg))
         if described is None:
-            depth_of = self.miners[frm].store.depth_of
+            store = self.miners[frm].store
             bids = [block_id(b) for b in pkg.blocks]
             described = self._described[id(pkg)] = (
-                pkg, len(pkg.wire()),
-                [(b.creator, depth_of(i)) for b, i in zip(pkg.blocks, bids)],
+                pkg, package_size(pkg.blocks),
+                [(b.creator, store._depth[store._index[i]]) for b, i in zip(pkg.blocks, bids)],
                 [self._hex[i] for i in bids])
         _, size, meta, ids = described
         self.messages_sent += 1
@@ -570,7 +575,7 @@ class Simulation:
         if self._extensions <= 0:
             return False
         observer = self.miners[self.scenario.correct_miners()[0]]
-        if observer.log.current_round(observer.store) >= self.scenario.rounds:
+        if observer.log.current_round >= self.scenario.rounds:
             return False
         self._extensions -= 1
         self.create_cap += self.params.wave_length
@@ -676,8 +681,9 @@ class Simulation:
 
 def _log_records(m: MinerState, hexes: dict[bytes, str]) -> list[dict]:
     """One transcript record per block m delivered, in delivery order."""
-    return [{"position": k, "block": hexes[b], "creator": m.store.creator_of(b),
-             "depth": m.store.depth_of(b), "leader_round": r}
+    index, creators, depths = m.store._index, m.store._creator, m.store._depth
+    return [{"position": k, "block": hexes[b], "creator": creators[i := index[b]],
+             "depth": depths[i], "leader_round": r}
             for k, (b, r) in enumerate(zip(m.log.delivered, m.log.leader_rounds))]
 
 

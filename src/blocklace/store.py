@@ -318,13 +318,15 @@ class BlockStore:
         return self._ratifies(self._idx(b1), self._idx(b2), alpha)
 
     def _ratifies(self, i1: int, i2: int, alpha: int) -> bool:
+        """_approves(i1, i) inlined, with i1's partners found once."""
         target = self._depth[i1] + alpha
-        m2 = self._closure[i2]
+        closure, partners = self._closure, self._partner_mask(i1)
+        m2 = closure[i2]
         creators: set[int] = set()
         for i in self._by_depth.get(target, ()):
             if not (m2 >> i) & 1:
                 continue
-            if self._approves(i1, i):
+            if (closure[i] >> i1) & 1 and not closure[i] & partners:
                 creators.add(self._creator[i])
                 if len(creators) >= self.quorum:
                     return True

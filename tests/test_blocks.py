@@ -23,6 +23,7 @@ from blocklace.blocks import (
     encode_block,
     encode_package,
     make_block,
+    package_size,
 )
 
 GOLDEN_ENC = (
@@ -275,6 +276,7 @@ def test_package_roundtrip(cases):
     back = decode_package(encode_package(blocks))
     assert [block_id(b) for b in back] == [block_id(b) for b in blocks]
     assert [b.signature for b in back] == [b.signature for b in blocks]
+    assert package_size(blocks) == len(encode_package(blocks))
 
 
 @st.composite

@@ -77,6 +77,25 @@ def test_run_rejects_mistyped_value(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("spec", [
+    {"behavior": "equivocate", "rate": "nan"},
+    {"behavior": "equivocate", "rate": "inf"},
+    {"behavior": "equivocate", "rate": -1},
+    {"behavior": "equivocate", "rate": 5.0},
+    {"behavior": "equivocate", "rate": True},
+    {"behavior": "crash", "round": -3},
+], ids=["rate-nan", "rate-inf", "rate-negative", "rate-above-1", "rate-bool",
+        "round-negative"])
+def test_run_rejects_meaningless_byzantine_spec(tmp_path, capsys, spec):
+    """A rate outside [0, 1] or a negative crash round describes no run. A
+    rate of "nan" once reached the transcript header as a bare NaN, which is
+    not JSON, and its miner never equivocated."""
+    cfg = write_config(tmp_path, byzantine={"0": spec})
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"delays": {"kind": "uniform", "min": 3, "max": 1}},
     {"delays": {"kind": "fixed", "ticks": -1}},

@@ -3,6 +3,7 @@ responsiveness."""
 
 from __future__ import annotations
 
+from blocklace import miner as miner_module
 from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, Package, ProtocolConfig
@@ -255,3 +256,25 @@ def test_step_builds_each_distinct_package_once(monkeypatch):
     for q, pkg in pkgs.items():
         mask = backlog & ~store.creator_ack_mask(q)
         assert pkg.blocks == tuple(blocks_in_mask(mask))
+
+
+def test_delivery_runs_only_past_the_gate(monkeypatch):
+    """Fed a 6-round lattice block by block, the miner calls extend_delivery
+    only on accepts that leave quorum_round - beta at or past the first
+    leader round above the anchor's; below it the call could decide nothing."""
+    calls = []
+    real = miner_module.extend_delivery
+    monkeypatch.setattr(miner_module, "extend_delivery",
+                        lambda *args: calls.append(1) or real(*args))
+    store, _ = lattice_blocks(6)
+    miner = make_miner(0)
+    crossed = []
+    for bid in store.accepted_ids():
+        floor, before = miner.log.current_round, len(calls)
+        miner.on_receive(Package((store.get(bid),)))
+        crossed.append(miner.store.quorum_round - ES_PARAMS.beta
+                       >= floor + ES_PARAMS.leader_stride)
+        assert len(calls) - before == crossed[-1]
+    assert miner.log.current_round == 4
+    assert crossed.index(True) == 14  # the third round-4 block, the quorum's last
+    assert sum(crossed) < len(crossed) // 2

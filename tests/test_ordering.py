@@ -256,14 +256,14 @@ def test_tallied_anchor_matches_brute_force_rule(nf, seed, rounds, equivocate, p
             if depth[cand] + params.beta == depth[bid] and bf_super_ratified(
                     pointers, creators, sched.leader_at, params, store.quorum, cand):
                 ratified.add(cand)
-        floor, before = log.current_round(store), log.current_leader
+        floor, before = log.current_round, log.current_leader
         store.insert(blk)
         extend_delivery(store, log, sched, params)
         above = [c for c in ratified if depth[c] > floor]
         want = min(above, key=lambda c: (-depth[c], c)) if above else before
         assert log.current_leader == want
         ids = store.accepted_ids()
-        assert all(depth[ids[c]] > log.current_round(store) for c in log.tally)
+        assert all(depth[ids[c]] > log.current_round for c in log.tally)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,20 @@ def test_scenario_validation_errors():
     Scenario().validate()
 
 
+@pytest.mark.parametrize("spec", [
+    {"behavior": "equivocate", "rate": "nan"},
+    {"behavior": "equivocate", "rate": 1.5},
+    {"behavior": "equivocate", "rate": -0.1},
+    {"behavior": "equivocate", "rate": False},
+    {"behavior": "crash", "round": -1},
+])
+def test_from_dict_rejects_meaningless_byzantine_spec(spec):
+    with pytest.raises(ScenarioError, match=r"byzantine\[0\]"):
+        Scenario.from_dict({"n": 4, "byzantine": {"0": spec}})
+    edge = {**spec, "rate": 1.0} if "rate" in spec else {**spec, "round": 0}
+    assert Scenario.from_dict({"n": 4, "byzantine": {"0": edge}}).byzantine[0] == ByzSpec(**edge)
+
+
 def test_replay_is_byte_identical():
     sc = Scenario(rounds=10, seed=3, delays={"kind": "uniform", "min": 1, "max": 3},
                   byzantine={2: ByzSpec("equivocate", rate=0.5)})

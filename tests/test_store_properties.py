@@ -22,6 +22,7 @@ from helpers_oracle import (
     bf_creators_at,
     bf_depths,
     bf_equivocation,
+    bf_ratifies,
     bf_tips,
     graph_of,
 )
@@ -77,6 +78,21 @@ def test_approves_matches_oracle_on_equivocator_blocks(case):
             continue
         for b in pointers:
             assert store.approves(b1, b) == bf_approves(pointers, creators, b1, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_blocklaces())
+def test_ratifies_matches_oracle_on_equivocator_blocks(case):
+    """ratifies finds b1's equivocation partners once per call; every block
+    it examines must still be judged as approves would judge it."""
+    store, _ = case
+    pointers, creators = graph_of(store)
+    for b1 in pointers:
+        if not store.is_faulty(creators[b1]):
+            continue
+        for b2, alpha in itertools.product(pointers, (1, 2)):
+            assert store.ratifies(b1, b2, alpha) == bf_ratifies(
+                pointers, creators, b1, b2, alpha, store.quorum)
 
 
 @settings(max_examples=40, deadline=None)
