@@ -115,7 +115,7 @@ class Scenario:
             if not 0 <= spec.rate <= 1:  # NaN fails this too
                 raise ScenarioError(f"byzantine[{mid}].rate must be in [0, 1], got {spec.rate!r}")
             if spec.round < 0:
-                raise ScenarioError(f"byzantine[{mid}].round must not be negative, got {spec.round}")
+                raise ScenarioError(f"byzantine[{mid}].round is negative: {spec.round}")
         for name, keys in (("delays", {"kind", "ticks", "min", "max"}),
                            ("adversary", {"kind", "miner", "lag", "max_delay"})):
             if not isinstance(getattr(self, name), dict):

@@ -1,6 +1,7 @@
 """Property tests: a store fed a random blocklace in a random order (so the
 buffer and cascade run) agrees with the brute-force oracles on admission,
-equivocation, approval, tips, block creation and the proceed rule."""
+equivocation, approval, ratification, tips, block creation and the proceed
+rule."""
 
 from __future__ import annotations
 
