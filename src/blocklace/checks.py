@@ -45,21 +45,22 @@ class RunView:
         self.sends: list[dict] = []
         self.delivers: list[dict] = []
         callers: dict[int, set[int]] = {}
+        # The most frequent kinds first.
         for ev in transcript.events:
             kind = ev["e"]
-            if kind == "create":
-                self.block_depth[ev["id"]] = ev["d"]
-            elif kind == "accept":
+            if kind == "accept":
                 self.accepts[ev["m"]].append(ev["id"])
+            elif kind == "send":
+                self.sends.append(ev)
+            elif kind == "deliver":
+                self.delivers.append(ev)
+            elif kind == "create":
+                self.block_depth[ev["id"]] = ev["d"]
             elif kind == "coin-call":
                 callers.setdefault(ev["r"], set()).add(ev["m"])
             elif kind == "coin-reveal":
                 self.revealed[ev["r"]] = ev["leader"]
                 self.reveals.append((ev["r"], len(callers.get(ev["r"], ()))))
-            elif kind == "send":
-                self.sends.append(ev)
-            elif kind == "deliver":
-                self.delivers.append(ev)
         self.delivered: dict[int, list[str]] = {}
         self.suppressed: dict[int, list[str]] = {}
         for mid, log in transcript.logs.items():
@@ -75,18 +76,21 @@ class RunView:
     def accepted(self, mid: int) -> list[str]:
         """Miner mid's accepted ids in accept order; raises ReplayError on
         an id that no create event defines."""
-        for hid in self.accepts[mid]:
-            if hid not in self.blocks:
-                raise ReplayError(f"miner {mid} accepted undefined block {hid[:12]}")
-        return self.accepts[mid]
+        ids = self.accepts[mid]
+        if not all(map(self.blocks.__contains__, ids)):
+            hid = next(h for h in ids if h not in self.blocks)
+            raise ReplayError(f"miner {mid} accepted undefined block {hid[:12]}")
+        return ids
 
     def replay(self, mid: int | None) -> BlockStore:
         """The store of miner mid's accepted blocks, or of every created
         block when mid is None, in accept (creation) order. Each distinct
         set goes into a fresh store once; the same set again is only checked
-        to put every pointee before the blocks pointing at it. Raises
-        ReplayError, caching nothing, where a fresh store would not accept a
-        block on arrival."""
+        to put every pointee before the blocks pointing at it, against the
+        cached store's closure masks: a running mask of the blocks placed so
+        far must hold each block's closure once the block's own bit is in.
+        Raises ReplayError, caching nothing, where a fresh store would not
+        accept a block on arrival."""
         ids = list(self.blocks) if mid is None else self.accepted(mid)
         who = "the created blocks" if mid is None else f"miner {mid}"
         key = frozenset(ids)
@@ -100,13 +104,14 @@ class RunView:
                                       f"{hid[:12]} -> {res.status} {res.reason}")
             self._stores[key] = store
             return store
-        seen: set[bytes] = set()
+        index, closure, blocks = store._index, store._closure, self.blocks
+        placed = 0
         for hid in ids:
-            blk = self.blocks[hid]
-            if not seen.issuperset(blk.pointers):
+            i = index[block_id(blocks[hid])]
+            placed |= 1 << i
+            if closure[i] | placed != placed:
                 raise ReplayError(f"transcript replay failed for {who}: "
                                   f"{hid[:12]} -> buffered None")
-            seen.add(block_id(blk))
         return store
 
 
@@ -139,6 +144,8 @@ def check_liveness(view: RunView) -> Verdict:
     missing = []
     for mid in view.correct:
         got = set(view.delivered.get(mid, []))
+        if got.issuperset(due):
+            continue
         for hid in due:
             if hid not in got:
                 missing.append((mid, hid[:12], view.block_depth[hid]))
@@ -217,21 +224,30 @@ def check_model_conformance(view: RunView) -> Verdict:
     delivery after GST exceeds the configured bound."""
     pending: dict[tuple, list[int]] = {}
     for ev in view.sends:
-        pending.setdefault((ev["from"], ev["to"], tuple(ev["ids"])), []).append(ev["t"])
+        key = (ev["from"], ev["to"], tuple(ev["ids"]))  # a tuple is not copied
+        times = pending.get(key)
+        if times is None:
+            pending[key] = [ev["t"]]
+        else:
+            times.append(ev["t"])
     sc = view.scenario
+    # Asynchrony bounds no delay: no send time reaches an infinite GST.
+    gst = sc.gst if sc.model == MODEL_ES else float("inf")
+    bound = sc.delay_bound
     for ev in view.delivers:
         key = (ev["from"], ev["to"], tuple(ev["ids"]))
         times = pending.get(key)
         if not times:
             return Verdict("model-conformance", False, f"delivery without send: {key[:2]}")
         t0 = times.pop(0)
-        if ev["t"] < t0:
+        t = ev["t"]
+        if t < t0:
             return Verdict("model-conformance", False,
-                           f"delivery at {ev['t']} before its send at {t0}: {key[:2]}")
-        if sc.model == MODEL_ES and t0 >= sc.gst and ev["t"] - t0 > sc.delay_bound:
+                           f"delivery at {t} before its send at {t0}: {key[:2]}")
+        if t0 >= gst and t - t0 > bound:
             return Verdict("model-conformance", False,
-                           f"post-GST delay {ev['t'] - t0} exceeds bound {sc.delay_bound}")
-    left = sum(len(v) for v in pending.values())
+                           f"post-GST delay {t - t0} exceeds bound {bound}")
+    left = sum(map(len, pending.values()))
     if left:
         return Verdict("model-conformance", False, f"{left} sends never delivered")
     return Verdict("model-conformance", True, f"{len(view.delivers)} deliveries matched")

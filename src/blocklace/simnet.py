@@ -377,7 +377,15 @@ def load_transcript(text: str) -> Transcript:
         problem = kind == "create" and _create_error(row, transcript.blocks, depths, keyring)
         if problem:
             raise ValueError(f"line {k}: create event {problem}")
-        if kind == "accept":
+        if kind in ("send", "deliver"):
+            # A tuple, as the simulator records it: the bytes read are the
+            # same, and the event holds nothing the cyclic GC must track.
+            ids = row["ids"] = tuple(row["ids"])
+            if not all(map(transcript.blocks.__contains__, ids)):
+                gone = next(i for i in ids if i not in transcript.blocks)
+                raise ValueError(f"line {k}: {kind} event names block {gone[:12]} "
+                                 f"that no earlier create defines")
+        elif kind == "accept":
             if (row["m"], row["id"]) in accepted:
                 raise ValueError(f"line {k}: accept event repeats miner {row['m']}'s "
                                  f"accept of {row['id'][:12]}")
@@ -434,8 +442,10 @@ class Simulation:
         self.bytes_sent = 0
         self._reveals_seen = 0
         # id(pkg) -> (pkg, wire size, adversary meta, hex ids) for the packages
-        # of the current batch of sends; holding pkg keeps its id unique.
-        self._described: dict[int, tuple[Package, int, list, list]] = {}
+        # of the current batch of sends; holding pkg keeps its id unique. The
+        # ids are one tuple of strings, shared by every send and deliver event
+        # of the package, so the cyclic GC need not track those events.
+        self._described: dict[int, tuple[Package, int, list, tuple]] = {}
         self._timer_poke: set[int] = set()
         # Liveness is an eventual property: if unlucky leader draws leave the
         # horizon uncovered at quiescence, the run extends wave by wave
@@ -519,7 +529,7 @@ class Simulation:
             described = self._described[id(pkg)] = (
                 pkg, package_size(pkg.blocks),
                 [(b.creator, store._depth[store._index[i]]) for b, i in zip(pkg.blocks, bids)],
-                [self._hex[i] for i in bids])
+                tuple(map(self._hex.__getitem__, bids)))
         _, size, meta, ids = described
         self.messages_sent += 1
         self.bytes_sent += size

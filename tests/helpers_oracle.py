@@ -3,9 +3,9 @@
 Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
-`bf_rebuild_store`, `bf_ordering_equivalence`, `bf_reference_order` and
-`bf_cordial_round`, copies of retired library code kept to check their
-replacements, and the store queries at the end, which only tests need and
+`bf_rebuild_store`, `bf_parents_first`, `bf_ordering_equivalence`,
+`bf_reference_order` and `bf_cordial_round`, copies of retired library code
+kept to check their replacements, and the store queries at the end, which only tests need and
 which read a store through its public API.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from blocklace.blocks import block_id
 from blocklace.checks import ReplayError, Verdict, prefix_divergence
 from blocklace.ordering import (
     _super_ratified,
@@ -225,6 +226,19 @@ def bf_rebuild_store(view, mid):
             raise ReplayError(f"transcript replay failed for miner {mid}: "
                               f"{hid[:12]} -> {res.status} {res.reason}")
     return store
+
+
+def bf_parents_first(view, ids, who):
+    """`RunView.replay`'s check of an already-replayed set as it was before
+    it read closure masks: each block's pointers must all be among the blocks
+    before it. Raises ReplayError at the first block whose are not."""
+    seen: set[bytes] = set()
+    for hid in ids:
+        blk = view.blocks[hid]
+        if not seen.issuperset(blk.pointers):
+            raise ReplayError(f"transcript replay failed for {who}: "
+                              f"{hid[:12]} -> buffered None")
+        seen.add(block_id(blk))
 
 
 def bf_ordering_equivalence(view):

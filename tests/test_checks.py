@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import random
 import sys
@@ -18,7 +19,12 @@ from blocklace.ordering import ASYNC_PARAMS, MODEL_ASYNC
 from blocklace.simnet import ByzSpec, Scenario, load_transcript, run
 from blocklace.store import BlockStore
 from conftest import fresh_store, grow_random
-from helpers_oracle import bf_common_core, bf_ordering_equivalence, graph_of
+from helpers_oracle import (
+    bf_common_core,
+    bf_ordering_equivalence,
+    bf_parents_first,
+    graph_of,
+)
 
 
 def healthy_transcript(model="eventual-synchrony", **kw):
@@ -188,6 +194,48 @@ def test_ordering_equivalence_matches_per_miner_oracle(sc):
     view = checks.RunView(run(sc))
     for tampered in tampered_views(view):
         assert checks.check_ordering_equivalence(tampered) == oracle_verdict(tampered)
+
+
+@functools.cache
+def replayed_view(n: int, equivocator: bool) -> checks.RunView:
+    """A short run at n with every correct miner's accepted set replayed
+    once, so any later order of the same set takes the cached path."""
+    f = (n - 1) // 3
+    byzantine = {n - 1: ByzSpec("equivocate", rate=1.0)} if equivocator else {}
+    view = checks.RunView(run(Scenario(n=n, f=f, rounds=8, seed=n, byzantine=byzantine,
+                                       delays={"kind": "uniform", "min": 1, "max": 3})))
+    for mid in view.correct:
+        view.replay(mid)
+    return view
+
+
+def outcome(call) -> str | None:
+    try:
+        call()
+    except checks.ReplayError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([4, 7]), st.booleans(), st.integers(0, 6),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=3))
+def test_cached_replay_matches_the_parents_first_oracle(n, equivocator, pick, moves):
+    """On an already-replayed set, the closure-mask check of the accept order
+    fails exactly where the set-based loop it replaced does, on the miner's
+    own order and on orders with blocks moved earlier, some before a pointee."""
+    view = replayed_view(n, equivocator)
+    mid = view.correct[pick % len(view.correct)]
+    order = list(view.accepts[mid])
+    for j, p in moves:
+        j %= len(order)
+        order.insert(p % (j + 1), order.pop(j))
+    tampered = copy.copy(view)
+    tampered.accepts = {**view.accepts, mid: order}
+    assert frozenset(order) in view._stores
+    want = outcome(lambda: bf_parents_first(view, order, f"miner {mid}"))
+    event("refused" if want else "parents first")
+    assert outcome(lambda: tampered.replay(mid)) == want
 
 
 def test_coin_blindness_counts_distinct_callers_before_each_reveal():

@@ -282,7 +282,7 @@ def _nth(rows, kind, k):
 def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     """The source run's lines with one line malformed, dropped, duplicated,
     swapped with the next, given another id or inserted as a flush line, and
-    that line's number."""
+    that line's number. A send given another id takes its deliver along."""
     rows = [json.loads(ln) for ln in source]
     i = 1 + k % (len(rows) - 1)  # any line but the header
     if mutation == "not-an-object":
@@ -322,6 +322,12 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
     elif mutation == "create-no-enc":
         i = _nth(rows, "create", k)
         del rows[i]["enc"]
+    elif mutation == "send-undefined-id":  # a send, and its deliver, of no created block
+        i = _nth(rows, "send", k)
+        sent = rows[i]
+        deliver = next(r for r in rows[i:] if r.get("e") == "deliver" and
+                       (r["from"], r["to"], r["ids"]) == (sent["from"], sent["to"], sent["ids"]))
+        sent["ids"] = deliver["ids"] = ["ab" * 32]
     elif mutation == "flush-line":  # a step no miner can take: reading every store
         rows.insert(i, {"e": "flush", "t": 0, "from": 0, "to": 1, "count": 1})
     else:
@@ -335,7 +341,7 @@ def mutate(mutation: str, k: int, source=SHORT_RUN) -> tuple[list[str], int]:
 MUTATIONS = ["not-an-object", "accept-miner", "accept-repeated", "coin-call-miner",
              "create-depth", "create-creator", "create-id-not-hash", "create-zero-sig",
              "create-no-enc", "create-enc-not-hex", "create-repeated", "log-repeated",
-             "flush-line"]
+             "flush-line", "send-undefined-id"]
 # Whole-line changes to the event stream, and ids that no longer match.
 STREAM_MUTATIONS = ["drop-line", "duplicate-line", "swap-lines", "corrupt-id"]
 
@@ -352,10 +358,12 @@ def test_malformed_transcript_line_is_a_read_error(tmp_path, capsys, command, mu
 
 
 def test_create_of_an_undefined_pointee_is_a_read_error(tmp_path, capsys):
-    """With the first create dropped, the first create pointing at its
-    block names a block no earlier create defines."""
+    """With the first create dropped, and the sends and delivers of its
+    block, the first create pointing at its block names a block no earlier
+    create defines."""
     rows = [json.loads(ln) for ln in SHORT_RUN]
     gone = bytes.fromhex(rows.pop(_nth(rows, "create", 0))["id"])
+    rows = [r for r in rows if gone.hex() not in r.get("ids", ())]
     k = 1 + next(i for i, r in enumerate(rows) if r.get("e") == "create"
                  and gone in decode_block(bytes.fromhex(r["enc"])).pointers)
     path = tmp_path / "transcript.jsonl"
@@ -363,6 +371,18 @@ def test_create_of_an_undefined_pointee_is_a_read_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error reading {path}: line {k}: create event points at a block that no earlier ")
+
+
+@pytest.mark.parametrize("kind", ["send", "deliver"])
+def test_package_of_an_undefined_block_is_a_read_error(tmp_path, capsys, kind):
+    rows = [json.loads(ln) for ln in SHORT_RUN]
+    k = _nth(rows, kind, 0)
+    rows[k]["ids"] = [*rows[k]["ids"], "ab" * 32]
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error reading {path}: line {k + 1}: {kind} event "
+                                       f"names block {'ab' * 6} that no earlier create defines\n")
 
 
 def test_check_of_a_huge_header_n_stops_at_the_first_missing_log(tmp_path, capsys):

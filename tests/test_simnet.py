@@ -61,6 +61,26 @@ def test_transcript_roundtrip():
     assert again.logs == t.logs
 
 
+def test_send_and_deliver_events_are_untracked_by_the_gc():
+    """Each package's ids are one tuple of strings, which its sends and
+    their delivers share, so after a collection the cyclic GC tracks no
+    send or deliver event, neither of a run nor of its transcript read back."""
+    t = run(Scenario(n=7, f=2, rounds=8, seed=1, delays={"kind": "uniform", "min": 1, "max": 3},
+                     byzantine={6: ByzSpec("equivocate", rate=1.0)}))
+    again = load_transcript(t.jsonl())
+    gc.collect()
+    for transcript in (t, again):
+        moves = [e for e in transcript.events if e["e"] in ("send", "deliver")]
+        assert moves and all(type(e["ids"]) is tuple for e in moves)
+        assert not any(map(gc.is_tracked, moves))
+    sent: dict[tuple, list[tuple]] = {}
+    for e in t.events:
+        if e["e"] == "send":
+            sent.setdefault((e["from"], e["to"], e["ids"]), []).append(e["ids"])
+        elif e["e"] == "deliver":
+            assert any(ids is e["ids"] for ids in sent[e["from"], e["to"], e["ids"]])
+
+
 def test_es_zero_delay_every_leader_decides():
     sc = Scenario(rounds=16, seed=0, delays={"kind": "zero"})
     t = run(sc)
