@@ -378,8 +378,8 @@ def load_transcript(text: str) -> Transcript:
         if problem:
             raise ValueError(f"line {k}: create event {problem}")
         if kind in ("send", "deliver"):
-            # A tuple, as the simulator records it: the bytes read are the
-            # same, and the event holds nothing the cyclic GC must track.
+            # A tuple, as the simulator records it: JSON writes it back as the
+            # same array, and the event holds nothing the cyclic GC must track.
             ids = row["ids"] = tuple(row["ids"])
             if not all(map(transcript.blocks.__contains__, ids)):
                 gone = next(i for i in ids if i not in transcript.blocks)

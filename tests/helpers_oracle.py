@@ -5,8 +5,8 @@ id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
 `bf_rebuild_store`, `bf_parents_first`, `bf_ordering_equivalence`,
 `bf_reference_order` and `bf_cordial_round`, copies of retired library code
-kept to check their replacements, and the store queries at the end, which only tests need and
-which read a store through its public API.
+kept to check their replacements, and the store queries at the end, which
+only tests need and which read a store through its public API.
 """
 
 from __future__ import annotations
