@@ -14,7 +14,7 @@ from .ordering import (
     WaveParams,
     extend_delivery,
 )
-from .store import BlockStore
+from .store import BlockStore, BlockTable
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,13 @@ class MinerState:
     instance of the proceed rule."""
 
     def __init__(self, mid: MinerId, config: ProtocolConfig, schedule,
-                 keyring: Keyring | None = None, oracle: CoinOracle | None = None):
+                 keyring: Keyring | None = None, oracle: CoinOracle | None = None,
+                 table: BlockTable | None = None):
         self.id = mid
         self.config = config
         self.schedule = schedule
         self.oracle = oracle
-        self.store = BlockStore(config.n, config.f, keyring)
+        self.store = BlockStore(config.n, config.f, keyring, table)
         self.log = DeliveryLog()
         # Blocks sent to q; with the closures of q's own blocks
         # (store.creator_ack_mask), what q has shown evidence of knowing.
@@ -188,7 +189,7 @@ class MinerState:
         path calls it: its only user is the benchmark's per-layer wrapper in
         bench/layers.py, which wraps it by name. It goes together with that
         wrapper in a change to the benchmark (ROADMAP item 6)."""
-        pkg = self._package(q, (1 << len(self.store)) - 1)
+        pkg = self._package(q, self.store._accepted)
         return pkg if pkg.blocks else None
 
     def _package(self, q: MinerId, mask: int, own: bytes | None = None) -> Package:

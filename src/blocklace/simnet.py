@@ -15,6 +15,7 @@ from .blocks import (Block, Keyring, block_id, decode_block, encode_block, make_
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
+from .store import BlockTable
 
 SCHEMA_TRANSCRIPT = "blocklace-transcript/1"
 SCHEMA_METRICS = "blocklace-metrics/1"
@@ -230,6 +231,11 @@ class Adversary:
         self.victim, self.ticks, self.min, self.max = v["miner"], v["ticks"], v["min"], v["max"]
         self.lag, self.max_pre = v["lag"], v["max_delay"]
         self._victims: dict[int, int] = {}
+        # Read once here, as delay runs once per send. Eventual synchrony
+        # bounds every delay from GST on, asynchrony none.
+        self.stride, self.gst, self.bound = (
+            scenario.params.leader_stride, scenario.gst, scenario.delay_bound)
+        self.bound_from = scenario.gst if scenario.model == MODEL_ES else float("inf")
 
     def _base(self) -> int:
         if self.delay_kind == "zero":
@@ -241,20 +247,19 @@ class Adversary:
     def delay(self, frm: int, to: int, meta: list[tuple[int, int]], now: int) -> int:
         """meta: (creator, depth) per block in the package."""
         delay = self._base()
-        if self.kind == "pre-gst" and now < self.scenario.gst:
+        if self.kind == "pre-gst" and now < self.gst:
             delay = max(delay, self.rng.randint(1, self.max_pre))
         elif self.kind == "corrupt-leader":
             if any(c == self.victim and self.schedule.leader_at(d) == c for c, d in meta):
                 delay += self.lag
         elif self.kind == "reorder":
-            stride = self.scenario.params.leader_stride
             for c, d in meta:
-                if c == frm and d % stride == 0 and d > 0 and self._victim_for(d) == frm:
+                if c == frm and d % self.stride == 0 and d > 0 and self._victim_for(d) == frm:
                     delay += self.lag
                     break
         delay = min(delay, MAX_DELAY)
-        if self.scenario.model == MODEL_ES and now >= self.scenario.gst:
-            delay = min(delay, self.scenario.delay_bound)
+        if now >= self.bound_from:
+            delay = min(delay, self.bound)
         return delay
 
     def _victim_for(self, leader_round: int) -> int:
@@ -423,7 +428,10 @@ class Simulation:
             self.oracle = None
             self.schedule = LeaderSchedule(scenario.n, stride)
         config = ProtocolConfig(scenario.n, scenario.f, self.params, scenario.delta)
-        self.miners = [MinerState(i, config, self.schedule, self.keyring, self.oracle)
+        # One table for every miner's store: a block's closure, depth and
+        # cordiality are computed by the first store to admit it.
+        table = BlockTable()
+        self.miners = [MinerState(i, config, self.schedule, self.keyring, self.oracle, table)
                        for i in range(scenario.n)]
         self.adversary = Adversary(scenario, self.schedule,
                                    random.Random(f"{scenario.seed}:adversary"))

@@ -38,19 +38,45 @@ class AcceptResult(NamedTuple):
 # The outcomes of inserting a known or a buffered block, shared by every insert.
 _KNOWN = AcceptResult("accepted")
 _BUFFERED = AcceptResult("buffered")
+# What BlockStore._admit returns for a block with a pointee not accepted yet.
+_WAIT = "wait"
+
+
+class BlockTable:
+    """The facts about a block that depend only on the block and its
+    pointees, kept once for the stores of one committee that share the
+    table: its id, creator, depth and closure under one dense index, or why
+    it fails the duplicate-creator or cordiality check. Every store agrees
+    on these, so the first store to admit a block computes them and the
+    rest read them. Closures are bitmasks over the table's index and
+    include the block itself. No signature check is recorded here: each
+    store checks the signature of every block it is given.
+    """
+
+    def __init__(self):
+        self.index: dict[bytes, int] = {}
+        self.ids: list[bytes] = []
+        self.blocks: list[Block] = []
+        self.creator: list[int] = []
+        self.depth: list[int] = []
+        self.closure: list[int] = []
+        self.verdicts: dict[bytes, str] = {}  # id -> why it is rejected
 
 
 class BlockStore:
     """Closed blocklace plus a buffer of blocks with dangling pointers.
 
-    Closures are kept as bitmasks over dense per-store indices, which makes
-    acknowledgement, approval and set-difference queries cheap enough for
-    thousand-run sweeps. The accepted set is append-only; every accepted
-    block satisfied the signature and cordiality guards at acceptance time
-    (its own blocks the cordiality guard alone).
+    A block's own facts live in a BlockTable, shared by the stores of one
+    run or private to this one; the store keeps what depends on its
+    accepted set. Closures are bitmasks over the table's dense indices,
+    which makes acknowledgement, approval and set-difference queries cheap
+    enough for thousand-run sweeps. The accepted set is append-only; every
+    accepted block satisfied the signature and cordiality guards at
+    acceptance time (its own blocks the cordiality guard alone).
     """
 
-    def __init__(self, n: int, f: int, keyring: Keyring | None = None):
+    def __init__(self, n: int, f: int, keyring: Keyring | None = None,
+                 table: BlockTable | None = None):
         if n < 3 * f + 1:
             raise ValueError(f"n={n} violates n >= 3f+1 for f={f}")
         self.n = n
@@ -59,14 +85,14 @@ class BlockStore:
         # n >= 3f+1; at n = 3f+1 this is 2f+1.
         self.quorum = (n + f) // 2 + 1
         self.keyring = keyring
-        # Dense per-index columns for accepted blocks.
-        self._ids: list[bytes] = []
-        self._blocks: list[Block] = []
-        self._creator: list[int] = []
-        self._depth: list[int] = []
-        self._pointed_from: list[float] = []  # shallowest depth pointing here
-        self._closure: list[int] = []  # bitmask over indices, includes self
-        self._index: dict[bytes, int] = {}
+        self.table = table = BlockTable() if table is None else table
+        # The table's columns, by table index. They may hold blocks this
+        # store has not accepted, so they are read only at indices taken
+        # from _index or from this store's own lists and masks.
+        self._ids, self._blocks, self._creator, self._depth, self._closure = (
+            table.ids, table.blocks, table.creator, table.depth, table.closure)
+        self._index: dict[bytes, int] = {}  # accepted id -> index, in acceptance order
+        self._accepted = 0  # bitmask of the accepted indices
         # A creator not in _equivocators has one chain, and its last block in
         # acceptance order is its latest: a pointee is accepted before its
         # pointer, and a block acknowledging another is deeper than it.
@@ -74,6 +100,7 @@ class BlockStore:
         self._by_depth: dict[int, list[int]] = {}
         self._round_creators: dict[int, int] = {}  # depth -> bitmask of creators
         self._creator_ack: dict[int, int] = {}  # OR of closures of creator's blocks
+        self._acked_at: dict[int, int] = {}  # index -> depth of a block acknowledging it
         self._equivocators: set[int] = set()
         self.buffer: dict[bytes, Block] = {}
         self.violations: list[tuple[bytes, str]] = []  # rejected (id, reason), until drained
@@ -86,7 +113,7 @@ class BlockStore:
     # -- basic lookups -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._index)
 
     def __contains__(self, bid: bytes) -> bool:
         return bid in self._index
@@ -96,7 +123,7 @@ class BlockStore:
 
     def accepted_ids(self) -> list[bytes]:
         """All accepted ids in acceptance order."""
-        return list(self._ids)
+        return list(self._index)
 
     def max_depth(self) -> int:
         return self._max_depth
@@ -108,7 +135,7 @@ class BlockStore:
             raise UnknownBlock(bid.hex()) from None
 
     def index_of(self, bid: bytes) -> int:
-        """Dense per-store index of an accepted block (mask bit position)."""
+        """Table index of an accepted block (mask bit position)."""
         return self._idx(bid)
 
     def creator_ack_mask(self, q: MinerId) -> int:
@@ -161,13 +188,10 @@ class BlockStore:
             return _KNOWN
         if bid in self.buffer:
             return _BUFFERED
-        reason = self._screen(bid, block)
-        if not reason:
-            pointees = list(map(self._index.get, block.pointers))
-            if None in pointees:
-                self.buffer[bid] = block
-                return _BUFFERED
-            reason = self._admit(bid, block, pointees)
+        reason = self._screen(bid, block) or self._admit(bid, block)
+        if reason is _WAIT:
+            self.buffer[bid] = block
+            return _BUFFERED
         if reason:
             self.violations.append((bid, reason))
             return AcceptResult("rejected", reason=reason)
@@ -185,51 +209,66 @@ class BlockStore:
             return REJECT_SELF_POINTER
         return None
 
-    def _admit(self, bid: bytes, block: Block, pointees: list[int]) -> str | None:
-        """Accept a screened or own block whose pointees, given as store
-        indices, are all accepted, or return why it is rejected.
+    def _admit(self, bid: bytes, block: Block, pointees: list[int] | None = None) -> str | None:
+        """Accept a screened or own block whose pointees are all accepted,
+        or return why it is rejected, or _WAIT while a pointee is missing.
 
-        Depth falls by at least one along every pointer, so the closure's
-        blocks one round below the new block are exactly its direct pointees
-        there, whose creators are distinct once the duplicate check passes:
-        cordiality counts them.
+        A block the table holds is ready once its closure, less itself, is
+        accepted here. Any other block's pointers are looked up here, unless
+        given as indices; once they are all accepted, its facts, or why it
+        is rejected, go into the table. Depth falls by at least one along
+        every pointer, so the closure's blocks one round below the new block
+        are exactly its direct pointees there, whose creators are distinct
+        once the duplicate check passes: cordiality counts them.
         """
-        creators, depths = self._creator, self._depth
-        if len({creators[i] for i in pointees}) < len(pointees):
-            return REJECT_DUPLICATE_CREATOR
-        below = [depths[i] for i in pointees]
-        depth = 1 + max(below, default=0)
-        if pointees and below.count(depth - 1) < self.quorum:
-            return REJECT_NON_CORDIAL
-        idx = len(self._ids)
-        mask = 1 << idx
-        closure, pointed_from = self._closure, self._pointed_from
-        for i in pointees:
-            mask |= closure[i]
-            if depth < pointed_from[i]:
-                pointed_from[i] = depth
-        self._ids.append(bid)
-        self._blocks.append(block)
-        creators.append(block.creator)
-        depths.append(depth)
-        pointed_from.append(float("inf"))
-        closure.append(mask)
+        table = self.table
+        idx = table.index.get(bid)
+        if idx is None:
+            if pointees is None:
+                pointees = list(map(self._index.get, block.pointers))
+                if None in pointees:
+                    return _WAIT
+            reason = table.verdicts.get(bid)
+            if reason is None:
+                below = list(map(self._depth.__getitem__, pointees))
+                depth = 1 + max(below, default=0)
+                if len(set(map(self._creator.__getitem__, pointees))) < len(pointees):
+                    reason = REJECT_DUPLICATE_CREATOR
+                elif pointees and below.count(depth - 1) < self.quorum:
+                    reason = REJECT_NON_CORDIAL
+            if reason:
+                table.verdicts[bid] = reason
+                return reason
+            idx = table.index[bid] = len(self._ids)
+            mask = 1 << idx
+            for i in pointees:
+                mask |= self._closure[i]
+            self._ids.append(bid)
+            self._blocks.append(block)
+            self._creator.append(block.creator)
+            self._depth.append(depth)
+            self._closure.append(mask)
+        elif (self._closure[idx] & ~self._accepted).bit_count() > 1:
+            return _WAIT
+        depth, creator, mask = self._depth[idx], block.creator, self._closure[idx]
         self._index[bid] = idx
+        self._accepted |= 1 << idx
         self._by_depth.setdefault(depth, []).append(idx)
         if depth > self._max_depth:
             self._max_depth = depth
         round_creators = self._round_creators[depth] = (
-            self._round_creators.get(depth, 0) | 1 << block.creator)
+            self._round_creators.get(depth, 0) | 1 << creator)
         if depth > self.quorum_round and round_creators.bit_count() >= self.quorum:
             self.quorum_round = depth
-        siblings = self._by_creator.setdefault(block.creator, [])
+        siblings = self._by_creator.setdefault(creator, [])
         # The chain's last block cannot acknowledge the newcomer, and the
-        # newcomer acknowledges the whole chain iff it acknowledges that one.
-        if (siblings and block.creator not in self._equivocators
-                and not (mask >> siblings[-1]) & 1):
-            self._equivocators.add(block.creator)
+        # newcomer acknowledges the whole chain iff it acknowledges that one;
+        # its closure then holds every closure of the chain.
+        if creator in self._equivocators or siblings and not (mask >> siblings[-1]) & 1:
+            self._equivocators.add(creator)
+            mask |= self._creator_ack[creator]
         siblings.append(idx)
-        self._creator_ack[block.creator] = self._creator_ack.get(block.creator, 0) | mask
+        self._creator_ack[creator] = mask
         return None
 
     def _cascade(self) -> list[bytes]:
@@ -238,11 +277,10 @@ class BlockStore:
         while progress:
             progress = False
             for bid, blk in list(self.buffer.items()):
-                pointees = list(map(self._index.get, blk.pointers))
-                if None in pointees:
+                reason = self._admit(bid, blk)
+                if reason is _WAIT:
                     continue
                 del self.buffer[bid]
-                reason = self._admit(bid, blk, pointees)
                 if reason:
                     self.violations.append((bid, reason))
                 else:
@@ -266,21 +304,40 @@ class BlockStore:
         block of depth <= r points at. On a chain only the deepest block of
         depth <= r can qualify: a later one reaches it by a path of depth
         <= r. That block is found by walking the chain back from its end;
-        an equivocator's blocks are all scanned."""
-        depths, pointed_from, ids = self._depth, self._pointed_from, self._ids
+        an equivocator's blocks are all tested. A block of depth r is a tip,
+        and one known to be acknowledged by a block of depth <= r is not,
+        with no scan."""
+        depths, ids, acked, unacked = self._depth, self._ids, self._acked_at, self._unacked
         out: dict[int, bytes] = {}
         for c, idxs in self._by_creator.items():
             if c in self._equivocators:
-                tips = [i for i in idxs if depths[i] <= r and pointed_from[i] > r]
+                tips = [i for i in idxs
+                        if depths[i] <= r and acked.get(i, r + 1) > r and unacked(i, r)]
                 if tips:
                     out[c] = ids[max(tips, key=self._rank)]
                 continue
             k = len(idxs) - 1
             while k >= 0 and depths[idxs[k]] > r:
                 k -= 1
-            if k >= 0 and pointed_from[idxs[k]] > r:
-                out[c] = ids[idxs[k]]
+            if k >= 0:
+                x = idxs[k]
+                if depths[x] == r or acked.get(x, r + 1) > r and unacked(x, r):
+                    out[c] = ids[x]
         return out
+
+    def _unacked(self, i: int, r: int) -> bool:
+        """No accepted block of depth <= r points at block i: none there
+        acknowledges it, as depth falls along every path. The rounds above
+        i's are scanned upward, as a block is most often pointed at from
+        the next one, and the depth of an acknowledging block found is
+        kept in _acked_at, since an accepted block stays."""
+        closure, by_depth = self._closure, self._by_depth
+        for d in range(self._depth[i] + 1, r + 1):
+            for j in by_depth.get(d, ()):
+                if (closure[j] >> i) & 1:
+                    self._acked_at[i] = d
+                    return False
+        return True
 
     # -- fault analysis ------------------------------------------------
 
