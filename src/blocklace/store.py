@@ -43,14 +43,11 @@ _WAIT = "wait"
 
 
 class BlockTable:
-    """The facts about a block that depend only on the block and its
-    pointees, kept once for the stores of one committee that share the
-    table: its id, creator, depth and closure under one dense index, or why
-    it fails the duplicate-creator or cordiality check. Every store agrees
-    on these, so the first store to admit a block computes them and the
-    rest read them. Closures are bitmasks over the table's index and
-    include the block itself. No signature check is recorded here: each
-    store checks the signature of every block it is given.
+    """What depends only on a block and its pointees, kept once for the
+    stores of one committee that share the table: id, creator, depth and
+    closure (a bitmask over the dense index, self included), or why the
+    block fails the duplicate-creator or cordiality check. No signature
+    check is kept: each store checks every block it is given.
     """
 
     def __init__(self):
@@ -66,13 +63,12 @@ class BlockTable:
 class BlockStore:
     """Closed blocklace plus a buffer of blocks with dangling pointers.
 
-    A block's own facts live in a BlockTable, shared by the stores of one
-    run or private to this one; the store keeps what depends on its
-    accepted set. Closures are bitmasks over the table's dense indices,
-    which makes acknowledgement, approval and set-difference queries cheap
-    enough for thousand-run sweeps. The accepted set is append-only; every
-    accepted block satisfied the signature and cordiality guards at
-    acceptance time (its own blocks the cordiality guard alone).
+    Closures are kept as bitmasks over the dense indices of a BlockTable,
+    shared by a run's stores or private to this one, which makes
+    acknowledgement, approval and set-difference queries cheap enough for
+    thousand-run sweeps. The accepted set is append-only; every accepted
+    block satisfied the signature and cordiality guards at acceptance time
+    (its own blocks the cordiality guard alone).
     """
 
     def __init__(self, n: int, f: int, keyring: Keyring | None = None,
@@ -210,16 +206,14 @@ class BlockStore:
         return None
 
     def _admit(self, bid: bytes, block: Block, pointees: list[int] | None = None) -> str | None:
-        """Accept a screened or own block whose pointees are all accepted,
-        or return why it is rejected, or _WAIT while a pointee is missing.
+        """Accept a screened or own block, or return why it is rejected, or
+        _WAIT while a pointee is not accepted here. A block the table lacks
+        has its facts, or its verdict, added once its pointees are.
 
-        A block the table holds is ready once its closure, less itself, is
-        accepted here. Any other block's pointers are looked up here, unless
-        given as indices; once they are all accepted, its facts, or why it
-        is rejected, go into the table. Depth falls by at least one along
-        every pointer, so the closure's blocks one round below the new block
-        are exactly its direct pointees there, whose creators are distinct
-        once the duplicate check passes: cordiality counts them.
+        Depth falls by at least one along every pointer, so the closure's
+        blocks one round below the new block are exactly its direct pointees
+        there, whose creators are distinct once the duplicate check passes:
+        cordiality counts them.
         """
         table = self.table
         idx = table.index.get(bid)
@@ -304,9 +298,7 @@ class BlockStore:
         block of depth <= r points at. On a chain only the deepest block of
         depth <= r can qualify: a later one reaches it by a path of depth
         <= r. That block is found by walking the chain back from its end;
-        an equivocator's blocks are all tested. A block of depth r is a tip,
-        and one known to be acknowledged by a block of depth <= r is not,
-        with no scan."""
+        an equivocator's blocks are all tested."""
         depths, ids, acked, unacked = self._depth, self._ids, self._acked_at, self._unacked
         out: dict[int, bytes] = {}
         for c, idxs in self._by_creator.items():
@@ -326,11 +318,9 @@ class BlockStore:
         return out
 
     def _unacked(self, i: int, r: int) -> bool:
-        """No accepted block of depth <= r points at block i: none there
-        acknowledges it, as depth falls along every path. The rounds above
-        i's are scanned upward, as a block is most often pointed at from
-        the next one, and the depth of an acknowledging block found is
-        kept in _acked_at, since an accepted block stays."""
+        """No accepted block of depth <= r points at block i, so none there
+        acknowledges it: depth falls along every path. Scans upward from
+        i's round and keeps the depth found."""
         closure, by_depth = self._closure, self._by_depth
         for d in range(self._depth[i] + 1, r + 1):
             for j in by_depth.get(d, ()):
