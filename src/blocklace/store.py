@@ -45,8 +45,8 @@ _WAIT = "wait"
 class BlockTable:
     """What depends only on a block and its pointees, kept once for the
     stores of one committee that share the table: id, creator, depth and
-    closure (a bitmask over the dense index, self included), or why the
-    block fails the duplicate-creator or cordiality check. No signature
+    closure (a bitmask over the dense index, self included) of each block
+    that passed the duplicate-creator and cordiality checks. No signature
     check is kept: each store checks every block it is given.
     """
 
@@ -57,7 +57,6 @@ class BlockTable:
         self.creator: list[int] = []
         self.depth: list[int] = []
         self.closure: list[int] = []
-        self.verdicts: dict[bytes, str] = {}  # id -> why it is rejected
 
 
 class BlockStore:
@@ -208,7 +207,7 @@ class BlockStore:
     def _admit(self, bid: bytes, block: Block, pointees: list[int] | None = None) -> str | None:
         """Accept a screened or own block, or return why it is rejected, or
         _WAIT while a pointee is not accepted here. A block the table lacks
-        has its facts, or its verdict, added once its pointees are.
+        is checked, and its facts added, once its pointees are.
 
         Depth falls by at least one along every pointer, so the closure's
         blocks one round below the new block are exactly its direct pointees
@@ -222,17 +221,12 @@ class BlockStore:
                 pointees = list(map(self._index.get, block.pointers))
                 if None in pointees:
                     return _WAIT
-            reason = table.verdicts.get(bid)
-            if reason is None:
-                below = list(map(self._depth.__getitem__, pointees))
-                depth = 1 + max(below, default=0)
-                if len(set(map(self._creator.__getitem__, pointees))) < len(pointees):
-                    reason = REJECT_DUPLICATE_CREATOR
-                elif pointees and below.count(depth - 1) < self.quorum:
-                    reason = REJECT_NON_CORDIAL
-            if reason:
-                table.verdicts[bid] = reason
-                return reason
+            below = list(map(self._depth.__getitem__, pointees))
+            depth = 1 + max(below, default=0)
+            if len(set(map(self._creator.__getitem__, pointees))) < len(pointees):
+                return REJECT_DUPLICATE_CREATOR
+            if pointees and below.count(depth - 1) < self.quorum:
+                return REJECT_NON_CORDIAL
             idx = table.index[bid] = len(self._ids)
             mask = 1 << idx
             for i in pointees:
