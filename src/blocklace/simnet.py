@@ -226,9 +226,10 @@ class Adversary:
         self.schedule = schedule
         self.rng = rng
         self.kind = scenario.adversary["kind"]
-        self.delay_kind = scenario.delays["kind"]
+        self.uniform = scenario.delays["kind"] == "uniform"
         v = scenario.adversary_settings()
-        self.victim, self.ticks, self.min, self.max = v["miner"], v["ticks"], v["min"], v["max"]
+        self.victim, self.min, self.max = v["miner"], v["min"], v["max"]
+        self.ticks = 0 if scenario.delays["kind"] == "zero" else v["ticks"]
         self.lag, self.max_pre = v["lag"], v["max_delay"]
         self._victims: dict[int, int] = {}
         # Read once here, as delay runs once per send. Eventual synchrony
@@ -237,29 +238,26 @@ class Adversary:
             scenario.params.leader_stride, scenario.gst, scenario.delay_bound)
         self.bound_from = scenario.gst if scenario.model == MODEL_ES else float("inf")
 
-    def _base(self) -> int:
-        if self.delay_kind == "zero":
-            return 0
-        if self.delay_kind == "fixed":
-            return self.ticks
-        return self.rng.randint(self.min, self.max)
-
     def delay(self, frm: int, to: int, meta: list[tuple[int, int]], now: int) -> int:
-        """meta: (creator, depth) per block in the package."""
-        delay = self._base()
-        if self.kind == "pre-gst" and now < self.gst:
+        """meta: (creator, depth) per block in the package; runs once per send."""
+        delay = self.rng.randint(self.min, self.max) if self.uniform else self.ticks
+        kind = self.kind
+        if kind == "none":
+            pass
+        elif kind == "pre-gst" and now < self.gst:
             delay = max(delay, self.rng.randint(1, self.max_pre))
-        elif self.kind == "corrupt-leader":
+        elif kind == "corrupt-leader":
             if any(c == self.victim and self.schedule.leader_at(d) == c for c, d in meta):
                 delay += self.lag
-        elif self.kind == "reorder":
+        elif kind == "reorder":
             for c, d in meta:
                 if c == frm and d % self.stride == 0 and d > 0 and self._victim_for(d) == frm:
                     delay += self.lag
                     break
-        delay = min(delay, MAX_DELAY)
-        if now >= self.bound_from:
-            delay = min(delay, self.bound)
+        if delay > MAX_DELAY:
+            delay = MAX_DELAY
+        if now >= self.bound_from and delay > self.bound:
+            delay = self.bound
         return delay
 
     def _victim_for(self, leader_round: int) -> int:
@@ -444,8 +442,9 @@ class Simulation:
         # Each created block's hex id, made once: every event, log record and
         # key of blocks that names the block holds this one string.
         self._hex: dict[bytes, str] = {}
-        self.heap: list[tuple[int, int, str, object]] = []
-        self._seq = 0
+        # Each tick's events, (frm, to, pkg, ids) or a miner id to poke, in push order.
+        self._due: dict[int, list] = {}
+        self._ticks: list[int] = []  # a heap of the keys of _due
         self.messages_sent = 0
         self.bytes_sent = 0
         self._reveals_seen = 0
@@ -544,11 +543,15 @@ class Simulation:
         delay = self.adversary.delay(frm, to, meta, now)
         self.events.append({"e": "send", "t": now, "from": frm, "to": to,
                             "ids": ids, "bytes": size})
-        self._push(now + delay, "pkg", (frm, to, pkg, ids))
+        self._push(now + delay, (frm, to, pkg, ids))
 
-    def _push(self, t: int, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (t, self._seq, kind, payload))
-        self._seq += 1
+    def _push(self, t: int, event) -> None:
+        due = self._due.get(t)
+        if due is None:
+            self._due[t] = [event]
+            heapq.heappush(self._ticks, t)
+        else:
+            due.append(event)
 
     def _drain_protocol_events(self, now: int, m: MinerState) -> None:
         for ev in m.drain_outbox():
@@ -564,7 +567,7 @@ class Simulation:
                 self._reveals_seen += 1
                 self.events.append({"e": "coin-reveal", "t": now, "r": r, "leader": v})
                 for other in self.miners:
-                    self._push(now, "poke", other.id)
+                    self._push(now, other.id)
 
     # -- main loop ---------------------------------------------------------
 
@@ -580,11 +583,11 @@ class Simulation:
                 progressed = self._drain(t)
                 if self._step_phase(t):
                     progressed = True
-            if not self.heap:
+            if not self._ticks:
                 if self._extend(t):
                     continue
                 break
-            t = self.heap[0][0]
+            t = self._ticks[0]
         return self._finish(t)
 
     def _extend(self, t: int) -> bool:
@@ -600,23 +603,22 @@ class Simulation:
         return True
 
     def _drain(self, t: int) -> bool:
-        did = False
-        while self.heap and self.heap[0][0] == t:
-            _, _, kind, payload = heapq.heappop(self.heap)
-            did = True
-            if kind == "pkg":
-                frm, to, pkg, ids = payload
-                m = self.miners[to]
-                self.events.append({"e": "deliver", "t": t, "from": frm, "to": to,
-                                    "ids": ids})
-                m.on_receive(pkg)
-                self._drain_protocol_events(t, m)
-            elif kind == "poke":
-                m = self.miners[payload]
-                self._timer_poke.discard(payload)
+        due = self._due.get(t)
+        if due is None:
+            return False
+        for event in due:  # also reaches the events pushed at t meanwhile
+            if type(event) is int:
+                m = self.miners[event]
+                self._timer_poke.discard(event)
                 m.poke()
-                self._drain_protocol_events(t, m)
-        return did
+            else:
+                frm, to, pkg, ids = event
+                m = self.miners[to]
+                self.events.append({"e": "deliver", "t": t, "from": frm, "to": to, "ids": ids})
+                m.on_receive(pkg)
+            self._drain_protocol_events(t, m)
+        del self._due[heapq.heappop(self._ticks)]  # pops t, the earliest tick
+        return True
 
     def _step_phase(self, t: int) -> bool:
         did = False
@@ -636,7 +638,7 @@ class Simulation:
         ready = m.last_send + self.scenario.delta
         if ready > t and m.can_proceed(ready, self.create_cap) is not None:
             self._timer_poke.add(m.id)
-            self._push(ready, "poke", m.id)
+            self._push(ready, m.id)
 
     # -- wrap-up -------------------------------------------------------------
 
@@ -658,13 +660,13 @@ class Simulation:
         observer = correct[0]
         decisions = [e for e in self.events
                      if e["e"] == "decide" and e["m"] == observer]
-        measured = [r for r in range(stride, sc.rounds + 1, stride)]
         latencies: list[int] = []
         decided_rounds: list[int] = []
         prev = 0
         for d in decisions:
             r = d["round"]
-            skipped = sum(1 for x in measured if prev < x < r)
+            # The leader rounds of the horizon strictly between prev and r.
+            skipped = max(0, min(r - 1, sc.rounds) // stride - prev // stride)
             if r <= sc.rounds:
                 latencies.append(d["trigger"] - r + 1 + wave * skipped)
                 decided_rounds.append(r)
@@ -684,7 +686,7 @@ class Simulation:
             "mean_commit_latency": round(statistics.fmean(latencies), 6) if latencies else None,
             "p50_commit_latency": statistics.median(latencies) if latencies else None,
             "waves_decided": len(decided_rounds),
-            "waves_skipped": len(measured) - len(decided_rounds),
+            "waves_skipped": sc.rounds // stride - len(decided_rounds),
             "messages_sent": self.messages_sent,
             "bytes_sent": self.bytes_sent,
             "blocks_delivered": sum(len(self.miners[i].log.delivered) for i in correct),

@@ -133,10 +133,6 @@ class BlockStore:
         """Table index of an accepted block (mask bit position)."""
         return self._idx(bid)
 
-    def creator_ack_mask(self, q: MinerId) -> int:
-        """Union of the closures of q's accepted blocks."""
-        return self._creator_ack.get(q, 0)
-
     def depth_of(self, bid: bytes) -> int:
         return self._depth[self._idx(bid)]
 
@@ -183,31 +179,31 @@ class BlockStore:
             return _KNOWN
         if bid in self.buffer:
             return _BUFFERED
-        reason = self._screen(bid, block) or self._admit(bid, block)
+        reason = self._screen(block) or self._admit(bid, block)
         if reason is _WAIT:
             self.buffer[bid] = block
             return _BUFFERED
         if reason:
             self.violations.append((bid, reason))
             return AcceptResult("rejected", reason=reason)
-        return AcceptResult("accepted", (bid, *self._cascade()) if self.buffer else (bid,))
+        ids = (bid, *self._cascade()) if self.buffer else (bid,)
+        return tuple.__new__(AcceptResult, ("accepted", ids, None))  # skips NamedTuple.__new__
 
-    def _screen(self, bid: bytes, block: Block) -> str | None:
-        """The checks that depend on the store; a Block is well formed by
-        construction. The creator range comes first, so an out-of-range
+    def _screen(self, block: Block) -> str | None:
+        """Every store's own checks of every block it is given; a Block is well
+        formed by construction. The creator range comes first, so an out-of-range
         creator is malformed with or without a keyring, and costs no MAC."""
         if not (0 <= block.creator < self.n):
             return REJECT_MALFORMED
         if self.keyring is not None and not self.keyring.verify(block):
             return REJECT_BAD_SIGNATURE
-        if bid in block.pointers:
-            return REJECT_SELF_POINTER
         return None
 
     def _admit(self, bid: bytes, block: Block, pointees: list[int] | None = None) -> str | None:
         """Accept a screened or own block, or return why it is rejected, or
         _WAIT while a pointee is not accepted here. A block the table lacks
-        is checked, and its facts added, once its pointees are.
+        is checked (a self-pointer at once, the rest once its pointees are),
+        and its facts added; a block the table holds has passed these checks.
 
         Depth falls by at least one along every pointer, so the closure's
         blocks one round below the new block are exactly its direct pointees
@@ -217,6 +213,8 @@ class BlockStore:
         table = self.table
         idx = table.index.get(bid)
         if idx is None:
+            if bid in block.pointers:
+                return REJECT_SELF_POINTER
             if pointees is None:
                 pointees = list(map(self._index.get, block.pointers))
                 if None in pointees:

@@ -322,6 +322,15 @@ def blocks_by(store, q) -> list:
     return [b for b in store.accepted_ids() if store.creator_of(b) == q]
 
 
+def creator_ack_mask(store, q) -> int:
+    """Union of the closures of q's accepted blocks: what q has shown
+    evidence of knowing."""
+    mask = 0
+    for b in blocks_by(store, q):
+        mask |= store.closure_mask(b)
+    return mask
+
+
 def approval_creators(store, b1, depth: int | None = None) -> set:
     """Distinct creators of accepted blocks approving b1, optionally at one
     fixed depth."""

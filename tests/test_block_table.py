@@ -18,6 +18,7 @@ from blocklace.simnet import ByzSpec, Scenario, Simulation
 from blocklace.store import BlockStore, BlockTable, UnknownBlock
 
 from conftest import grow_full
+from helpers_oracle import creator_ack_mask
 
 
 @st.composite
@@ -66,10 +67,10 @@ def miner_queries(store: BlockStore, sim: Simulation, mid: int) -> dict:
         "rounds": (store.quorum_round, store.max_depth()),
         "cordial": [store.cordial_round(p) for p in range(n)],
         "faulty": [store.is_faulty(q) for q in range(n)],
-        "acks": [listed(store, store.creator_ack_mask(q)) for q in range(n)],
+        "acks": [listed(store, creator_ack_mask(store, q)) for q in range(n)],
         "ratifies": {(c, b): store.ratifies(c, b, params.alpha) for c in cands for b in ids
                      if store.depth_of(b) == store.depth_of(c) + params.beta},
-        "backlogs": {(b, q): listed(store, backlog(store, b) & ~store.creator_ack_mask(q))
+        "backlogs": {(b, q): listed(store, backlog(store, b) & ~creator_ack_mask(store, q))
                      for b in ids if store.creator_of(b) == mid for q in range(n)},
     }
 
@@ -117,6 +118,36 @@ def test_a_block_only_the_table_holds_is_not_in_the_store():
     for p in range(4):
         b.insert(a.get(made[(p, 1)]))
     assert block_id(child) in b and not b.buffer
+
+
+def self_pointing(block, forged_id: bytes):
+    """block with its id forged onto forged_id: a block that really named
+    its own id would need a SHA-256 fixed point."""
+    object.__setattr__(block, "_id", forged_id)
+    return block
+
+
+def test_a_self_pointing_block_is_rejected_not_buffered():
+    """A self-pointer is refused when it arrives, never buffered while its
+    own id waits, by a store with a private table and by two sharing one,
+    and never written to the table. Each store still MACs it first."""
+    keyring = Keyring(0, 4)
+    source = BlockStore(4, 1, keyring)
+    parents = list(grow_full(source, 1).values())
+    forged_id = bytes([7]) * 32
+    blk = self_pointing(keyring.sign(make_block(0, b"self", [*parents, forged_id])), forged_id)
+    for stores in ([BlockStore(4, 1, keyring)], shared_pair(keyring)):
+        for store in stores:
+            for bid in parents:
+                store.insert(source.get(bid))
+            res = store.insert(blk)
+            assert (res.status, res.reason) == ("rejected", "self-pointer")
+            assert store.violations[-1] == (forged_id, "self-pointer")
+            assert forged_id not in store and not store.buffer
+            assert forged_id not in store.table.index
+            unsigned = self_pointing(replace(blk, signature=bytes(32)), forged_id)
+            res = store.insert(unsigned)
+            assert (res.status, res.reason) == ("rejected", "bad-signature")
 
 
 def test_a_block_another_store_rejected_waits_for_the_cascade():

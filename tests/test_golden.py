@@ -14,6 +14,9 @@ from blocklace.simnet import ByzSpec, Scenario, run
 
 ASYNC = "asynchrony"
 UNIFORM = {"kind": "uniform", "min": 1, "max": 3}
+# Zero delays put sends, timer pokes and coin-reveal pokes on the tick that
+# pushed them, so these runs pin the simulator's order of same-tick events.
+ZERO = {"kind": "zero"}
 
 SCENARIOS = {
     "es-n4": Scenario(n=4, f=1, rounds=24, seed=1),
@@ -48,6 +51,9 @@ SCENARIOS = {
                                     6: ByzSpec("crash", round=7)}),
     "async-silent": Scenario(model=ASYNC, rounds=15, seed=14, delays=UNIFORM,
                              byzantine={3: ByzSpec("silent")}),
+    "es-zero-timer": Scenario(rounds=16, seed=15, delta=2, delays=ZERO),
+    "async-zero-equivocate": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=16, delays=ZERO,
+                                      byzantine={4: ByzSpec("equivocate", rate=0.5)}),
 }
 
 DIGESTS = {
@@ -69,6 +75,8 @@ DIGESTS = {
     "es-equivocate-1.0": "59d369f1ce89082420f67f9fedb9d071592c46bd44e6c02720892be510486621",
     "es-crash": "301ff8a6eda712d20cb9dd8993a523f3647096132c7518b4c34a1a7a6977b581",
     "async-silent": "755365113cd11580d65a9eed8a07f9b74006ed3a6504c8952d0637a3fec6bd2c",
+    "es-zero-timer": "49d2ece13fdf0e1716d97ad533f34373b8d1f43c72cc68db99deff268991767a",
+    "async-zero-equivocate": "25b0f73a27995bb0552687cee90c86474061f328bdb16fd69127fe46d39141c9",
 }
 
 

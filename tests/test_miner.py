@@ -7,9 +7,11 @@ from blocklace import miner as miner_module
 from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, Package, ProtocolConfig
-from blocklace.ordering import ES_PARAMS
+from blocklace.ordering import ES_PARAMS, MODEL_ASYNC
+from blocklace.simnet import ByzSpec, Scenario, run
 
 from conftest import fresh_store, grow_full
+from helpers_oracle import creator_ack_mask
 
 SCHED = LeaderSchedule(4, 2)
 CAP = 1000  # a depth cap no test reaches
@@ -174,7 +176,7 @@ def test_step_backlog_keeps_equivocators_pointee(fork_fixture):
     miner = _over_fork_round2(fork_fixture)
     e2 = fork_fixture["e2"]
     assert miner.responsive(1)
-    assert not (miner.store.creator_ack_mask(1) >> miner.store.index_of(e2)) & 1
+    assert not (creator_ack_mask(miner.store, 1) >> miner.store.index_of(e2)) & 1
     blk, sends = proceed(miner, 0, b"r3")
     assert e2 in blk.pointers
     ids = [block_id(b) for b in dict(sends)[1].blocks]
@@ -254,7 +256,7 @@ def test_step_builds_each_distinct_package_once(monkeypatch):
     assert blk.pointers == tuple(sorted([genesis, *round2]))
     backlog = ((1 << len(store)) - 1) & ~sum(1 << store.index_of(b) for b in round2)
     for q, pkg in pkgs.items():
-        mask = backlog & ~store.creator_ack_mask(q)
+        mask = backlog & ~creator_ack_mask(store, q)
         assert pkg.blocks == tuple(blocks_in_mask(mask))
 
 
@@ -278,3 +280,33 @@ def test_delivery_runs_only_past_the_gate(monkeypatch):
     assert miner.log.current_round == 4
     assert crossed.index(True) == 14  # the third round-4 block, the quorum's last
     assert sum(crossed) < len(crossed) // 2
+
+
+def test_no_coin_is_due_below_the_advance_threshold(monkeypatch):
+    """note_accept skips _advance while quorum_round is below _advance_at.
+    That is exact only if the threshold is the delivery gate and no coin
+    call is due below it: after every _advance, in runs with the coin, an
+    equivocator, a crash and zero or adversarial delays, the next coin
+    round is at least the first leader round above the anchor's."""
+    real = MinerState._advance
+    checked = []
+
+    def advance(self, bid):
+        real(self, bid)
+        params = self.config.params
+        gate = self.log.current_round + params.leader_stride
+        assert self._advance_at == gate + params.beta
+        assert self.oracle is None or self._coin_next >= gate
+        checked.append(self.oracle is not None)
+
+    monkeypatch.setattr(MinerState, "_advance", advance)
+    uniform = {"kind": "uniform", "min": 1, "max": 3}
+    for sc in (Scenario(n=7, f=2, model=MODEL_ASYNC, rounds=15, seed=11, delays=uniform,
+                        adversary={"kind": "reorder", "lag": 2},
+                        byzantine={2: ByzSpec("equivocate", rate=1.0)}),
+               Scenario(n=7, f=2, model=MODEL_ASYNC, rounds=15, seed=16,
+                        delays={"kind": "zero"}, byzantine={4: ByzSpec("crash", round=5)}),
+               Scenario(n=7, f=2, rounds=16, seed=13, delays=uniform,
+                        byzantine={5: ByzSpec("equivocate", rate=0.5)})):
+        run(sc)
+    assert any(checked) and not all(checked)
