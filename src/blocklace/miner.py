@@ -57,7 +57,6 @@ class MinerState:
         self._built: dict[int, Package] = {}
         self.outbox: list[dict] = []  # protocol events drained by the simulator
         self._coin_next = config.params.leader_stride
-        self._advance_at = config.params.leader_stride + config.params.beta  # see _advance
 
     # -- receiving -------------------------------------------------------
 
@@ -83,8 +82,7 @@ class MinerState:
     def note_accept(self, bid: bytes) -> None:
         """Bookkeeping for a newly accepted block, received or own."""
         self.outbox.append({"e": "accept", "id": bid})
-        if self.store.quorum_round >= self._advance_at:  # else _advance returns at once
-            self._advance(bid)
+        self._advance(bid)
 
     def poke(self) -> None:
         """Re-check delivery without a new block (after a coin reveal)."""
@@ -92,24 +90,22 @@ class MinerState:
 
     def _advance(self, bid: bytes | None) -> None:
         """Request the coins now due, then extend delivery, writing a decide
-        event, triggered by bid if given, when the anchor moves. Nothing is
-        done while quorum_round is below _advance_at, beta above the first
-        leader round above the anchor's (the anchor's round is 0 or a leader
-        round): no round there has a quorum of possible ratifiers, so nothing
-        could be decided and no tally could change. Nor is a coin due there:
-        this miner requested the anchor's before it decided the anchor."""
+        event, triggered by bid if given, when the anchor moves. Delivery is
+        skipped while quorum_round - beta is below the first leader round
+        above the anchor's (the anchor's round is 0 or a leader round): no
+        round there has a quorum of possible ratifiers, so nothing could be
+        decided and no tally could change."""
         params, top = self.config.params, self.store.quorum_round
-        if top < self._advance_at:
-            return
         while self.oracle is not None and self._coin_next + params.beta <= top:
             self.oracle.request(self.id, self._coin_next)
             self.outbox.append({"e": "coin-call", "r": self._coin_next})
             self._coin_next += params.leader_stride
+        if top - params.beta < self.log.current_round + params.leader_stride:
+            return
         before = self.log.current_leader
         new = extend_delivery(self.store, self.log, self.schedule, params)
         if self.log.current_leader != before:
             anchor_round = self.log.current_round
-            self._advance_at = anchor_round + params.leader_stride + params.beta
             self.outbox.append({
                 "e": "decide",
                 "round": anchor_round,

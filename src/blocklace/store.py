@@ -28,7 +28,8 @@ class WouldEquivocate(StoreError):
 
 
 class AcceptResult(NamedTuple):
-    """Outcome of one insert: status plus any cascade of newly accepted ids."""
+    """Outcome of one insert: status plus any cascade of newly accepted ids.
+    insert builds an accepted one positionally, so keep the field order."""
 
     status: str  # "accepted" | "buffered" | "rejected"
     newly_accepted: tuple[bytes, ...] = ()

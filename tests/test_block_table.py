@@ -67,10 +67,10 @@ def miner_queries(store: BlockStore, sim: Simulation, mid: int) -> dict:
         "rounds": (store.quorum_round, store.max_depth()),
         "cordial": [store.cordial_round(p) for p in range(n)],
         "faulty": [store.is_faulty(q) for q in range(n)],
-        "acks": [listed(store, creator_ack_mask(store, q)) for q in range(n)],
+        "acks": [listed(store, store._creator_ack.get(q, 0)) for q in range(n)],
         "ratifies": {(c, b): store.ratifies(c, b, params.alpha) for c in cands for b in ids
                      if store.depth_of(b) == store.depth_of(c) + params.beta},
-        "backlogs": {(b, q): listed(store, backlog(store, b) & ~creator_ack_mask(store, q))
+        "backlogs": {(b, q): listed(store, backlog(store, b) & ~store._creator_ack.get(q, 0))
                      for b in ids if store.creator_of(b) == mid for q in range(n)},
     }
 
@@ -81,7 +81,8 @@ def test_shared_table_stores_answer_like_private_ones(sim):
     """Each correct miner's accept order, replayed into a store with a
     private table, is accepted block by block on arrival, and the replay
     answers every miner query as the miner's own store, which shares one
-    table with every other miner's store."""
+    table with every other miner's store. Each store's per-creator
+    evidence is the union of that creator's closures."""
     table = sim.miners[0].store.table
     assert all(m.store.table is table for m in sim.miners)
     for m in sim.miners:
@@ -92,6 +93,9 @@ def test_shared_table_stores_answer_like_private_ones(sim):
             assert replay.insert(m.store.get(bid)).newly_accepted == (bid,)
         assert replay.table is not table
         assert miner_queries(replay, sim, m.id) == miner_queries(m.store, sim, m.id)
+        for store in (m.store, replay):
+            assert all(store._creator_ack.get(q, 0) == creator_ack_mask(store, q)
+                       for q in range(store.n))
 
 
 def shared_pair(keyring: Keyring) -> tuple[BlockStore, BlockStore]:

@@ -7,8 +7,7 @@ from blocklace import miner as miner_module
 from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, Package, ProtocolConfig
-from blocklace.ordering import ES_PARAMS, MODEL_ASYNC
-from blocklace.simnet import ByzSpec, Scenario, run
+from blocklace.ordering import ES_PARAMS
 
 from conftest import fresh_store, grow_full
 from helpers_oracle import creator_ack_mask
@@ -280,33 +279,3 @@ def test_delivery_runs_only_past_the_gate(monkeypatch):
     assert miner.log.current_round == 4
     assert crossed.index(True) == 14  # the third round-4 block, the quorum's last
     assert sum(crossed) < len(crossed) // 2
-
-
-def test_no_coin_is_due_below_the_advance_threshold(monkeypatch):
-    """note_accept skips _advance while quorum_round is below _advance_at.
-    That is exact only if the threshold is the delivery gate and no coin
-    call is due below it: after every _advance, in runs with the coin, an
-    equivocator, a crash and zero or adversarial delays, the next coin
-    round is at least the first leader round above the anchor's."""
-    real = MinerState._advance
-    checked = []
-
-    def advance(self, bid):
-        real(self, bid)
-        params = self.config.params
-        gate = self.log.current_round + params.leader_stride
-        assert self._advance_at == gate + params.beta
-        assert self.oracle is None or self._coin_next >= gate
-        checked.append(self.oracle is not None)
-
-    monkeypatch.setattr(MinerState, "_advance", advance)
-    uniform = {"kind": "uniform", "min": 1, "max": 3}
-    for sc in (Scenario(n=7, f=2, model=MODEL_ASYNC, rounds=15, seed=11, delays=uniform,
-                        adversary={"kind": "reorder", "lag": 2},
-                        byzantine={2: ByzSpec("equivocate", rate=1.0)}),
-               Scenario(n=7, f=2, model=MODEL_ASYNC, rounds=15, seed=16,
-                        delays={"kind": "zero"}, byzantine={4: ByzSpec("crash", round=5)}),
-               Scenario(n=7, f=2, rounds=16, seed=13, delays=uniform,
-                        byzantine={5: ByzSpec("equivocate", rate=0.5)})):
-        run(sc)
-    assert any(checked) and not all(checked)

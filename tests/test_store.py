@@ -9,7 +9,7 @@ import random
 import pytest
 
 from blocklace.blocks import Keyring, block_id, make_block
-from blocklace.store import BlockStore, WouldEquivocate
+from blocklace.store import AcceptResult, BlockStore, WouldEquivocate
 
 from conftest import forge, fresh_store, grow_full, grow_random
 from helpers_oracle import (
@@ -98,6 +98,17 @@ def test_insert_idempotent():
     assert res.status == "accepted"
     assert res.newly_accepted == ()
     assert len(store) == 1
+
+
+def test_accept_result_fields_keep_their_order():
+    """insert builds an accepted result positionally, past the NamedTuple
+    constructor, so the fields must keep this order."""
+    assert AcceptResult._fields == ("status", "newly_accepted", "reason")
+    source, keyring = fresh_store()
+    blk = source.create_block(0, b"x", 0)
+    res = BlockStore(4, 1, keyring).insert(blk)
+    assert res == AcceptResult("accepted", (block_id(blk),), None)
+    assert (res.status, res.newly_accepted, res.reason) == res
 
 
 def test_bad_signature_rejected():
