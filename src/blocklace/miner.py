@@ -56,6 +56,7 @@ class MinerState:
         # change, since the store only grows and an index's block is fixed.
         self._built: dict[int, Package] = {}
         self.outbox: list[dict] = []  # protocol events drained by the simulator
+        self.decisions: list[tuple[int, int]] = []  # (round, trigger) of each decide event
         self._coin_next = config.params.leader_stride
 
     # -- receiving -------------------------------------------------------
@@ -106,12 +107,10 @@ class MinerState:
         new = extend_delivery(self.store, self.log, self.schedule, params)
         if self.log.current_leader != before:
             anchor_round = self.log.current_round
-            self.outbox.append({
-                "e": "decide",
-                "round": anchor_round,
-                "trigger": anchor_round + params.beta if bid is None else self.store.depth_of(bid),
-                "delivered": len(new),
-            })
+            trigger = anchor_round + params.beta if bid is None else self.store.depth_of(bid)
+            self.decisions.append((anchor_round, trigger))
+            self.outbox.append({"e": "decide", "round": anchor_round, "trigger": trigger,
+                                "delivered": len(new)})
 
     # -- proceeding --------------------------------------------------------
 
@@ -188,7 +187,7 @@ class MinerState:
         parents-first; None when nothing is missing. No miner or simulator
         path calls it: its only user is the benchmark's per-layer wrapper in
         bench/layers.py, which wraps it by name. It goes together with that
-        wrapper in a change to the benchmark (ROADMAP item 6)."""
+        wrapper in a change to the benchmark (ROADMAP item 1)."""
         pkg = self._package(q, self.store._accepted)
         return pkg if pkg.blocks else None
 

@@ -138,6 +138,8 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     """Incremental delivery: when a new super-ratified leader appears, walk
     back through ratified leaders to the first one placed and emit each
     newer one's fragment in topological order, filtering non-approved blocks.
+    A predecessor reads only its leader block's closure and the schedule, so
+    the table keeps it once no leader round passed over awaits its coin.
 
     Returns the newly delivered ids in delivery order. While quorum_round
     - beta is below the first leader round above the anchor's, no round is
@@ -148,9 +150,17 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
         return []
     chain: list[bytes] = []
     cur: bytes | None = anchor
-    while cur is not None and not (log.placed >> store.index_of(cur)) & 1:
+    kept, stride = store.table.predecessor, params.leader_stride
+    while cur is not None and not (log.placed >> (i := store.index_of(cur))) & 1:
         chain.append(cur)
+        if i in kept:
+            cur = kept[i]
+            continue
         cur = prev_ratified_leader(store, schedule, params, cur)
+        low = 0 if cur is None else store.depth_of(cur)
+        if all(schedule.leader_at(r) is not None
+               for r in range((store._depth[i] - 1) // stride * stride, low, -stride)):
+            kept[i] = cur
     new: list[bytes] = []
     for b1 in reversed(chain):
         new.extend(_deliver_fragment(store, log, b1))
@@ -166,11 +176,12 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     super_ratified_leader would find it (super-ratification is monotone, so
     nothing at or below the anchor need be inspected), from running tallies.
     Whether a block ratifies a candidate is fixed once both are accepted, so
-    each block beta rounds deeper than a candidate is examined for it once.
+    each block beta rounds deeper than a candidate is examined for it once,
+    and the table keeps the verdict for every store that shares it.
     The tally holds the creators of the ratifying blocks there, so under
     eventual synchrony a leader block there ratifies the candidate exactly
     when that round's leader is among them."""
-    creators, by_depth = store._creator, store._by_depth
+    creators, by_depth, verdicts = store._creator, store._by_depth, store.table.verdicts
     alpha, beta, stride = params.alpha, params.beta, params.leader_stride
     top = store.quorum_round - beta  # deeper rounds lack a quorum of ratifiers
     for r in range((top // stride) * stride, floor, -stride):
@@ -178,7 +189,11 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
         for cand in _leader_indices(store, schedule, r):
             seen, ratifiers = log.tally.get(cand, (0, set()))
             for i in deeper[seen:]:
-                if creators[i] not in ratifiers and store._ratifies(cand, i, alpha):
+                if creators[i] in ratifiers:
+                    continue
+                if (key := (cand, i, alpha)) not in verdicts:
+                    verdicts[key] = store._ratifies(cand, i, alpha)
+                if verdicts[key]:
                     ratifiers.add(creators[i])
             log.tally[cand] = (len(deeper), ratifiers)
             if len(ratifiers) < store.quorum:
@@ -189,20 +204,28 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     return None
 
 
-def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes) -> list[bytes]:
+def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes) -> tuple[bytes, ...]:
     """Place what b1's closure adds to log.placed, in topological order:
-    deliver the blocks b1 approves and suppress the rest."""
+    deliver the blocks b1 approves and suppress the rest. The cut reads
+    only table facts and log.placed, so the table keeps the first one and
+    hands it to each log whose placed mask is the same."""
     i1 = store.index_of(b1)
-    frag_mask = store._closure[i1] & ~log.placed
-    log.placed |= frag_mask
     ids, creators, depths = store._ids, store._creator, store._depth
-    out = []
-    # b1 acknowledges every fragment block, so only an equivocator's can fail.
-    for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
-        if creators[i] not in store._equivocators or store._approves(i, i1):
-            out.append(ids[i])
-        else:
-            log.suppressed.add(ids[i])
+    cut = store.table.fragments.get(i1)
+    if cut is None or cut[0] != log.placed:
+        out, suppressed = [], []
+        frag_mask = store._closure[i1] & ~log.placed
+        # b1 acknowledges every fragment block, so only an equivocator's can fail.
+        for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
+            if creators[i] not in store._equivocators or store._approves(i, i1):
+                out.append(ids[i])
+            else:
+                suppressed.append(ids[i])
+        cut = (log.placed, tuple(out), tuple(suppressed))
+        store.table.fragments.setdefault(i1, cut)
+    _, out, suppressed = cut
+    log.placed |= store._closure[i1]
+    log.suppressed.update(suppressed)
     log.delivered += out
     log.leader_rounds += [depths[i1]] * len(out)
     return out

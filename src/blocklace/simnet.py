@@ -658,22 +658,21 @@ class Simulation:
         wave = self.params.wave_length
         correct = sc.correct_miners()
         observer = correct[0]
-        decisions = [e for e in self.events
-                     if e["e"] == "decide" and e["m"] == observer]
         latencies: list[int] = []
         decided_rounds: list[int] = []
         prev = 0
-        for d in decisions:
-            r = d["round"]
+        for r, trigger in self.miners[observer].decisions:
             # The leader rounds of the horizon strictly between prev and r.
             skipped = max(0, min(r - 1, sc.rounds) // stride - prev // stride)
             if r <= sc.rounds:
-                latencies.append(d["trigger"] - r + 1 + wave * skipped)
+                latencies.append(trigger - r + 1 + wave * skipped)
                 decided_rounds.append(r)
             prev = r
-        size = sc.payload_size
-        per_miner = {i: sum(len(self.miners[i].store.get(b).payload) // size
-                            for b in self.miners[i].log.delivered) if size else 0
+        # Payload units per block, once: every miner's store shares the table.
+        size, table = sc.payload_size, self.miners[observer].store.table
+        units = {bid: len(blk.payload) // size if size else 0
+                 for bid, blk in zip(table.ids, table.blocks)}
+        per_miner = {i: sum(map(units.__getitem__, self.miners[i].log.delivered))
                      for i in correct}
         payloads, unique_payloads = sum(per_miner.values()), per_miner[observer]
         return {

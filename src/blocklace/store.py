@@ -49,6 +49,14 @@ class BlockTable:
     closure (a bitmask over the dense index, self included) of each block
     that passed the duplicate-creator and cordiality checks. No signature
     check is kept: each store checks every block it is given.
+
+    The stores sharing a table also share one leader schedule and one set
+    of wave parameters, so the ordering answers that read only table facts
+    are kept here once, for ordering.extend_delivery: ``verdicts`` maps
+    (candidate, block, alpha) to _ratifies, ``predecessor`` a leader block
+    to prev_ratified_leader once every leader round it read is known, and
+    ``fragments`` a leader block to the (placed, delivered, suppressed) of
+    the fragment it cut from that placed mask.
     """
 
     def __init__(self):
@@ -58,6 +66,9 @@ class BlockTable:
         self.creator: list[int] = []
         self.depth: list[int] = []
         self.closure: list[int] = []
+        self.verdicts: dict[tuple[int, int, int], bool] = {}
+        self.predecessor: dict[int, bytes | None] = {}
+        self.fragments: dict[int, tuple[int, tuple[bytes, ...], tuple[bytes, ...]]] = {}
 
 
 class BlockStore:
@@ -172,8 +183,8 @@ class BlockStore:
 
         Re-inserting a known block is a no-op. A block with a dangling
         pointer is buffered; a badly signed, self-pointing or non-cordial
-        block, or one whose creator is out of range, is rejected and
-        recorded in ``violations``.
+        block, one pointing at two blocks by one creator, or one whose
+        creator is out of range, is rejected and recorded in ``violations``.
         """
         bid = block_id(block)
         if bid in self._index:

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from blocklace.blocks import Keyring, block_id, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, ProtocolConfig
-from blocklace.ordering import ES_PARAMS, MODEL_ASYNC, MODEL_ES, leader_blocks_at
+from blocklace.ordering import (
+    ES_PARAMS,
+    MODEL_ASYNC,
+    MODEL_ES,
+    DeliveryLog,
+    _deliver_fragment,
+    leader_blocks_at,
+    prev_ratified_leader,
+)
 from blocklace.simnet import ByzSpec, Scenario, Simulation
 from blocklace.store import BlockStore, BlockTable, UnknownBlock
 
@@ -22,10 +30,11 @@ from helpers_oracle import creator_ack_mask
 
 
 @st.composite
-def faulty_runs(draw):
-    """A finished simulation at n=4 or 7, either model, uniform 1-3 tick
-    delays, with up to f crashing, silent or equivocating miners."""
-    n, f = draw(st.sampled_from([(4, 1), (7, 2)]))
+def faulty_runs(draw, sizes=((4, 1), (7, 2))):
+    """A finished simulation at one of the (n, f) sizes, either model,
+    uniform 1-3 tick delays, with up to f crashing, silent or equivocating
+    miners."""
+    n, f = draw(st.sampled_from(sizes))
     model = draw(st.sampled_from([MODEL_ES, MODEL_ASYNC]))
     faulty = draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
     byzantine = {}
@@ -96,6 +105,31 @@ def test_shared_table_stores_answer_like_private_ones(sim):
         for store in (m.store, replay):
             assert all(store._creator_ack.get(q, 0) == creator_ack_mask(store, q)
                        for q in range(store.n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(faulty_runs(((4, 1), (7, 2), (16, 5))))
+def test_table_memos_match_a_memo_free_replay(sim):
+    """Every verdict, predecessor and fragment the run's table kept is what
+    the memo-free functions answer on a replay of the whole table into a
+    store with a private one: each answer reads only table facts, never the
+    store that asked. Table order is parents-first, so the replay accepts
+    each block on arrival and its indices are the table's."""
+    table, params = sim.miners[0].store.table, sim.params
+    replay = BlockStore(sim.scenario.n, sim.scenario.f, sim.keyring)
+    for bid, blk in zip(table.ids, table.blocks):
+        assert replay.insert(blk).newly_accepted == (bid,)
+    assert replay.table.ids == table.ids
+    if any(m.log.delivered for m in sim.miners):
+        assert table.verdicts and table.predecessor and table.fragments
+    for (cand, i, alpha), verdict in table.verdicts.items():
+        assert replay._ratifies(cand, i, alpha) == verdict
+    for i, prev in table.predecessor.items():
+        assert prev_ratified_leader(replay, sim.schedule, params, table.ids[i]) == prev
+    for i, (placed, delivered, suppressed) in table.fragments.items():
+        log = DeliveryLog(placed=placed)
+        assert _deliver_fragment(replay, log, table.ids[i]) == delivered
+        assert log.suppressed == set(suppressed)
 
 
 def shared_pair(keyring: Keyring) -> tuple[BlockStore, BlockStore]:

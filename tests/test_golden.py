@@ -1,5 +1,5 @@
 """Golden transcripts: the SHA-256 of ``run(scenario).jsonl()`` is pinned for
-a fixed scenario set covering both models, n in {4, 7, 10, 16}, every
+a fixed scenario set covering both models, n in {4, 7, 10, 16, 31}, every
 adversary kind, and every Byzantine behaviour. A refactor that claims to keep
 behaviour must leave every digest unchanged; a deliberate behaviour change
 updates the digests in the same commit and says why."""
@@ -54,6 +54,13 @@ SCENARIOS = {
     "es-zero-timer": Scenario(rounds=16, seed=15, delta=2, delays=ZERO),
     "async-zero-equivocate": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=16, delays=ZERO,
                                       byzantine={4: ByzSpec("equivocate", rate=0.5)}),
+    # The largest committees: their miners share the most table-kept
+    # verdicts, predecessors and fragments (a twin's suppression included).
+    "es-n31": Scenario(n=31, f=10, rounds=10, seed=17),
+    "async-n16-equivocate-crash": Scenario(n=16, f=5, model=ASYNC, rounds=20, seed=2,
+                                           delays=UNIFORM,
+                                           byzantine={3: ByzSpec("equivocate", rate=0.5),
+                                                      9: ByzSpec("crash", round=6)}),
 }
 
 DIGESTS = {
@@ -77,6 +84,9 @@ DIGESTS = {
     "async-silent": "755365113cd11580d65a9eed8a07f9b74006ed3a6504c8952d0637a3fec6bd2c",
     "es-zero-timer": "49d2ece13fdf0e1716d97ad533f34373b8d1f43c72cc68db99deff268991767a",
     "async-zero-equivocate": "25b0f73a27995bb0552687cee90c86474061f328bdb16fd69127fe46d39141c9",
+    "es-n31": "126ec988fd526a1b800803b3bd8937b710518dbf7863dc443c8f02c2c69dab46",
+    "async-n16-equivocate-crash":
+        "217aecde1792e52d9d2f448e07927f55a22798bcabf7f7db978dc9a40592412e",
 }
 
 

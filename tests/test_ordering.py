@@ -16,6 +16,7 @@ from blocklace.ordering import (
     ES_PARAMS,
     DeliveryLog,
     WaveParams,
+    _deliver_fragment,
     extend_delivery,
     leader_blocks_at,
     prev_ratified_leader,
@@ -211,6 +212,44 @@ def test_prev_ratified_leader_chain(full_lattice):
     prev = prev_ratified_leader(store, ES_SCHED, ES_PARAMS, anchor)
     assert prev == made[(1, 2)]
     assert prev_ratified_leader(store, ES_SCHED, ES_PARAMS, prev) is None
+
+
+def test_logs_with_different_placed_masks_cut_their_own_fragments():
+    """The table keeps the first fragment cut of a leader block, and hands it
+    only to a log whose placed mask it was cut from: a log that has placed
+    more gets its own, smaller fragment."""
+    store, _ = fresh_store()
+    made = grow_full(store, 4)
+    leader, below = made[(2, 4)], made[(1, 2)]
+    fresh, ahead = DeliveryLog(), DeliveryLog(placed=store.closure_mask(below))
+    whole = topo_sorted(store, closure(store, [leader]))
+    rest = topo_sorted(store, closure(store, [leader]) - closure(store, [below]))
+    assert list(_deliver_fragment(store, fresh, leader)) == fresh.delivered == whole
+    assert list(_deliver_fragment(store, ahead, leader)) == ahead.delivered == rest
+    assert fresh.placed == ahead.placed == store.closure_mask(leader)
+    assert store.table.fragments[store.index_of(leader)] == (0, tuple(whole), ())
+
+
+def test_a_predecessor_past_an_unrevealed_coin_is_not_kept():
+    """While round 4's leader is unknown, the round-6 anchor's walk passes
+    over round 4 to round 2. The table does not keep that answer, so once
+    the coin is revealed another log's walk finds the round-4 leader and
+    agrees with the reference."""
+    store, _ = fresh_store()
+    made = grow_full(store, 8)
+    leaders = {2: 1, 6: 3, 8: 0}
+    sched = LeaderSchedule(4, 2, leaders.get)
+    early = DeliveryLog()
+    extend_delivery(store, early, sched, ES_PARAMS)
+    anchor = store.index_of(made[(3, 6)])
+    assert early.current_leader == made[(3, 6)] and set(early.leader_rounds) == {2, 6}
+    assert anchor not in store.table.predecessor
+    leaders[4] = 2
+    late = DeliveryLog()
+    extend_delivery(store, late, sched, ES_PARAMS)
+    assert set(late.leader_rounds) == {2, 4, 6}
+    assert store.table.predecessor[anchor] == made[(2, 4)]
+    assert (late.delivered, late.suppressed) == reference_order(store, sched, ES_PARAMS)
 
 
 @settings(max_examples=100, deadline=None)
