@@ -30,7 +30,7 @@ from helpers_oracle import creator_ack_mask
 
 
 @st.composite
-def faulty_runs(draw, sizes=((4, 1), (7, 2))):
+def faulty_runs(draw, sizes):
     """A finished simulation at one of the (n, f) sizes, either model,
     uniform 1-3 tick delays, with up to f crashing, silent or equivocating
     miners."""
@@ -85,7 +85,7 @@ def miner_queries(store: BlockStore, sim: Simulation, mid: int) -> dict:
 
 
 @settings(max_examples=30, deadline=None)
-@given(faulty_runs())
+@given(faulty_runs(((4, 1), (7, 2))))
 def test_shared_table_stores_answer_like_private_ones(sim):
     """Each correct miner's accept order, replayed into a store with a
     private table, is accepted block by block on arrival, and the replay
