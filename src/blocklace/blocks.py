@@ -28,8 +28,8 @@ class Block:
     structurally equal blocks encode identically. The signature covers the
     canonical encoding and is excluded from it. Building a block that breaks
     these structural limits raises BlockError, so every Block is well formed.
-    A block is never mutated, so its encoding and id are built once, with
-    the block, and then kept.
+    A block is never mutated, so its encoding, id and hex id are built
+    once, with the block, and then kept.
     """
 
     creator: MinerId
@@ -51,8 +51,10 @@ class Block:
             raise BlockError("pointers not sorted and unique")
         encoding = b"".join((self.creator.to_bytes(4, "big"), len(self.payload).to_bytes(4, "big"),
                              self.payload, len(self.pointers).to_bytes(2, "big"), *self.pointers))
+        bid = hashlib.sha256(encoding).digest()
         object.__setattr__(self, "_encoding", encoding)
-        object.__setattr__(self, "_id", hashlib.sha256(encoding).digest())
+        object.__setattr__(self, "_id", bid)
+        object.__setattr__(self, "_hex", bid.hex())
 
 
 def make_block(creator: MinerId, payload: bytes, pointers) -> Block:
@@ -139,8 +141,8 @@ class Keyring:
         mac = self._mac(b)
         # Equal to dataclasses.replace(b, signature=mac), built without a
         # second __post_init__: b's fields were checked when b was built,
-        # and the signature lies outside the encoding, so b's encoding and
-        # id hold for the signed block too.
+        # and the signature lies outside the encoding, so b's encoding, id
+        # and hex id hold for the signed block too.
         signed = object.__new__(Block)
         signed.__dict__.update(b.__dict__, signature=mac)
         return signed

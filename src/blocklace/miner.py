@@ -4,9 +4,9 @@ responsiveness tracking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .blocks import Block, Keyring, MinerId, block_id
+from .blocks import Block, Keyring, MinerId, block_id, package_size
 from .leaders import CoinOracle
 from .ordering import (
     MODEL_ES,
@@ -27,9 +27,18 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Package:
-    """Blocks sorted parents-first so a receiver can cascade in one pass."""
+    """Blocks sorted parents-first so a receiver can cascade in one pass,
+    with the package's wire size and its blocks' hex ids, worked out once
+    for every send of it. ids is one tuple of strings, so the send and
+    deliver events that hold it need no tracking by the cyclic GC."""
 
     blocks: tuple[Block, ...]
+    size: int = field(init=False)
+    ids: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", package_size(self.blocks))
+        object.__setattr__(self, "ids", tuple(b._hex for b in self.blocks))
 
 
 class MinerState:
@@ -76,13 +85,14 @@ class MinerState:
                 self.note_accept(bid)
                 accepted.append(bid)
         for bid, reason in self.store.violations:
-            self.outbox.append({"e": "reject", "id": bid, "reason": reason})
+            # A rejected block may be missing from the table: name it afresh.
+            self.outbox.append({"e": "reject", "id": bid.hex(), "reason": reason})
         self.store.violations.clear()
         return accepted
 
     def note_accept(self, bid: bytes) -> None:
         """Bookkeeping for a newly accepted block, received or own."""
-        self.outbox.append({"e": "accept", "id": bid})
+        self.outbox.append({"e": "accept", "id": self.store.get(bid)._hex})
         self._advance(bid)
 
     def poke(self) -> None:
@@ -95,7 +105,7 @@ class MinerState:
         skipped while quorum_round - beta is below the first leader round
         above the anchor's (the anchor's round is 0 or a leader round): no
         round there has a quorum of possible ratifiers, so nothing could be
-        decided and no tally could change."""
+        decided."""
         params, top = self.config.params, self.store.quorum_round
         while self.oracle is not None and self._coin_next + params.beta <= top:
             self.oracle.request(self.id, self._coin_next)

@@ -117,12 +117,7 @@ class DeliveryLog:
     """A miner's final output: the delivered order with each block's leader
     round, permanently suppressed equivocation blocks, their union placed as
     a bitmask over store indices, and the current super-ratified anchor with
-    its round (0 before the first).
-
-    tally maps the store index of each leader candidate above the anchor's
-    round to how many blocks beta rounds deeper it has examined, in
-    acceptance order, and the creators of those that ratify it.
-    """
+    its round (0 before the first)."""
 
     delivered: list[bytes] = field(default_factory=list)
     leader_rounds: list[int] = field(default_factory=list)
@@ -130,7 +125,6 @@ class DeliveryLog:
     placed: int = 0
     current_leader: bytes | None = None
     current_round: int = 0
-    tally: dict[int, tuple[int, set[int]]] = field(default_factory=dict)
 
 
 def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
@@ -145,7 +139,7 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     - beta is below the first leader round above the anchor's, no round is
     scanned and nothing changes; MinerState skips the call then.
     """
-    anchor = _tallied_leader(store, log, schedule, params, log.current_round)
+    anchor = _deepest_super_ratified(store, schedule, params, log.current_round)
     if anchor is None:
         return []
     chain: list[bytes] = []
@@ -165,20 +159,19 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     for b1 in reversed(chain):
         new.extend(_deliver_fragment(store, log, b1))
     log.current_leader = anchor
-    anchor_round = log.current_round = store.depth_of(anchor)
-    log.tally = {c: entry for c, entry in log.tally.items() if store._depth[c] > anchor_round}
+    log.current_round = store.depth_of(anchor)
     return new
 
 
-def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
-                    params: WaveParams, floor: int) -> bytes | None:
+def _deepest_super_ratified(store: BlockStore, schedule, params: WaveParams,
+                            floor: int) -> bytes | None:
     """The deepest super-ratified leader block above round floor, as
     super_ratified_leader would find it (super-ratification is monotone, so
-    nothing at or below the anchor need be inspected), from running tallies.
-    Whether a block ratifies a candidate is fixed once both are accepted, so
-    each block beta rounds deeper than a candidate is examined for it once,
-    and the table keeps the verdict for every store that shares it.
-    The tally holds the creators of the ratifying blocks there, so under
+    nothing at or below the anchor need be inspected). Whether a block
+    ratifies a candidate is fixed once both are accepted, so the table keeps
+    each verdict for every store that shares it, and each call reads the
+    verdicts of the blocks beta rounds deeper than a candidate, skipping a
+    creator already counted. The ratifiers' creators are collected, so under
     eventual synchrony a leader block there ratifies the candidate exactly
     when that round's leader is among them."""
     creators, by_depth, verdicts = store._creator, store._by_depth, store.table.verdicts
@@ -187,15 +180,14 @@ def _tallied_leader(store: BlockStore, log: DeliveryLog, schedule,
     for r in range((top // stride) * stride, floor, -stride):
         deeper = by_depth.get(r + beta, ())
         for cand in _leader_indices(store, schedule, r):
-            seen, ratifiers = log.tally.get(cand, (0, set()))
-            for i in deeper[seen:]:
+            ratifiers: set[int] = set()
+            for i in deeper:
                 if creators[i] in ratifiers:
                     continue
                 if (key := (cand, i, alpha)) not in verdicts:
                     verdicts[key] = store._ratifies(cand, i, alpha)
                 if verdicts[key]:
                     ratifiers.add(creators[i])
-            log.tally[cand] = (len(deeper), ratifiers)
             if len(ratifiers) < store.quorum:
                 continue
             if params.model == MODEL_ES and schedule.leader_at(r + beta) not in ratifiers:

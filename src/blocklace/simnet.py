@@ -10,8 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import (Block, Keyring, block_id, decode_block, encode_block, make_block,
-                     package_size)
+from .blocks import Block, Keyring, block_id, decode_block, encode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -219,12 +218,15 @@ def _reject_unknown(doc: dict, keys: set, where: str) -> None:
 
 class Adversary:
     """Chooses per-message delays within the model constraints. No policy
-    reads the coin: each is coin-blind by construction."""
+    reads the coin: each is coin-blind by construction. The policies that
+    look at a package's leader blocks read their depths from the run's
+    block table."""
 
-    def __init__(self, scenario: Scenario, schedule, rng: random.Random):
+    def __init__(self, scenario: Scenario, schedule, rng: random.Random, table: BlockTable):
         self.scenario = scenario
         self.schedule = schedule
         self.rng = rng
+        self.table = table
         self.kind = scenario.adversary["kind"]
         self.uniform = scenario.delays["kind"] == "uniform"
         v = scenario.adversary_settings()
@@ -238,8 +240,8 @@ class Adversary:
             scenario.params.leader_stride, scenario.gst, scenario.delay_bound)
         self.bound_from = scenario.gst if scenario.model == MODEL_ES else float("inf")
 
-    def delay(self, frm: int, to: int, meta: list[tuple[int, int]], now: int) -> int:
-        """meta: (creator, depth) per block in the package; runs once per send."""
+    def delay(self, frm: int, to: int, pkg: Package, now: int) -> int:
+        """The delay of one send of pkg from frm to to; runs once per send."""
         delay = self.rng.randint(self.min, self.max) if self.uniform else self.ticks
         kind = self.kind
         if kind == "none":
@@ -247,11 +249,16 @@ class Adversary:
         elif kind == "pre-gst" and now < self.gst:
             delay = max(delay, self.rng.randint(1, self.max_pre))
         elif kind == "corrupt-leader":
-            if any(c == self.victim and self.schedule.leader_at(d) == c for c, d in meta):
+            victim, leader_at = self.victim, self.schedule.leader_at
+            if any(b.creator == victim and leader_at(self._depth(b)) == victim
+                   for b in pkg.blocks):
                 delay += self.lag
         elif kind == "reorder":
-            for c, d in meta:
-                if c == frm and d % self.stride == 0 and d > 0 and self._victim_for(d) == frm:
+            for b in pkg.blocks:
+                if b.creator != frm:
+                    continue
+                d = self._depth(b)
+                if d % self.stride == 0 and d > 0 and self._victim_for(d) == frm:
                     delay += self.lag
                     break
         if delay > MAX_DELAY:
@@ -259,6 +266,10 @@ class Adversary:
         if now >= self.bound_from and delay > self.bound:
             delay = self.bound
         return delay
+
+    def _depth(self, b: Block) -> int:
+        """Depth of a block its sender holds, so the table does too."""
+        return self.table.depth[self.table.index[b._id]]
 
     def _victim_for(self, leader_round: int) -> int:
         if leader_round not in self._victims:
@@ -336,7 +347,7 @@ def _create_error(row: dict, blocks: dict[str, Block], depths: dict[str, int],
         blk = decode_block(bytes.fromhex(row["enc"]), bytes.fromhex(row["sig"]))
     except ValueError:
         return "with a malformed 'enc'"
-    bid = block_id(blk).hex()
+    bid = blk._hex
     if row["id"] != bid:
         return f"says id {row['id'][:12]}; its block's is {bid[:12]}"
     if not keyring.verify(blk):
@@ -432,27 +443,21 @@ class Simulation:
         self.miners = [MinerState(i, config, self.schedule, self.keyring, self.oracle, table)
                        for i in range(scenario.n)]
         self.adversary = Adversary(scenario, self.schedule,
-                                   random.Random(f"{scenario.seed}:adversary"))
+                                   random.Random(f"{scenario.seed}:adversary"), table)
         self._byz_rng = {i: random.Random(f"{scenario.seed}:byz:{i}")
                          for i in scenario.byzantine}
         self._mempool = [random.Random(f"{scenario.seed}:mempool:{i}")
                          for i in range(scenario.n)]
         self.events: list[dict] = []
+        # Each created block by its hex id: every event, log record and key
+        # here that names the block holds the block's own _hex string.
         self.blocks: dict[str, Block] = {}
-        # Each created block's hex id, made once: every event, log record and
-        # key of blocks that names the block holds this one string.
-        self._hex: dict[bytes, str] = {}
-        # Each tick's events, (frm, to, pkg, ids) or a miner id to poke, in push order.
+        # Each tick's events, (frm, to, pkg) or a miner id to poke, in push order.
         self._due: dict[int, list] = {}
         self._ticks: list[int] = []  # a heap of the keys of _due
         self.messages_sent = 0
         self.bytes_sent = 0
         self._reveals_seen = 0
-        # id(pkg) -> (pkg, wire size, adversary meta, hex ids) for the packages
-        # of the current batch of sends; holding pkg keeps its id unique. The
-        # ids are one tuple of strings, shared by every send and deliver event
-        # of the package, so the cyclic GC need not track those events.
-        self._described: dict[int, tuple[Package, int, list, tuple]] = {}
         self._timer_poke: set[int] = set()
         # Liveness is an eventual property: if unlucky leader draws leave the
         # horizon uncovered at quiescence, the run extends wave by wave
@@ -483,7 +488,6 @@ class Simulation:
             self.record_create(now, m, blk)
             for q, pkg in sends:
                 self.send(now, m.id, q, pkg)
-        self._described.clear()
         return True
 
     def _equivocate(self, m: MinerState, now: int, r: int) -> None:
@@ -516,34 +520,23 @@ class Simulation:
         return self._mempool[mid].randbytes(size)
 
     def record_create(self, now: int, m: MinerState, blk) -> None:
-        bid = block_id(blk)
-        hid = self._hex[bid] = bid.hex()
-        self.blocks[hid] = blk
+        self.blocks[blk._hex] = blk
         self.events.append({
-            "e": "create", "t": now, "m": m.id, "id": hid,
-            "c": blk.creator, "d": m.store.depth_of(bid),
+            "e": "create", "t": now, "m": m.id, "id": blk._hex,
+            "c": blk.creator, "d": m.store.depth_of(block_id(blk)),
             "enc": encode_block(blk).hex(), "sig": blk.signature.hex(),
         })
         self._drain_protocol_events(now, m)
 
     def send(self, now: int, frm: int, to: int, pkg: Package) -> None:
-        """Schedule pkg's delivery from frm to to. A package sent to several
-        peers is encoded and described once; each send draws its own delay."""
-        described = self._described.get(id(pkg))
-        if described is None:
-            store = self.miners[frm].store
-            bids = [block_id(b) for b in pkg.blocks]
-            described = self._described[id(pkg)] = (
-                pkg, package_size(pkg.blocks),
-                [(b.creator, store._depth[store._index[i]]) for b, i in zip(pkg.blocks, bids)],
-                tuple(map(self._hex.__getitem__, bids)))
-        _, size, meta, ids = described
+        """Schedule pkg's delivery from frm to to. Each send draws its own
+        delay; its event holds the package's own size and ids."""
         self.messages_sent += 1
-        self.bytes_sent += size
-        delay = self.adversary.delay(frm, to, meta, now)
+        self.bytes_sent += pkg.size
+        delay = self.adversary.delay(frm, to, pkg, now)
         self.events.append({"e": "send", "t": now, "from": frm, "to": to,
-                            "ids": ids, "bytes": size})
-        self._push(now + delay, (frm, to, pkg, ids))
+                            "ids": pkg.ids, "bytes": pkg.size})
+        self._push(now + delay, (frm, to, pkg))
 
     def _push(self, t: int, event) -> None:
         due = self._due.get(t)
@@ -555,8 +548,6 @@ class Simulation:
 
     def _drain_protocol_events(self, now: int, m: MinerState) -> None:
         for ev in m.drain_outbox():
-            if "id" in ev:
-                ev["id"] = self._hex[ev["id"]]
             ev["t"] = now
             ev["m"] = m.id
             self.events.append(ev)
@@ -612,9 +603,10 @@ class Simulation:
                 self._timer_poke.discard(event)
                 m.poke()
             else:
-                frm, to, pkg, ids = event
+                frm, to, pkg = event
                 m = self.miners[to]
-                self.events.append({"e": "deliver", "t": t, "from": frm, "to": to, "ids": ids})
+                self.events.append({"e": "deliver", "t": t, "from": frm, "to": to,
+                                    "ids": pkg.ids})
                 m.on_receive(pkg)
             self._drain_protocol_events(t, m)
         del self._due[heapq.heappop(self._ticks)]  # pops t, the earliest tick
@@ -645,8 +637,8 @@ class Simulation:
     def _finish(self, end_time: int) -> Transcript:
         metrics = self._metrics(end_time)
         header = {"schema": SCHEMA_TRANSCRIPT, "scenario": self.scenario.to_dict()}
-        logs = {m.id: {"records": _log_records(m, self._hex),
-                       "suppressed": sorted(self._hex[b] for b in m.log.suppressed)}
+        logs = {m.id: {"records": _log_records(m),
+                       "suppressed": sorted(m.store.get(b)._hex for b in m.log.suppressed)}
                 for m in self.miners}
         transcript = Transcript(header, self.events, logs, metrics)
         transcript.blocks = self.blocks
@@ -698,10 +690,11 @@ class Simulation:
         }
 
 
-def _log_records(m: MinerState, hexes: dict[bytes, str]) -> list[dict]:
+def _log_records(m: MinerState) -> list[dict]:
     """One transcript record per block m delivered, in delivery order."""
-    index, creators, depths = m.store._index, m.store._creator, m.store._depth
-    return [{"position": k, "block": hexes[b], "creator": creators[i := index[b]],
+    index, blocks, creators, depths = (
+        m.store._index, m.store._blocks, m.store._creator, m.store._depth)
+    return [{"position": k, "block": blocks[i := index[b]]._hex, "creator": creators[i],
              "depth": depths[i], "leader_round": r}
             for k, (b, r) in enumerate(zip(m.log.delivered, m.log.leader_rounds))]
 

@@ -53,10 +53,11 @@ class BlockTable:
     The stores sharing a table also share one leader schedule and one set
     of wave parameters, so the ordering answers that read only table facts
     are kept here once, for ordering.extend_delivery: ``verdicts`` maps
-    (candidate, block, alpha) to _ratifies, ``predecessor`` a leader block
-    to prev_ratified_leader once every leader round it read is known, and
-    ``fragments`` a leader block to the (placed, delivered, suppressed) of
-    the fragment it cut from that placed mask.
+    (candidate, block, alpha) to _ratifies, read by its helper
+    _deepest_super_ratified; ``predecessor`` maps a leader block to
+    prev_ratified_leader once every leader round it read is known; and
+    ``fragments`` maps a leader block to the (placed, delivered,
+    suppressed) of the fragment it cut from that placed mask.
     """
 
     def __init__(self):
@@ -126,7 +127,7 @@ class BlockStore:
         return bid in self._index
 
     def get(self, bid: bytes) -> Block:
-        return self._blocks[self._idx(bid)]
+        return self._blocks[self.index_of(bid)]
 
     def accepted_ids(self) -> list[bytes]:
         """All accepted ids in acceptance order."""
@@ -135,21 +136,19 @@ class BlockStore:
     def max_depth(self) -> int:
         return self._max_depth
 
-    def _idx(self, bid: bytes) -> int:
+    def index_of(self, bid: bytes) -> int:
+        """Table index of an accepted block (mask bit position); raises
+        UnknownBlock for any other id."""
         try:
             return self._index[bid]
         except KeyError:
             raise UnknownBlock(bid.hex()) from None
 
-    def index_of(self, bid: bytes) -> int:
-        """Table index of an accepted block (mask bit position)."""
-        return self._idx(bid)
-
     def depth_of(self, bid: bytes) -> int:
-        return self._depth[self._idx(bid)]
+        return self._depth[self.index_of(bid)]
 
     def creator_of(self, bid: bytes) -> int:
-        return self._creator[self._idx(bid)]
+        return self._creator[self.index_of(bid)]
 
     def blocks_at(self, d: int) -> list[bytes]:
         return [self._ids[i] for i in self._by_depth.get(d, ())]
@@ -289,7 +288,7 @@ class BlockStore:
     # -- relations -----------------------------------------------------
 
     def closure_mask(self, bid: bytes) -> int:
-        return self._closure[self._idx(bid)]
+        return self._closure[self.index_of(bid)]
 
     def blocks_in_mask(self, mask: int) -> list[Block]:
         """The blocks of mask, parents-first: by depth, then id."""
@@ -336,7 +335,7 @@ class BlockStore:
     # -- fault analysis ------------------------------------------------
 
     def is_equivocation(self, b1: bytes, b2: bytes) -> bool:
-        i1, i2 = self._idx(b1), self._idx(b2)
+        i1, i2 = self.index_of(b1), self.index_of(b2)
         if i1 == i2 or self._creator[i1] != self._creator[i2]:
             return False
         return not ((self._closure[i1] >> i2) & 1 or (self._closure[i2] >> i1) & 1)
@@ -357,7 +356,7 @@ class BlockStore:
 
     def approves(self, b1: bytes, b: bytes) -> bool:
         """b acknowledges b1 and none of b1's equivocation partners."""
-        return self._approves(self._idx(b1), self._idx(b))
+        return self._approves(self.index_of(b1), self.index_of(b))
 
     def _approves(self, i1: int, ib: int) -> bool:
         m = self._closure[ib]
@@ -366,7 +365,7 @@ class BlockStore:
     def ratifies(self, b1: bytes, b2: bytes, alpha: int) -> bool:
         """b2 acknowledges blocks at depth(b1)+alpha approving b1 by a quorum
         of distinct creators."""
-        return self._ratifies(self._idx(b1), self._idx(b2), alpha)
+        return self._ratifies(self.index_of(b1), self.index_of(b2), alpha)
 
     def _ratifies(self, i1: int, i2: int, alpha: int) -> bool:
         """_approves(i1, i) inlined, with i1's partners found once."""

@@ -229,6 +229,20 @@ def test_every_way_of_building_a_block_sets_its_id(case):
 
 @settings(max_examples=100, deadline=None)
 @given(random_blocks())
+def test_made_signed_and_decoded_blocks_keep_their_hex_id(case):
+    """The hex id every transcript line names a block by is the block's
+    own, kept beside its id: made, signed and decoded alike."""
+    keyring, blk = case
+    made = make_block(blk.creator, blk.payload, blk.pointers)
+    signed = keyring.sign(made)
+    decoded = decode_block(encode_block(signed), signed.signature)
+    for b in (made, signed, decoded):
+        assert b._hex == block_id(b).hex()
+    assert signed._hex is made._hex
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_blocks())
 def test_equality_and_hash_ignore_the_cached_id(case):
     _, blk = case
     twin = dataclasses.replace(blk)

@@ -345,14 +345,20 @@ def test_common_core_fails_on_two_sides_at_n7():
 def test_common_core_fails_at_n31_within_counted_store_reads(monkeypatch):
     """At n=31 a search over quorum-sized sets of creators would try
     C(31, 21) of them. The check makes one store read per block at r+β and
-    r+α, plus a few per round: counted here, with no timer."""
+    r+α, plus a few per round: counted here, with no timer. A read made
+    inside another, such as its id lookup, is part of that read."""
     view, shallow, deep = split_view(31, 10)
-    reads = []
+    reads, inside = [], [0]
 
     def counted(name, fn):
         def read(self, *args):
-            reads.append(name)
-            return fn(self, *args)
+            if not inside[0]:
+                reads.append(name)
+            inside[0] += 1
+            try:
+                return fn(self, *args)
+            finally:
+                inside[0] -= 1
         return read
 
     for name, fn in list(vars(BlockStore).items()):

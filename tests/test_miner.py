@@ -75,7 +75,7 @@ def test_rejected_block_resent_leaves_no_log_behind():
     for _ in range(3):
         assert miner.on_receive(Package((forged,))) == []
         assert miner.drain_outbox() == [
-            {"e": "reject", "id": block_id(forged), "reason": "bad-signature"}]
+            {"e": "reject", "id": block_id(forged).hex(), "reason": "bad-signature"}]
         assert miner.store.violations == []
 
 

@@ -253,15 +253,18 @@ def test_payload_drawn_only_for_blocks_made():
 
 
 def test_each_block_id_is_one_string():
-    """A block's hex id is made once, at its create: every event and log
-    record naming the block holds the very string keying transcript.blocks."""
+    """A block's hex id is made once, with the block: every event and log
+    record naming the block holds the very string keying transcript.blocks.
+    A reject event names its block afresh, as the table may lack it; no
+    simulated run rejects a block."""
     sc = Scenario(n=7, f=2, rounds=16, seed=5,
                   delays={"kind": "uniform", "min": 1, "max": 3},
                   byzantine={1: ByzSpec("equivocate", rate=0.5),
                              4: ByzSpec("crash", round=6)})
     t = run(sc)
     key = {h: h for h in t.blocks}
-    named = [e["id"] for e in t.events if e["e"] in ("create", "accept", "reject")]
+    assert not [e for e in t.events if e["e"] == "reject"]
+    named = [e["id"] for e in t.events if e["e"] in ("create", "accept")]
     named += [h for e in t.events if e["e"] in ("send", "deliver") for h in e["ids"]]
     for log in t.logs.values():
         named += [r["block"] for r in log["records"]] + log["suppressed"]
@@ -312,16 +315,31 @@ def test_message_counters_consistent():
              byzantine={3: ByzSpec("crash", round=6)}),
     Scenario(n=7, f=2, rounds=12, seed=4, delays={"kind": "uniform", "min": 1, "max": 3},
              byzantine={6: ByzSpec("equivocate", rate=0.5)}),
-], ids=["es-crash", "async-crash", "n7-equivocate"])
+    Scenario(rounds=12, seed=4, delays={"kind": "uniform", "min": 1, "max": 3},
+             adversary={"kind": "corrupt-leader", "miner": 2, "lag": 2}),
+    Scenario(n=7, f=2, model="asynchrony", rounds=15, seed=4,
+             delays={"kind": "uniform", "min": 1, "max": 3},
+             adversary={"kind": "reorder", "lag": 2},
+             byzantine={6: ByzSpec("equivocate", rate=0.5)}),
+], ids=["es-crash", "async-crash", "n7-equivocate", "es-corrupt-leader", "n7-async-reorder"])
 def test_send_bytes_are_the_encoded_package(sc):
     """Each send's bytes are its package's encoding, however many peers
-    share the package, and bytes_sent is their sum."""
+    share the package, and bytes_sent is their sum. Each deliver holds the
+    very ids tuple of its send: the package's own."""
     t = run(sc)
     sends = [e for e in t.events if e["e"] == "send"]
     assert sends
     for ev in sends:
         assert ev["bytes"] == len(encode_package([t.blocks[i] for i in ev["ids"]]))
     assert t.metrics["bytes_sent"] == sum(e["bytes"] for e in sends)
+    pending: dict[tuple[int, int], list[tuple]] = {}
+    for ev in sends:
+        pending.setdefault((ev["from"], ev["to"]), []).append(ev["ids"])
+    for ev in t.events:
+        if ev["e"] == "deliver":
+            own = pending[ev["from"], ev["to"]]
+            del own[next(k for k, ids in enumerate(own) if ids is ev["ids"])]
+    assert not any(pending.values())
 
 
 def test_decide_trigger_depth_is_anchor_plus_beta():
