@@ -4,9 +4,9 @@ responsiveness tracking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .blocks import Block, Keyring, MinerId, block_id, package_size
+from .blocks import Block, Keyring, MinerId, block_id, encode_block, package_size
 from .leaders import CoinOracle
 from .ordering import (
     MODEL_ES,
@@ -25,7 +25,7 @@ class ProtocolConfig:
     delta: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Package:
     """Blocks sorted parents-first so a receiver can cascade in one pass,
     with the package's wire size and its blocks' hex ids, worked out once
@@ -33,23 +33,27 @@ class Package:
     deliver events that hold it need no tracking by the cyclic GC."""
 
     blocks: tuple[Block, ...]
-    size: int = field(init=False)
-    ids: tuple[str, ...] = field(init=False)
+    size: int
+    ids: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", package_size(self.blocks))
-        object.__setattr__(self, "ids", tuple(b._hex for b in self.blocks))
+    def __init__(self, blocks: tuple[Block, ...]):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "size", package_size(blocks))
+        object.__setattr__(self, "ids", tuple(b._hex for b in blocks))
 
 
 class MinerState:
     """One protocol participant: a store, a delivery log, per-peer evidence
     of what each peer knows, and the timer used by the eventual-synchrony
-    instance of the proceed rule."""
+    instance of the proceed rule. It appends its own transcript lines
+    (create, accept, reject, coin-call, decide), complete and stamped with
+    the tick they happen at, to events."""
 
-    def __init__(self, mid: MinerId, config: ProtocolConfig, schedule,
+    def __init__(self, mid: MinerId, config: ProtocolConfig, schedule, events: list[dict],
                  keyring: Keyring | None = None, oracle: CoinOracle | None = None,
                  table: BlockTable | None = None):
         self.id = mid
+        self.events = events
         self.config = config
         self.schedule = schedule
         self.oracle = oracle
@@ -64,13 +68,12 @@ class MinerState:
         # Packages built since the last step, by mask: a mask's blocks never
         # change, since the store only grows and an index's block is fixed.
         self._built: dict[int, Package] = {}
-        self.outbox: list[dict] = []  # protocol events drained by the simulator
         self.decisions: list[tuple[int, int]] = []  # (round, trigger) of each decide event
         self._coin_next = config.params.leader_stride
 
     # -- receiving -------------------------------------------------------
 
-    def on_receive(self, pkg: Package) -> list[bytes]:
+    def on_receive(self, pkg: Package, now: int) -> list[bytes]:
         """Buffer and accept-cascade a package; returns newly accepted ids.
 
         Per accepted block: invoke the coin when a new leader round becomes
@@ -82,24 +85,34 @@ class MinerState:
             if res.status != "rejected" and block.creator != self.id:
                 self._heard_since_send[block.creator] = True
             for bid in res.newly_accepted:
-                self.note_accept(bid)
+                self.note_accept(bid, now)
                 accepted.append(bid)
         for bid, reason in self.store.violations:
             # A rejected block may be missing from the table: name it afresh.
-            self.outbox.append({"e": "reject", "id": bid.hex(), "reason": reason})
+            self.events.append({"e": "reject", "t": now, "m": self.id, "id": bid.hex(),
+                                "reason": reason})
         self.store.violations.clear()
         return accepted
 
-    def note_accept(self, bid: bytes) -> None:
+    def note_create(self, bid: bytes, now: int) -> None:
+        """Write the create line of own block bid, just made and accepted
+        here, then its accept line."""
+        blk = self.store.get(bid)
+        self.events.append({"e": "create", "t": now, "m": self.id, "id": blk._hex,
+                            "c": blk.creator, "d": self.store.depth_of(bid),
+                            "enc": encode_block(blk).hex(), "sig": blk.signature.hex()})
+        self.note_accept(bid, now)
+
+    def note_accept(self, bid: bytes, now: int) -> None:
         """Bookkeeping for a newly accepted block, received or own."""
-        self.outbox.append({"e": "accept", "id": self.store.get(bid)._hex})
-        self._advance(bid)
+        self.events.append({"e": "accept", "t": now, "m": self.id, "id": self.store.get(bid)._hex})
+        self._advance(bid, now)
 
-    def poke(self) -> None:
+    def poke(self, now: int) -> None:
         """Re-check delivery without a new block (after a coin reveal)."""
-        self._advance(None)
+        self._advance(None, now)
 
-    def _advance(self, bid: bytes | None) -> None:
+    def _advance(self, bid: bytes | None, now: int) -> None:
         """Request the coins now due, then extend delivery, writing a decide
         event, triggered by bid if given, when the anchor moves. Delivery is
         skipped while quorum_round - beta is below the first leader round
@@ -109,7 +122,7 @@ class MinerState:
         params, top = self.config.params, self.store.quorum_round
         while self.oracle is not None and self._coin_next + params.beta <= top:
             self.oracle.request(self.id, self._coin_next)
-            self.outbox.append({"e": "coin-call", "r": self._coin_next})
+            self.events.append({"e": "coin-call", "t": now, "m": self.id, "r": self._coin_next})
             self._coin_next += params.leader_stride
         if top - params.beta < self.log.current_round + params.leader_stride:
             return
@@ -119,8 +132,8 @@ class MinerState:
             anchor_round = self.log.current_round
             trigger = anchor_round + params.beta if bid is None else self.store.depth_of(bid)
             self.decisions.append((anchor_round, trigger))
-            self.outbox.append({"e": "decide", "round": anchor_round, "trigger": trigger,
-                                "delivered": len(new)})
+            self.events.append({"e": "decide", "t": now, "m": self.id, "round": anchor_round,
+                                "trigger": trigger, "delivered": len(new)})
 
     # -- proceeding --------------------------------------------------------
 
@@ -155,7 +168,7 @@ class MinerState:
         applied to them. Peers whose masks come out equal share one Package."""
         blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
-        self.note_accept(bid)
+        self.note_create(bid, now)
         store = self.store
         index, depths, faulty = store._index, store._depth, store._equivocators
         own = index[bid]
@@ -226,8 +239,3 @@ class MinerState:
         if sent is None or self._heard_since_send[q]:
             return True
         return bool((self.store._creator_ack.get(q, 0) >> self.store._index[sent]) & 1)
-
-    def drain_outbox(self) -> list[dict]:
-        out = self.outbox
-        self.outbox = []
-        return out

@@ -10,7 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import Block, Keyring, block_id, decode_block, encode_block, make_block
+from .blocks import Block, Keyring, block_id, decode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -130,10 +130,13 @@ class Scenario:
             raise ScenarioError(f"delays.min {v['min']} exceeds delays.max {v['max']}")
         if self.adversary["kind"] == "pre-gst" and v["max_delay"] < 1:
             raise ScenarioError("adversary.max_delay must be at least 1")
+        if self.adversary["kind"] == "pre-gst" and self.gst == 0:
+            # Asynchrony forces gst 0, where pre-gst draws the delays of none.
+            raise ScenarioError("adversary pre-gst needs gst above 0")
         if self.adversary["kind"] == "corrupt-leader" and v["miner"] not in range(self.n):
             raise ScenarioError(f"adversary.miner must be a miner index, got {v['miner']!r}")
-        if min(self.delta, self.delay_bound) < 0:
-            raise ScenarioError("negative delta or delay_bound")
+        if min(self.delta, self.delay_bound, self.gst) < 0:
+            raise ScenarioError("negative delta, delay_bound or gst")
         if self.rounds < 1:
             raise ScenarioError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
@@ -438,20 +441,20 @@ class Simulation:
             self.schedule = LeaderSchedule(scenario.n, stride)
         config = ProtocolConfig(scenario.n, scenario.f, self.params, scenario.delta)
         # One table for every miner's store: a block's closure, depth and
-        # cordiality are computed by the first store to admit it.
-        table = BlockTable()
-        self.miners = [MinerState(i, config, self.schedule, self.keyring, self.oracle, table)
+        # cordiality are computed by the first store to admit it, and it
+        # admits every created block, twins included, in creation order.
+        self.table = BlockTable()
+        # One transcript for the run: each miner writes its own lines to it.
+        self.events: list[dict] = []
+        self.miners = [MinerState(i, config, self.schedule, self.events, self.keyring,
+                                  self.oracle, self.table)
                        for i in range(scenario.n)]
         self.adversary = Adversary(scenario, self.schedule,
-                                   random.Random(f"{scenario.seed}:adversary"), table)
+                                   random.Random(f"{scenario.seed}:adversary"), self.table)
         self._byz_rng = {i: random.Random(f"{scenario.seed}:byz:{i}")
                          for i in scenario.byzantine}
         self._mempool = [random.Random(f"{scenario.seed}:mempool:{i}")
                          for i in range(scenario.n)]
-        self.events: list[dict] = []
-        # Each created block by its hex id: every event, log record and key
-        # here that names the block holds the block's own _hex string.
-        self.blocks: dict[str, Block] = {}
         # Each tick's events, (frm, to, pkg) or a miner id to poke, in push order.
         self._due: dict[int, list] = {}
         self._ticks: list[int] = []  # a heap of the keys of _due
@@ -484,8 +487,8 @@ class Simulation:
         if kind == "equivocate" and self._byz_rng[m.id].random() < spec.rate:
             self._equivocate(m, now, r)
         else:
-            blk, sends = m.step(now, self.next_payload(m.id), r)
-            self.record_create(now, m, blk)
+            _, sends = m.step(now, self.next_payload(m.id), r)
+            self._poll_reveals(now)
             for q, pkg in sends:
                 self.send(now, m.id, q, pkg)
         return True
@@ -501,10 +504,9 @@ class Simulation:
         twin = self.keyring.sign(make_block(m.id, payload, blk.pointers))
         m.store.insert(twin)
         bid, tid = block_id(blk), block_id(twin)
-        m.note_accept(bid)
-        self.record_create(now, m, blk)
-        m.note_accept(tid)
-        self.record_create(now, m, twin)
+        for b in (bid, tid):
+            m.note_create(b, now)
+            self._poll_reveals(now)
         peers = [q for q in range(self.scenario.n) if q != m.id]
         half = (len(peers) + 1) // 2
         for q in peers[:half]:
@@ -518,15 +520,6 @@ class Simulation:
         if size == 0:
             return b""
         return self._mempool[mid].randbytes(size)
-
-    def record_create(self, now: int, m: MinerState, blk) -> None:
-        self.blocks[blk._hex] = blk
-        self.events.append({
-            "e": "create", "t": now, "m": m.id, "id": blk._hex,
-            "c": blk.creator, "d": m.store.depth_of(block_id(blk)),
-            "enc": encode_block(blk).hex(), "sig": blk.signature.hex(),
-        })
-        self._drain_protocol_events(now, m)
 
     def send(self, now: int, frm: int, to: int, pkg: Package) -> None:
         """Schedule pkg's delivery from frm to to. Each send draws its own
@@ -546,11 +539,9 @@ class Simulation:
         else:
             due.append(event)
 
-    def _drain_protocol_events(self, now: int, m: MinerState) -> None:
-        for ev in m.drain_outbox():
-            ev["t"] = now
-            ev["m"] = m.id
-            self.events.append(ev)
+    def _poll_reveals(self, now: int) -> None:
+        """After each miner call: a coin-reveal line for each coin its
+        requests revealed, and a poke of every miner at now."""
         if self.oracle is not None:
             reveals = self.oracle.reveal_log
             while self._reveals_seen < len(reveals):
@@ -599,16 +590,14 @@ class Simulation:
             return False
         for event in due:  # also reaches the events pushed at t meanwhile
             if type(event) is int:
-                m = self.miners[event]
                 self._timer_poke.discard(event)
-                m.poke()
+                self.miners[event].poke(t)
             else:
                 frm, to, pkg = event
-                m = self.miners[to]
                 self.events.append({"e": "deliver", "t": t, "from": frm, "to": to,
                                     "ids": pkg.ids})
-                m.on_receive(pkg)
-            self._drain_protocol_events(t, m)
+                self.miners[to].on_receive(pkg, t)
+            self._poll_reveals(t)
         del self._due[heapq.heappop(self._ticks)]  # pops t, the earliest tick
         return True
 
@@ -641,7 +630,7 @@ class Simulation:
                        "suppressed": sorted(m.store.get(b)._hex for b in m.log.suppressed)}
                 for m in self.miners}
         transcript = Transcript(header, self.events, logs, metrics)
-        transcript.blocks = self.blocks
+        transcript.blocks = {blk._hex: blk for blk in self.table.blocks}
         return transcript
 
     def _metrics(self, end_time: int) -> dict:
@@ -661,7 +650,7 @@ class Simulation:
                 decided_rounds.append(r)
             prev = r
         # Payload units per block, once: every miner's store shares the table.
-        size, table = sc.payload_size, self.miners[observer].store.table
+        size, table = sc.payload_size, self.table
         units = {bid: len(blk.payload) // size if size else 0
                  for bid, blk in zip(table.ids, table.blocks)}
         per_miner = {i: sum(map(units.__getitem__, self.miners[i].log.delivered))

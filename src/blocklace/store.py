@@ -112,7 +112,6 @@ class BlockStore:
         self._equivocators: set[int] = set()
         self.buffer: dict[bytes, Block] = {}
         self.violations: list[tuple[bytes, str]] = []  # rejected (id, reason), until drained
-        self._max_depth = 0
         # Rounds 1..quorum_round, and no others, have blocks by a quorum of
         # creators, equivocators included: a block with pointers is admitted
         # only over a quorum of creators one round below it.
@@ -134,7 +133,10 @@ class BlockStore:
         return list(self._index)
 
     def max_depth(self) -> int:
-        return self._max_depth
+        """The deepest accepted round: a block's deepest pointee is one
+        round below it, so rounds 1..max_depth, and no others, hold
+        accepted blocks."""
+        return len(self._by_depth)
 
     def index_of(self, bid: bytes) -> int:
         """Table index of an accepted block (mask bit position); raises
@@ -251,8 +253,6 @@ class BlockStore:
         self._index[bid] = idx
         self._accepted |= 1 << idx
         self._by_depth.setdefault(depth, []).append(idx)
-        if depth > self._max_depth:
-            self._max_depth = depth
         round_creators = self._round_creators[depth] = (
             self._round_creators.get(depth, 0) | 1 << creator)
         if depth > self.quorum_round and round_creators.bit_count() >= self.quorum:

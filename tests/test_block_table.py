@@ -219,7 +219,7 @@ def test_store_wide_queries_read_the_store_not_the_table():
     table = BlockTable()
     other = BlockStore(4, 1, keyring, table)
     made = grow_full(other, 2)
-    miner = MinerState(1, ProtocolConfig(4, 1, ES_PARAMS), LeaderSchedule(4, 2),
+    miner = MinerState(1, ProtocolConfig(4, 1, ES_PARAMS), LeaderSchedule(4, 2), [],
                        keyring, None, table)
     held = [made[(p, 1)] for p in (1, 2, 3)]
     for bid in held:

@@ -116,16 +116,22 @@ def test_run_rejects_meaningless_byzantine_spec(tmp_path, capsys, spec):
     {"seed": 2 ** 64},
     {"byzantine": {"1": {"behavior": "silent"},
                    "01": {"behavior": "equivocate", "rate": 1.0}}},
+    {"adversary": {"kind": "pre-gst"}},
+    {"model": "asynchrony", "adversary": {"kind": "pre-gst"}},
+    {"gst": -1},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
         "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
         "random-delay", "fractional-rounds", "bool-n", "fractional-ticks",
-        "negative-seed", "seed-above-64-bits", "byzantine-named-twice"])
+        "negative-seed", "seed-above-64-bits", "byzantine-named-twice",
+        "pre-gst-gst-0", "pre-gst-asynchrony", "negative-gst"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
     delays before sends, a failed liveness check, no victim at all, a
     misspelled key's default (1-tick delays, a crash at round 0), the
-    delays of adversary kind none, an int read from a bool or truncated
+    delays of adversary kind none (the removed random-delay, and pre-gst
+    with gst 0, which asynchrony forces), a GST before the run's start
+    (every delay bounded, as at gst 0), an int read from a bool or truncated
     from a fraction (2 rounds for 2.7, one miner for true, 1-tick delays
     for 1.9 while the header records 1.9), a seed the keyring cannot
     encode in 8 bytes, or one miner named by two Byzantine specs, the

@@ -4,7 +4,7 @@ responsiveness."""
 from __future__ import annotations
 
 from blocklace import miner as miner_module
-from blocklace.blocks import Keyring, block_id, make_block
+from blocklace.blocks import Keyring, block_id, encode_block, make_block
 from blocklace.leaders import LeaderSchedule
 from blocklace.miner import MinerState, Package, ProtocolConfig
 from blocklace.ordering import ES_PARAMS
@@ -18,7 +18,7 @@ CAP = 1000  # a depth cap no test reaches
 
 def make_miner(mid: int, delta: int = 0, seed: int = 0) -> MinerState:
     config = ProtocolConfig(4, 1, ES_PARAMS, delta)
-    return MinerState(mid, config, SCHED, Keyring(seed, 4))
+    return MinerState(mid, config, SCHED, [], Keyring(seed, 4))
 
 
 def proceed(miner: MinerState, now: int, payload: bytes):
@@ -38,7 +38,7 @@ def test_receive_dangling_block_buffers_without_delivery():
     store, made = lattice_blocks(2)
     miner = make_miner(0)
     blk = store.get(made[(1, 2)])
-    got = miner.on_receive(Package((blk,)))
+    got = miner.on_receive(Package((blk,)), 0)
     assert got == []
     assert block_id(blk) in miner.store.buffer
     assert miner.log.delivered == []
@@ -48,9 +48,9 @@ def test_receive_duplicate_package_is_idempotent():
     store, made = lattice_blocks(2)
     miner = make_miner(0)
     pkg = Package(tuple(store.get(b) for b in store.accepted_ids()))
-    first = miner.on_receive(pkg)
+    first = miner.on_receive(pkg, 0)
     assert len(first) == 8
-    again = miner.on_receive(pkg)
+    again = miner.on_receive(pkg, 0)
     assert again == []
     assert len(miner.store) == 8
 
@@ -59,9 +59,9 @@ def test_full_lattice_package_triggers_first_decision():
     store, made = lattice_blocks(4)
     miner = make_miner(0)
     pkg = Package(tuple(store.get(b) for b in store.accepted_ids()))
-    miner.on_receive(pkg)
+    miner.on_receive(pkg, 0)
     assert len(miner.log.delivered) == 5  # round-1 blocks plus the leader
-    decides = [e for e in miner.drain_outbox() if e["e"] == "decide"]
+    decides = [e for e in miner.events if e["e"] == "decide"]
     assert decides and decides[-1]["round"] == 2
     assert decides[-1]["trigger"] == 4
 
@@ -69,20 +69,52 @@ def test_full_lattice_package_triggers_first_decision():
 def test_rejected_block_resent_leaves_no_log_behind():
     """A peer re-sending one badly signed block costs a correct miner one
     reject event per arrival and no memory: the store's rejection log is
-    emptied into the outbox."""
+    emptied into the transcript."""
     miner = make_miner(0)
     forged = Keyring(1, 4).sign(make_block(1, b"forged", []))
-    for _ in range(3):
-        assert miner.on_receive(Package((forged,))) == []
-        assert miner.drain_outbox() == [
-            {"e": "reject", "id": block_id(forged).hex(), "reason": "bad-signature"}]
+    for t in range(3):
+        assert miner.on_receive(Package((forged,)), t) == []
+        assert miner.events[t:] == [{"e": "reject", "t": t, "m": 0,
+                                     "id": block_id(forged).hex(), "reason": "bad-signature"}]
         assert miner.store.violations == []
+
+
+def test_received_lines_land_in_order_in_the_given_list():
+    """The lines on_receive writes go, complete, to the end of the list the
+    miner was built with, as they happen: an accept per newly accepted
+    block, in acceptance order, and the decide right after the accept of
+    the block that triggered it. Each holds the tick on_receive was given
+    and the miner's id."""
+    store, _ = lattice_blocks(4)
+    events = [{"e": "earlier"}]
+    miner = MinerState(1, ProtocolConfig(4, 1, ES_PARAMS), SCHED, events, Keyring(0, 4))
+    accepted = miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())), 7)
+    assert miner.events is events and events[0] == {"e": "earlier"}
+    lines = events[1:]
+    assert all(e["t"] == 7 and e["m"] == 1 for e in lines)
+    assert [e["id"] for e in lines if e["e"] == "accept"] == [b.hex() for b in accepted]
+    assert len(accepted) == 16
+    k = [e["e"] for e in lines].index("decide")
+    assert [e["e"] for e in lines] == ["accept"] * k + ["decide"] + ["accept"] * (16 - k)
+    trigger = bytes.fromhex(lines[k - 1]["id"])
+    assert lines[k]["trigger"] == miner.store.depth_of(trigger) == 4
+
+
+def test_step_writes_create_then_accept():
+    """An own block's create line, from which a verifier decodes it, comes
+    just before its accept line, both at the tick step was given."""
+    miner = make_miner(2)
+    blk, _ = miner.step(3, b"p", 0)
+    create, accept = miner.events
+    assert create == {"e": "create", "t": 3, "m": 2, "id": blk._hex, "c": 2, "d": 1,
+                      "enc": encode_block(blk).hex(), "sig": blk.signature.hex()}
+    assert accept == {"e": "accept", "t": 3, "m": 2, "id": blk._hex}
 
 
 def test_can_proceed_async_returns_cordial_round():
     from blocklace.ordering import ASYNC_PARAMS
     config = ProtocolConfig(4, 1, ASYNC_PARAMS, 0)
-    miner = MinerState(0, config, LeaderSchedule(4, 5), Keyring(0, 4))
+    miner = MinerState(0, config, LeaderSchedule(4, 5), [], Keyring(0, 4))
     assert miner.can_proceed(0, CAP) == 0
     miner.step(0, b"p", 0)
     assert miner.can_proceed(0, CAP) is None  # waiting on a quorum of round 1
@@ -92,7 +124,7 @@ def test_can_proceed_es_timer_gate():
     store, made = lattice_blocks(1)
     miner = make_miner(0, delta=5)
     miner.step(0, b"init", 0)  # last_send := 0
-    miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (1, 2, 3))))
+    miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (1, 2, 3))), 0)
     # Miner 0 is not leader(2) = miner 1, so the timer gates creation.
     assert miner.can_proceed(2, CAP) is None
     assert miner.can_proceed(5, CAP) == 1
@@ -102,7 +134,7 @@ def test_can_proceed_es_leader_fast_path():
     store, made = lattice_blocks(1)
     miner = make_miner(1, delta=50)
     miner.step(0, b"init", 0)
-    miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (0, 2, 3))))
+    miner.on_receive(Package(tuple(store.get(made[(p, 1)]) for p in (0, 2, 3))), 0)
     # Miner 1 leads depth 2, the depth it is about to populate: no timeout.
     assert miner.can_proceed(1, CAP) == 1
 
@@ -115,7 +147,7 @@ def test_step_sends_bare_block_when_nothing_missing():
         blk, _ = m.step(0, f"init{m.id}".encode(), 0)
         blocks.append(blk)
     for m in miners:
-        m.on_receive(Package(tuple(b for b in blocks if b.creator != m.id)))
+        m.on_receive(Package(tuple(b for b in blocks if b.creator != m.id)), 0)
     # Every peer has responded since the round-1 send: responsive, nothing
     # missing, so each round-2 package is just the new block.
     for q in (1, 2, 3):
@@ -137,7 +169,7 @@ def test_step_ships_backlog_to_responsive_peer():
         blk = store.create_block(p, f"r3-{p}".encode(), 2)
         r3[p] = block_id(blk)
     miner = make_miner(0)
-    miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())))
+    miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())), 0)
     # Peer 2's own round-2 block evidences round 1; rounds 2 and 3 do not.
     blk, sends = proceed(miner, 0, b"r4")
     assert miner.store.depth_of(block_id(blk)) == 4
@@ -151,7 +183,7 @@ def test_step_ships_backlog_to_responsive_peer():
 def test_step_skips_detected_equivocator(fork_fixture):
     src = fork_fixture["store"]
     miner = make_miner(0)
-    miner.on_receive(Package(tuple(src.get(b) for b in src.accepted_ids())))
+    miner.on_receive(Package(tuple(src.get(b) for b in src.accepted_ids())), 0)
     assert miner.store.is_faulty(3)
     blk, sends = proceed(miner, 0, b"new")
     assert sorted(q for q, _ in sends) == [1, 2]
@@ -163,7 +195,7 @@ def _over_fork_round2(fork):
     src = fork["store"]
     miner = make_miner(0)
     held = [*fork["round1"], fork["e1"], fork["e2"], *fork["r2"].values()]
-    miner.on_receive(Package(tuple(src.get(b) for b in held)))
+    miner.on_receive(Package(tuple(src.get(b) for b in held)), 0)
     assert miner.store.is_faulty(3)
     return miner
 
@@ -205,9 +237,9 @@ def test_responsive_two_miner_exchange():
     a, b = make_miner(0), make_miner(1)
     blk_a, sends = a.step(0, b"a1", 0)
     assert not a.responsive(1)  # sent, nothing heard back yet
-    b.on_receive(dict(sends)[1])
+    b.on_receive(dict(sends)[1], 0)
     blk_b, sends_b = b.step(0, b"b1", 0)
-    a.on_receive(dict(sends_b)[0])
+    a.on_receive(dict(sends_b)[0], 0)
     # b's block does not yet acknowledge a's (same depth), but b responded.
     assert a.responsive(1)
 
@@ -272,7 +304,7 @@ def test_delivery_runs_only_past_the_gate(monkeypatch):
     crossed = []
     for bid in store.accepted_ids():
         floor, before = miner.log.current_round, len(calls)
-        miner.on_receive(Package((store.get(bid),)))
+        miner.on_receive(Package((store.get(bid),)), 0)
         crossed.append(miner.store.quorum_round - ES_PARAMS.beta
                        >= floor + ES_PARAMS.leader_stride)
         assert len(calls) - before == crossed[-1]

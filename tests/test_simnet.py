@@ -4,12 +4,14 @@ adversaries, and scenario validation."""
 from __future__ import annotations
 
 import gc
+import json
 
 import pytest
 
 from blocklace import checks
 from blocklace.blocks import encode_package
-from blocklace.simnet import ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run
+from blocklace.simnet import (
+    MAX_DELAY, ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run)
 
 from helpers_oracle import acknowledges, blocks_by
 
@@ -298,6 +300,63 @@ def test_pre_gst_delays_settle_after_gst():
         assert v.passed, (v.name, v.detail)
     late = [e for e in t.events if e["e"] == "send" and e["t"] >= 12]
     assert late  # runs long enough to exercise the post-GST regime
+
+
+def _send_delays(t) -> list[tuple[int, int]]:
+    """(send tick, delay) of each send, matched to its deliver. Each send
+    carries its sender's new block, so (from, to, ids) names it alone."""
+    sent = {(e["from"], e["to"], e["ids"]): e["t"] for e in t.events if e["e"] == "send"}
+    assert len(sent) == sum(e["e"] == "send" for e in t.events)
+    out = []
+    for e in t.events:
+        if e["e"] == "deliver":
+            t0 = sent.pop((e["from"], e["to"], e["ids"]))
+            out.append((t0, e["t"] - t0))
+    assert not sent
+    return out
+
+
+ES_CLAMPED = Scenario(n=4, rounds=16, seed=3, gst=5, delay_bound=3,
+                      delays={"kind": "uniform", "min": 1, "max": 10})
+
+
+def test_post_gst_delays_are_clamped_to_the_bound():
+    """Uniform 1-10 draws exceed delay_bound 3 both sides of GST; from GST
+    on, every delivery comes within 3 ticks of its send, so some are
+    clamped to exactly 3, and every verifier passes."""
+    t = run(ES_CLAMPED)
+    delays = _send_delays(t)
+    assert max(d for t0, d in delays if t0 < 5) > 3
+    late = [d for t0, d in delays if t0 >= 5]
+    assert max(late) == 3 and late.count(3) > len(late) // 2
+    for v in checks.run_all_checks(t):
+        assert v.passed, (v.name, v.detail)
+
+
+def test_asynchronous_delays_stop_at_max_delay():
+    """Asynchrony bounds no delay, but every delay stops at MAX_DELAY, 64
+    ticks, so every message is delivered: uniform 1-100 draws reach it."""
+    t = run(Scenario(model="asynchrony", rounds=8, seed=2,
+                     delays={"kind": "uniform", "min": 1, "max": 100}))
+    delays = [d for _, d in _send_delays(t)]
+    assert max(delays) == MAX_DELAY and min(delays) >= 1
+    for v in checks.run_all_checks(t):
+        assert v.passed, (v.name, v.detail)
+
+
+def test_late_post_gst_delivery_fails_model_conformance():
+    """The clamped run's transcript, with one delivery of a post-GST send
+    moved to 4 ticks after it, fails model conformance, naming the delay."""
+    rows = [json.loads(line) for line in run(ES_CLAMPED).lines()]
+    sends = {(r["from"], r["to"], tuple(r["ids"])): r["t"]
+             for r in rows if r.get("e") == "send" and r["t"] >= 5}
+    late = next(r for r in rows if r.get("e") == "deliver"
+                and (r["from"], r["to"], tuple(r["ids"])) in sends)
+    late["t"] = sends[late["from"], late["to"], tuple(late["ids"])] + 4
+    view = checks.RunView(load_transcript("".join(json.dumps(r) + "\n" for r in rows)))
+    verdict = checks.check_model_conformance(view)
+    assert not verdict.passed
+    assert verdict.detail == "post-GST delay 4 exceeds bound 3"
 
 
 def test_message_counters_consistent():

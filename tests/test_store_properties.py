@@ -199,7 +199,9 @@ def test_quorum_round_and_cordial_round_match_the_scan(data):
     part-built and complete: after each insert the rounds with a quorum of
     creators are exactly 1..quorum_round, and cordial_round agrees with the
     old scan for every miner. creators_at matches the creators read block by
-    block at every round, and returns a copy of the store's record."""
+    block at every round, and returns a copy of the store's record. The
+    accepted blocks' depths, worked out from their pointers, are exactly
+    1..max_depth."""
     n, f = data.draw(st.sampled_from([(4, 1), (7, 2)]))
     seed = data.draw(st.integers(0, 2 ** 16))
     forkers = data.draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True))
@@ -209,8 +211,11 @@ def test_quorum_round_and_cordial_round_match_the_scan(data):
     grow_random(src, keyring, random.Random(seed), data.draw(st.integers(1, 6)), rates,
                 skippers=skippers)
     store = BlockStore(n, f, keyring)
+    depth: dict[bytes, int] = {}  # from the pointers, parents first
     for bid in src.accepted_ids():
         store.insert(src.get(bid))
+        depth[bid] = 1 + max((depth[p] for p in src.get(bid).pointers), default=0)
+        assert set(depth.values()) == set(range(1, store.max_depth() + 1))
         for d in range(store.max_depth() + 2):
             want = bf_creators_at(store, d)
             got = store.creators_at(d)
