@@ -86,11 +86,9 @@ class RunView:
         """The store of miner mid's accepted blocks, or of every created
         block when mid is None, in accept (creation) order. Each distinct
         set goes into a fresh store once; the same set again is only checked
-        to put every pointee before the blocks pointing at it, against the
-        cached store's closure masks: a running mask of the blocks placed so
-        far must hold each block's closure once the block's own bit is in.
-        Raises ReplayError, caching nothing, where a fresh store would not
-        accept a block on arrival."""
+        to put every pointee before the blocks pointing at it, which the
+        cached store's misplaced answers. Raises ReplayError, caching
+        nothing, where a fresh store would not accept a block on arrival."""
         ids = list(self.blocks) if mid is None else self.accepted(mid)
         who = "the created blocks" if mid is None else f"miner {mid}"
         key = frozenset(ids)
@@ -104,14 +102,10 @@ class RunView:
                                       f"{hid[:12]} -> {res.status} {res.reason}")
             self._stores[key] = store
             return store
-        index, closure, blocks = store._index, store._closure, self.blocks
-        placed = 0
-        for hid in ids:
-            i = index[block_id(blocks[hid])]
-            placed |= 1 << i
-            if closure[i] | placed != placed:
-                raise ReplayError(f"transcript replay failed for {who}: "
-                                  f"{hid[:12]} -> buffered None")
+        k = store.misplaced([block_id(self.blocks[hid]) for hid in ids])
+        if k is not None:
+            raise ReplayError(f"transcript replay failed for {who}: "
+                              f"{ids[k][:12]} -> buffered None")
         return store
 
 
@@ -257,7 +251,7 @@ def check_common_core(view: RunView) -> Verdict:
     """Asynchrony: for each completed leader round r, the blocks at r+β
     have a quorum of creators, and so do the blocks at r+α that every block
     at r+β acknowledges. That is one AND of closure masks per block at r+β
-    and one bit per block at r+α. The blocks are all created blocks,
+    and one mask of the blocks at r+α. The blocks are all created blocks,
     Byzantine miners' included. This strong form implies the weak one that
     `bf_common_core` in tests/helpers_oracle.py searches for: some blocks
     at r+β by a quorum of creators all acknowledging some blocks at r+α by
@@ -294,7 +288,7 @@ def _common_core_at(store: BlockStore, params: WaveParams, r: int) -> tuple[int,
     common = -1
     for v in deep:
         common &= store.closure_mask(v)
-    shallow = sum(1 << store.index_of(u) for u in store.blocks_at(r + params.alpha))
+    shallow = store.mask_of(store.blocks_at(r + params.alpha))
     core = {b.creator for b in store.blocks_in_mask(common & shallow)}
     return len(deep), len(store.creators_at(r + params.beta)), len(core)
 

@@ -59,8 +59,8 @@ class MinerState:
         self.oracle = oracle
         self.store = BlockStore(config.n, config.f, keyring, table)
         self.log = DeliveryLog()
-        # Blocks sent to q; with the closures of q's own blocks (the store's
-        # _creator_ack), what q has shown evidence of knowing.
+        # The mask of blocks sent to q; with the closures of q's own blocks
+        # (BlockStore.unshown), what q has shown evidence of knowing.
         self._sent: list[int] = [0] * config.n
         self._last_sent: list[bytes | None] = [None] * config.n  # own block
         self._heard_since_send: list[bool] = [False] * config.n
@@ -73,26 +73,24 @@ class MinerState:
 
     # -- receiving -------------------------------------------------------
 
-    def on_receive(self, pkg: Package, now: int) -> list[bytes]:
-        """Buffer and accept-cascade a package; returns newly accepted ids.
+    def on_receive(self, pkg: Package, now: int) -> None:
+        """Buffer and accept-cascade a package, writing an accept line per
+        newly accepted block and a reject line per rejected one.
 
         Per accepted block: invoke the coin when a new leader round becomes
         electable, and re-run delivery once it can decide something.
         """
-        accepted: list[bytes] = []
         for block in pkg.blocks:
             res = self.store.insert(block)
             if res.status != "rejected" and block.creator != self.id:
                 self._heard_since_send[block.creator] = True
             for bid in res.newly_accepted:
                 self.note_accept(bid, now)
-                accepted.append(bid)
         for bid, reason in self.store.violations:
             # A rejected block may be missing from the table: name it afresh.
             self.events.append({"e": "reject", "t": now, "m": self.id, "id": bid.hex(),
                                 "reason": reason})
         self.store.violations.clear()
-        return accepted
 
     def note_create(self, bid: bytes, now: int) -> None:
         """Write the create line of own block bid, just made and accepted
@@ -169,20 +167,11 @@ class MinerState:
         blk = self.store.create_block(self.id, payload, r)
         bid = block_id(blk)
         self.note_create(bid, now)
-        store = self.store
-        index, depths, faulty = store._index, store._depth, store._equivocators
-        own = index[bid]
-        backlog, bare, below = store._closure[own], 1 << own, depths[own] - 1
-        for p in blk.pointers:
-            i = index[p]
-            if store._creator[i] in faulty:
-                bare |= 1 << i
-            elif depths[i] == below:
-                backlog &= ~(1 << i)
+        backlog, bare = self.store.own_masks(bid)
         self._built.clear()
         sends = []
         for q in range(self.config.n):
-            if q == self.id or q in faulty:
+            if q == self.id or self.store.is_faulty(q):
                 continue
             sends.append((q, self.package_for(q, bid, backlog, bare)))
         self.last_send = now
@@ -211,7 +200,7 @@ class MinerState:
         path calls it: its only user is the benchmark's per-layer wrapper in
         bench/layers.py, which wraps it by name. It goes together with that
         wrapper in a change to the benchmark (ROADMAP item 1)."""
-        pkg = self._package(q, self.store._accepted)
+        pkg = self._package(q, self.store.mask_of(self.store.accepted_ids()))
         return pkg if pkg.blocks else None
 
     def _package(self, q: MinerId, mask: int, own: bytes | None = None) -> Package:
@@ -220,7 +209,7 @@ class MinerState:
         the new own block this send carries: q's responsiveness is judged
         against it from now on. A mask built since the last step returns
         the same Package object."""
-        mask &= ~(self._sent[q] | self.store._creator_ack.get(q, 0))
+        mask = self.store.unshown(q, mask, self._sent[q])
         self._sent[q] |= mask
         if own is not None:
             self._last_sent[q] = own
@@ -238,4 +227,4 @@ class MinerState:
         sent = self._last_sent[q]
         if sent is None or self._heard_since_send[q]:
             return True
-        return bool((self.store._creator_ack.get(q, 0) >> self.store._index[sent]) & 1)
+        return self.store.acknowledged_by(q, sent)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .store import BlockStore, bits
+from .store import BlockStore
 
 MODEL_ES = "eventual-synchrony"
 MODEL_ASYNC = "asynchrony"
@@ -52,17 +52,9 @@ def topo_sorted(store: BlockStore, ids) -> list[bytes]:
 
 
 def leader_blocks_at(store: BlockStore, schedule, d: int) -> list[bytes]:
-    return [store._ids[i] for i in _leader_indices(store, schedule, d)]
-
-
-def _leader_indices(store: BlockStore, schedule, d: int) -> list[int]:
-    """Store indices of round d's leader blocks, by id."""
+    """Round d's leader blocks, by id."""
     lead = schedule.leader_at(d)
-    if lead is None:
-        return []
-    creators, ids = store._creator, store._ids
-    return sorted((i for i in store._by_depth.get(d, ()) if creators[i] == lead),
-                  key=ids.__getitem__)
+    return [] if lead is None else store.blocks_by_at(lead, d)
 
 
 def super_ratified_leader(store: BlockStore, schedule,
@@ -116,7 +108,7 @@ def prev_ratified_leader(store: BlockStore, schedule, params: WaveParams,
 class DeliveryLog:
     """A miner's final output: the delivered order with each block's leader
     round, permanently suppressed equivocation blocks, their union placed as
-    a bitmask over store indices, and the current super-ratified anchor with
+    the store's mask of them, and the current super-ratified anchor with
     its round (0 before the first)."""
 
     delivered: list[bytes] = field(default_factory=list)
@@ -145,19 +137,24 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     chain: list[bytes] = []
     cur: bytes | None = anchor
     kept, stride = store.table.predecessor, params.leader_stride
-    while cur is not None and not (log.placed >> (i := store.index_of(cur))) & 1:
+    while cur is not None and not store.covers(log.placed, cur):
         chain.append(cur)
-        if i in kept:
+        if (i := store.index_of(cur)) in kept:
             cur = kept[i]
             continue
+        top = (store.depth_of(cur) - 1) // stride * stride
         cur = prev_ratified_leader(store, schedule, params, cur)
         low = 0 if cur is None else store.depth_of(cur)
-        if all(schedule.leader_at(r) is not None
-               for r in range((store._depth[i] - 1) // stride * stride, low, -stride)):
+        if all(schedule.leader_at(r) is not None for r in range(top, low, -stride)):
             kept[i] = cur
     new: list[bytes] = []
     for b1 in reversed(chain):
-        new.extend(_deliver_fragment(store, log, b1))
+        out, suppressed = store.fragment(b1, log.placed)
+        log.placed |= store.closure_mask(b1)
+        log.suppressed.update(suppressed)
+        log.delivered += out
+        log.leader_rounds += [store.depth_of(b1)] * len(out)
+        new += out
     log.current_leader = anchor
     log.current_round = store.depth_of(anchor)
     return new
@@ -167,60 +164,22 @@ def _deepest_super_ratified(store: BlockStore, schedule, params: WaveParams,
                             floor: int) -> bytes | None:
     """The deepest super-ratified leader block above round floor, as
     super_ratified_leader would find it (super-ratification is monotone, so
-    nothing at or below the anchor need be inspected). Whether a block
-    ratifies a candidate is fixed once both are accepted, so the table keeps
-    each verdict for every store that shares it, and each call reads the
-    verdicts of the blocks beta rounds deeper than a candidate, skipping a
-    creator already counted. The ratifiers' creators are collected, so under
-    eventual synchrony a leader block there ratifies the candidate exactly
-    when that round's leader is among them."""
-    creators, by_depth, verdicts = store._creator, store._by_depth, store.table.verdicts
+    nothing at or below the anchor need be inspected). The store counts the
+    creators of the blocks beta rounds deeper that ratify a candidate, from
+    verdicts its table keeps, so under eventual synchrony a leader block
+    there ratifies the candidate exactly when that round's leader is among
+    them."""
     alpha, beta, stride = params.alpha, params.beta, params.leader_stride
     top = store.quorum_round - beta  # deeper rounds lack a quorum of ratifiers
     for r in range((top // stride) * stride, floor, -stride):
-        deeper = by_depth.get(r + beta, ())
-        for cand in _leader_indices(store, schedule, r):
-            ratifiers: set[int] = set()
-            for i in deeper:
-                if creators[i] in ratifiers:
-                    continue
-                if (key := (cand, i, alpha)) not in verdicts:
-                    verdicts[key] = store._ratifies(cand, i, alpha)
-                if verdicts[key]:
-                    ratifiers.add(creators[i])
+        for cand in leader_blocks_at(store, schedule, r):
+            ratifiers = store.ratifying_creators(cand, r + beta, alpha)
             if len(ratifiers) < store.quorum:
                 continue
             if params.model == MODEL_ES and schedule.leader_at(r + beta) not in ratifiers:
                 continue
-            return store._ids[cand]
+            return cand
     return None
-
-
-def _deliver_fragment(store: BlockStore, log: DeliveryLog, b1: bytes) -> tuple[bytes, ...]:
-    """Place what b1's closure adds to log.placed, in topological order:
-    deliver the blocks b1 approves and suppress the rest. The cut reads
-    only table facts and log.placed, so the table keeps the first one and
-    hands it to each log whose placed mask is the same."""
-    i1 = store.index_of(b1)
-    ids, creators, depths = store._ids, store._creator, store._depth
-    cut = store.table.fragments.get(i1)
-    if cut is None or cut[0] != log.placed:
-        out, suppressed = [], []
-        frag_mask = store._closure[i1] & ~log.placed
-        # b1 acknowledges every fragment block, so only an equivocator's can fail.
-        for i in sorted(bits(frag_mask), key=lambda i: (depths[i], creators[i], ids[i])):
-            if creators[i] not in store._equivocators or store._approves(i, i1):
-                out.append(ids[i])
-            else:
-                suppressed.append(ids[i])
-        cut = (log.placed, tuple(out), tuple(suppressed))
-        store.table.fragments.setdefault(i1, cut)
-    _, out, suppressed = cut
-    log.placed |= store._closure[i1]
-    log.suppressed.update(suppressed)
-    log.delivered += out
-    log.leader_rounds += [depths[i1]] * len(out)
-    return out
 
 
 def reference_order(store: BlockStore, schedule,

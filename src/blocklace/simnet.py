@@ -681,8 +681,8 @@ class Simulation:
 
 def _log_records(m: MinerState) -> list[dict]:
     """One transcript record per block m delivered, in delivery order."""
-    index, blocks, creators, depths = (
-        m.store._index, m.store._blocks, m.store._creator, m.store._depth)
+    t = m.store.table
+    index, blocks, creators, depths = t.index, t.blocks, t.creator, t.depth
     return [{"position": k, "block": blocks[i := index[b]]._hex, "creator": creators[i],
              "depth": depths[i], "leader_round": r}
             for k, (b, r) in enumerate(zip(m.log.delivered, m.log.leader_rounds))]

@@ -52,12 +52,12 @@ class BlockTable:
 
     The stores sharing a table also share one leader schedule and one set
     of wave parameters, so the ordering answers that read only table facts
-    are kept here once, for ordering.extend_delivery: ``verdicts`` maps
-    (candidate, block, alpha) to _ratifies, read by its helper
-    _deepest_super_ratified; ``predecessor`` maps a leader block to
-    prev_ratified_leader once every leader round it read is known; and
-    ``fragments`` maps a leader block to the (placed, delivered,
-    suppressed) of the fragment it cut from that placed mask.
+    are kept here once: the stores fill ``verdicts``, which maps
+    (candidate, block, alpha) to _ratifies, in ratifying_creators, and
+    ``fragments``, which maps a leader block to the (placed, delivered,
+    suppressed) of the fragment it cut from that placed mask, in fragment;
+    ordering.extend_delivery fills ``predecessor``, which maps a leader
+    block to prev_ratified_leader once every leader round it read is known.
     """
 
     def __init__(self):
@@ -78,9 +78,12 @@ class BlockStore:
     Closures are kept as bitmasks over the dense indices of a BlockTable,
     shared by a run's stores or private to this one, which makes
     acknowledgement, approval and set-difference queries cheap enough for
-    thousand-run sweeps. The accepted set is append-only; every accepted
-    block satisfied the signature and cordiality guards at acceptance time
-    (its own blocks the cordiality guard alone).
+    thousand-run sweeps. A mask is opaque outside this module: callers get
+    masks from closure_mask, mask_of, own_masks and unshown, combine them
+    with & and |, and ask covers, blocks_in_mask or fragment what they
+    hold. The accepted set is append-only; every accepted block satisfied
+    the signature and cordiality guards at acceptance time (its own blocks
+    the cordiality guard alone).
     """
 
     def __init__(self, n: int, f: int, keyring: Keyring | None = None,
@@ -154,6 +157,11 @@ class BlockStore:
 
     def blocks_at(self, d: int) -> list[bytes]:
         return [self._ids[i] for i in self._by_depth.get(d, ())]
+
+    def blocks_by_at(self, c: MinerId, d: int) -> list[bytes]:
+        """c's accepted blocks of round d, by id."""
+        creators = self._creator
+        return sorted(self._ids[i] for i in self._by_depth.get(d, ()) if creators[i] == c)
 
     def blocks_prefix(self, d: int) -> set[bytes]:
         """Accepted blocks of depth <= d."""
@@ -290,6 +298,25 @@ class BlockStore:
     def closure_mask(self, bid: bytes) -> int:
         return self._closure[self.index_of(bid)]
 
+    def mask_of(self, bids) -> int:
+        """The mask of the accepted blocks bids."""
+        return sum(1 << i for i in set(map(self.index_of, bids)))
+
+    def covers(self, mask: int, bid: bytes) -> bool:
+        """Accepted block bid is in mask."""
+        return bool(mask >> self.index_of(bid) & 1)
+
+    def misplaced(self, bids) -> int | None:
+        """The position of the first of the accepted blocks bids that comes
+        before a block of its closure, or None when bids is parents-first: a
+        running mask of the blocks so far must hold each block's closure."""
+        index, closure, placed = self._index, self._closure, 0
+        for k, bid in enumerate(bids):
+            placed |= 1 << (i := index[bid])
+            if closure[i] | placed != placed:
+                return k
+        return None
+
     def blocks_in_mask(self, mask: int) -> list[Block]:
         """The blocks of mask, parents-first: by depth, then id."""
         depths, ids = self._depth, self._ids
@@ -382,6 +409,40 @@ class BlockStore:
                     return True
         return False
 
+    def ratifying_creators(self, cand: bytes, d: int, alpha: int) -> set[int]:
+        """The creators of the round-d blocks that ratify cand, skipping a
+        creator already counted. The table keeps each verdict: it is fixed
+        once both blocks are accepted, for every store that shares it."""
+        i1, creators, verdicts = self.index_of(cand), self._creator, self.table.verdicts
+        out: set[int] = set()
+        for i in self._by_depth.get(d, ()):
+            if creators[i] in out:
+                continue
+            if (key := (i1, i, alpha)) not in verdicts:
+                verdicts[key] = self._ratifies(i1, i, alpha)
+            if verdicts[key]:
+                out.add(creators[i])
+        return out
+
+    def fragment(self, b1: bytes, placed: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """What b1's closure adds to the mask placed, in topological order
+        (depth, creator, id): the blocks b1 approves, and the rest. The cut
+        reads only table facts and placed, so the table keeps the first one
+        and hands it to each caller with the same placed mask."""
+        i1 = self.index_of(b1)
+        cut = self.table.fragments.get(i1)
+        if cut is None or cut[0] != placed:
+            ids, creators, depths = self._ids, self._creator, self._depth
+            out, suppressed = [], []
+            # b1 acknowledges every fragment block, so only an equivocator's can fail.
+            for i in sorted(bits(self._closure[i1] & ~placed),
+                            key=lambda i: (depths[i], creators[i], ids[i])):
+                ok = creators[i] not in self._equivocators or self._approves(i, i1)
+                (out if ok else suppressed).append(ids[i])
+            cut = (placed, tuple(out), tuple(suppressed))
+            self.table.fragments.setdefault(i1, cut)
+        return cut[1:]
+
     def is_faulty(self, q: MinerId) -> bool:
         """q equivocated. Non-cordial blocks never enter the store, so
         equivocation is the only fault the accepted set can show."""
@@ -395,6 +456,32 @@ class BlockStore:
         if latest is not None and self._depth[latest] > self.quorum_round:
             return None
         return self.quorum_round
+
+    # -- dissemination -------------------------------------------------
+
+    def own_masks(self, bid: bytes) -> tuple[int, int]:
+        """The backlog and bare masks of own block bid: its closure less its
+        pointees one round below that are not by known equivocators, and bid
+        with its pointees by known equivocators."""
+        index, depths, faulty = self._index, self._depth, self._equivocators
+        own = index[bid]
+        backlog, bare, below = self._closure[own], 1 << own, depths[own] - 1
+        for p in self._blocks[own].pointers:
+            i = index[p]
+            if self._creator[i] in faulty:
+                bare |= 1 << i
+            elif depths[i] == below:
+                backlog &= ~(1 << i)
+        return backlog, bare
+
+    def unshown(self, q: MinerId, mask: int, sent: int) -> int:
+        """The blocks of mask that q has shown no evidence of knowing: not in
+        the mask sent, nor acknowledged by an accepted q-block."""
+        return mask & ~(sent | self._creator_ack.get(q, 0))
+
+    def acknowledged_by(self, q: MinerId, bid: bytes) -> bool:
+        """An accepted q-block acknowledges bid or is bid."""
+        return bool(self._creator_ack.get(q, 0) >> self.index_of(bid) & 1)
 
     # -- block creation ------------------------------------------------
 

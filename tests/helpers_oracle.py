@@ -304,8 +304,7 @@ def bf_cordial_round(store, p):
 def acknowledges(store, a, b) -> bool:
     """Strict: a non-empty pointer path leads from a to b, read from a's
     closure mask. An id the store lacks raises UnknownBlock."""
-    ib = store.index_of(b)
-    return store.index_of(a) != ib and bool((store.closure_mask(a) >> ib) & 1)
+    return store.covers(store.closure_mask(a), b) and a != b
 
 
 def closure(store, roots) -> set:
@@ -314,7 +313,7 @@ def closure(store, roots) -> set:
     mask = 0
     for r in roots:
         mask |= store.closure_mask(r)
-    return {b for b in store.accepted_ids() if (mask >> store.index_of(b)) & 1}
+    return {b for b in store.accepted_ids() if store.covers(mask, b)}
 
 
 def blocks_by(store, q) -> list:

@@ -17,8 +17,6 @@ from blocklace.ordering import (
     ES_PARAMS,
     MODEL_ASYNC,
     MODEL_ES,
-    DeliveryLog,
-    _deliver_fragment,
     leader_blocks_at,
     prev_ratified_leader,
 )
@@ -64,11 +62,42 @@ def backlog(store: BlockStore, bid: bytes) -> int:
     return mask
 
 
+def leader_candidates(store: BlockStore, sim: Simulation) -> list[bytes]:
+    stride = sim.params.leader_stride
+    return [c for r in range(stride, store.max_depth() + 1, stride)
+            for c in leader_blocks_at(store, sim.schedule, r)]
+
+
+def assert_questions_answer_by_brute_force(store: BlockStore, sim: Simulation) -> None:
+    """Each question the store answers from its masks, against the same
+    answer built from set-level queries."""
+    ids, alpha, beta = store.accepted_ids(), sim.params.alpha, sim.params.beta
+    for c in leader_candidates(store, sim):
+        d = store.depth_of(c) + beta
+        assert store.ratifying_creators(c, d, alpha) == {
+            store.creator_of(b) for b in store.blocks_at(d) if store.ratifies(c, b, alpha)}
+    for q in range(store.n):
+        ack = creator_ack_mask(store, q)
+        assert [store.acknowledged_by(q, b) for b in ids] == [store.covers(ack, b) for b in ids]
+        for d in range(1, store.max_depth() + 1):
+            assert store.blocks_by_at(q, d) == sorted(
+                b for b in store.blocks_at(d) if store.creator_of(b) == q)
+    half = store.mask_of(ids[::2])
+    assert [store.covers(half, b) for b in ids] == [k % 2 == 0 for k in range(len(ids))]
+    assert store.misplaced(ids) is None
+    # The last block with pointers, moved to just before its latest pointee.
+    last = next(b for b in reversed(ids) if store.get(b).pointers)
+    pointee = max(store.get(last).pointers, key=ids.index)
+    k = ids.index(pointee)
+    moved = [b for b in ids if b != last]
+    moved.insert(k, last)
+    assert store.misplaced(moved) == k
+
+
 def miner_queries(store: BlockStore, sim: Simulation, mid: int) -> dict:
     """Every query a miner makes of its store, by block id, not by bit."""
     ids, n, params = store.accepted_ids(), store.n, sim.params
-    cands = [c for r in range(params.leader_stride, store.max_depth() + 1, params.leader_stride)
-             for c in leader_blocks_at(store, sim.schedule, r)]
+    cands = leader_candidates(store, sim)
     return {
         "ids": ids,
         "closures": {b: listed(store, store.closure_mask(b)) for b in ids},
@@ -91,7 +120,8 @@ def test_shared_table_stores_answer_like_private_ones(sim):
     private table, is accepted block by block on arrival, and the replay
     answers every miner query as the miner's own store, which shares one
     table with every other miner's store. Each store's per-creator
-    evidence is the union of that creator's closures."""
+    evidence is the union of that creator's closures, and each store
+    question agrees with its brute-force answer."""
     table = sim.miners[0].store.table
     assert all(m.store.table is table for m in sim.miners)
     for m in sim.miners:
@@ -105,6 +135,7 @@ def test_shared_table_stores_answer_like_private_ones(sim):
         for store in (m.store, replay):
             assert all(store._creator_ack.get(q, 0) == creator_ack_mask(store, q)
                        for q in range(store.n))
+            assert_questions_answer_by_brute_force(store, sim)
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,9 +158,7 @@ def test_table_memos_match_a_memo_free_replay(sim):
     for i, prev in table.predecessor.items():
         assert prev_ratified_leader(replay, sim.schedule, params, table.ids[i]) == prev
     for i, (placed, delivered, suppressed) in table.fragments.items():
-        log = DeliveryLog(placed=placed)
-        assert _deliver_fragment(replay, log, table.ids[i]) == delivered
-        assert log.suppressed == set(suppressed)
+        assert replay.fragment(table.ids[i], placed) == (delivered, suppressed)
 
 
 def shared_pair(keyring: Keyring) -> tuple[BlockStore, BlockStore]:

@@ -16,7 +16,6 @@ from blocklace.ordering import (
     ES_PARAMS,
     DeliveryLog,
     WaveParams,
-    _deliver_fragment,
     extend_delivery,
     leader_blocks_at,
     prev_ratified_leader,
@@ -24,7 +23,7 @@ from blocklace.ordering import (
     super_ratified_leader,
     topo_sorted,
 )
-from blocklace.store import BlockStore, bits
+from blocklace.store import BlockStore
 
 from conftest import fresh_store, grow_full, grow_random
 from helpers_oracle import (
@@ -216,17 +215,15 @@ def test_prev_ratified_leader_chain(full_lattice):
 
 def test_logs_with_different_placed_masks_cut_their_own_fragments():
     """The table keeps the first fragment cut of a leader block, and hands it
-    only to a log whose placed mask it was cut from: a log that has placed
+    only to a caller whose placed mask it was cut from: one that has placed
     more gets its own, smaller fragment."""
     store, _ = fresh_store()
     made = grow_full(store, 4)
     leader, below = made[(2, 4)], made[(1, 2)]
-    fresh, ahead = DeliveryLog(), DeliveryLog(placed=store.closure_mask(below))
     whole = topo_sorted(store, closure(store, [leader]))
     rest = topo_sorted(store, closure(store, [leader]) - closure(store, [below]))
-    assert list(_deliver_fragment(store, fresh, leader)) == fresh.delivered == whole
-    assert list(_deliver_fragment(store, ahead, leader)) == ahead.delivered == rest
-    assert fresh.placed == ahead.placed == store.closure_mask(leader)
+    assert store.fragment(leader, 0) == (tuple(whole), ())
+    assert store.fragment(leader, store.closure_mask(below)) == (tuple(rest), ())
     assert store.table.fragments[store.index_of(leader)] == (0, tuple(whole), ())
 
 
@@ -320,8 +317,7 @@ def test_placed_mask_is_delivered_and_suppressed(nf, seed, rounds, equivocate, p
     for bid in grown.accepted_ids():
         store.insert(grown.get(bid))
         extend_delivery(store, log, sched, params)
-        placed = {store.index_of(b) for b in [*log.delivered, *log.suppressed]}
-        assert set(bits(log.placed)) == placed
+        assert log.placed == store.mask_of([*log.delivered, *log.suppressed])
         assert len(set(log.delivered)) == len(log.delivered)
         assert len(log.leader_rounds) == len(log.delivered)
 

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from blocklace import checks
-from blocklace.blocks import encode_package
+from blocklace.blocks import Keyring, decode_block, encode_block, encode_package, make_block
 from blocklace.simnet import (
     MAX_DELAY, ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run)
 
@@ -42,6 +42,65 @@ def test_from_dict_rejects_meaningless_byzantine_spec(spec):
         Scenario.from_dict({"n": 4, "byzantine": {"0": spec}})
     edge = {**spec, "rate": 1.0} if "rate" in spec else {**spec, "round": 0}
     assert Scenario.from_dict({"n": 4, "byzantine": {"0": edge}}).byzantine[0] == ByzSpec(**edge)
+
+
+def _short_run_lines() -> list[dict]:
+    return [json.loads(ln) for ln in run(Scenario(rounds=4, seed=0)).lines()]
+
+
+def _creator_out_of_range() -> str:
+    """A short run's transcript whose first create line holds a block by
+    creator n, signed under that creator's key and named by its own id; the
+    line's c stays in range."""
+    rows = _short_run_lines()
+    row = next(r for r in rows if r.get("e") == "create")
+    old = decode_block(bytes.fromhex(row["enc"]))
+    blk = Keyring(0, 5).sign(make_block(4, old.payload, old.pointers))
+    row.update(id=blk._hex, enc=encode_block(blk).hex(), sig=blk.signature.hex())
+    return "".join(json.dumps(r) + "\n" for r in rows)
+
+
+def _not_json_line() -> str:
+    return json.dumps(_short_run_lines()[0]) + "\noops\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Scenario(model="asynchrony", gst=5).validate(), ScenarioError,
+                 "gst applies to eventual synchrony only", id="gst-under-asynchrony"),
+    pytest.param(lambda: Scenario(byzantine={0: ByzSpec("martian")}).validate(), ScenarioError,
+                 "unknown behavior 'martian'", id="unknown-behavior"),
+    pytest.param(lambda: Scenario(delays=[1]).validate(), ScenarioError,
+                 "delays must be an object", id="delays-not-an-object"),
+    pytest.param(lambda: Scenario(adversary="none").validate(), ScenarioError,
+                 "adversary must be an object", id="adversary-not-an-object"),
+    pytest.param(lambda: Scenario(delays={"kind": "gauss"}).validate(), ScenarioError,
+                 "unknown delay kind 'gauss'", id="unknown-delay-kind"),
+    pytest.param(lambda: Scenario(rounds=0).validate(), ScenarioError,
+                 "rounds must be positive", id="rounds-0"),
+    pytest.param(lambda: Scenario(batch=-1).validate(), ScenarioError,
+                 "negative batch or payload size", id="negative-batch"),
+    pytest.param(lambda: Scenario(payload_size=-1).validate(), ScenarioError,
+                 "negative batch or payload size", id="negative-payload-size"),
+    pytest.param(lambda: Scenario.from_dict([4]), ScenarioError,
+                 "scenario must be an object", id="scenario-not-an-object"),
+    pytest.param(lambda: Scenario.from_dict({"byzantine": [0]}), ScenarioError,
+                 "byzantine must be an object", id="byzantine-not-an-object"),
+    pytest.param(lambda: Scenario.from_dict({"byzantine": {"0": {"rate": 1.0}}}),
+                 ScenarioError, "byzantine[0] needs a behavior", id="byzantine-no-behavior"),
+    pytest.param(lambda: load_transcript(_not_json_line()), ValueError,
+                 "line 2: Expecting value: line 1 column 1 (char 0)", id="line-not-json"),
+    pytest.param(lambda: load_transcript('{"schema": "blocklace-metrics/1"}\n'), ValueError,
+                 "not a transcript file", id="not-a-transcript-header"),
+    pytest.param(lambda: load_transcript(_creator_out_of_range()), ValueError,
+                 "line 2: create event with a signature its creator's key did not make",
+                 id="create-creator-out-of-range"),
+])
+def test_simnet_refuses_with_its_reason(call, error, message):
+    """Each refusal the simulator's scenario and transcript readers make,
+    with the message it gives."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_replay_is_byte_identical():
