@@ -124,8 +124,9 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
     """Incremental delivery: when a new super-ratified leader appears, walk
     back through ratified leaders to the first one placed and emit each
     newer one's fragment in topological order, filtering non-approved blocks.
-    A predecessor reads only its leader block's closure and the schedule, so
-    the table keeps it once no leader round passed over awaits its coin.
+    The walk asks prev_ratified_leader at every step: the store keeps each
+    ratification verdict, and a leader round whose coin is unrevealed now
+    may be known at the next walk.
 
     Returns the newly delivered ids in delivery order. While quorum_round
     - beta is below the first leader round above the anchor's, no round is
@@ -136,17 +137,9 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
         return []
     chain: list[bytes] = []
     cur: bytes | None = anchor
-    kept, stride = store.table.predecessor, params.leader_stride
     while cur is not None and not store.covers(log.placed, cur):
         chain.append(cur)
-        if (i := store.index_of(cur)) in kept:
-            cur = kept[i]
-            continue
-        top = (store.depth_of(cur) - 1) // stride * stride
         cur = prev_ratified_leader(store, schedule, params, cur)
-        low = 0 if cur is None else store.depth_of(cur)
-        if all(schedule.leader_at(r) is not None for r in range(top, low, -stride)):
-            kept[i] = cur
     new: list[bytes] = []
     for b1 in reversed(chain):
         out, suppressed = store.fragment(b1, log.placed)
@@ -165,10 +158,9 @@ def _deepest_super_ratified(store: BlockStore, schedule, params: WaveParams,
     """The deepest super-ratified leader block above round floor, as
     super_ratified_leader would find it (super-ratification is monotone, so
     nothing at or below the anchor need be inspected). The store counts the
-    creators of the blocks beta rounds deeper that ratify a candidate, from
-    verdicts its table keeps, so under eventual synchrony a leader block
-    there ratifies the candidate exactly when that round's leader is among
-    them."""
+    creators of the blocks beta rounds deeper that ratify a candidate, so
+    under eventual synchrony a leader block there ratifies the candidate
+    exactly when that round's leader is among them."""
     alpha, beta, stride = params.alpha, params.beta, params.leader_stride
     top = store.quorum_round - beta  # deeper rounds lack a quorum of ratifiers
     for r in range((top // stride) * stride, floor, -stride):
@@ -184,8 +176,10 @@ def _deepest_super_ratified(store: BlockStore, schedule, params: WaveParams,
 
 def reference_order(store: BlockStore, schedule,
                     params: WaveParams) -> tuple[list[bytes], set[bytes]]:
-    """From-scratch recomputation of the whole output sequence, with no
-    caching: walk back from the last super-ratified leader through ratified
+    """From-scratch recomputation of the whole output sequence, with nothing
+    carried over from the run: the verifiers call it on a replay with a
+    private table, so the only verdicts it reads are ones that replay
+    computed. Walk back from the last super-ratified leader through ratified
     leaders; front to back, each one's fragment is what its pointers reach
     that no earlier fragment placed: its closure less its predecessor's,
     which it ratifies."""

@@ -133,7 +133,8 @@ class Scenario:
         if self.adversary["kind"] == "pre-gst" and self.gst == 0:
             # Asynchrony forces gst 0, where pre-gst draws the delays of none.
             raise ScenarioError("adversary pre-gst needs gst above 0")
-        if self.adversary["kind"] == "corrupt-leader" and v["miner"] not in range(self.n):
+        if self.adversary["kind"] == "corrupt-leader" and (
+                isinstance(v["miner"], bool) or v["miner"] not in range(self.n)):
             raise ScenarioError(f"adversary.miner must be a miner index, got {v['miner']!r}")
         if min(self.delta, self.delay_bound, self.gst) < 0:
             raise ScenarioError("negative delta, delay_bound or gst")

@@ -50,14 +50,11 @@ class BlockTable:
     that passed the duplicate-creator and cordiality checks. No signature
     check is kept: each store checks every block it is given.
 
-    The stores sharing a table also share one leader schedule and one set
-    of wave parameters, so the ordering answers that read only table facts
-    are kept here once: the stores fill ``verdicts``, which maps
-    (candidate, block, alpha) to _ratifies, in ratifying_creators, and
+    The ordering answers that read only table facts are kept here once,
+    and the stores fill them: ``verdicts``, which maps (candidate, block,
+    alpha) to the ratification rule's answer, in _ratifies, and
     ``fragments``, which maps a leader block to the (placed, delivered,
-    suppressed) of the fragment it cut from that placed mask, in fragment;
-    ordering.extend_delivery fills ``predecessor``, which maps a leader
-    block to prev_ratified_leader once every leader round it read is known.
+    suppressed) of the fragment it cut from that placed mask, in fragment.
     """
 
     def __init__(self):
@@ -68,7 +65,6 @@ class BlockTable:
         self.depth: list[int] = []
         self.closure: list[int] = []
         self.verdicts: dict[tuple[int, int, int], bool] = {}
-        self.predecessor: dict[int, bytes | None] = {}
         self.fragments: dict[int, tuple[int, tuple[bytes, ...], tuple[bytes, ...]]] = {}
 
 
@@ -395,7 +391,17 @@ class BlockStore:
         return self._ratifies(self.index_of(b1), self.index_of(b2), alpha)
 
     def _ratifies(self, i1: int, i2: int, alpha: int) -> bool:
-        """_approves(i1, i) inlined, with i1's partners found once."""
+        """The table keeps each verdict: it reads only table facts, so it is
+        fixed once both blocks are accepted, for every store that shares it."""
+        verdicts, key = self.table.verdicts, (i1, i2, alpha)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = self._ratification(i1, i2, alpha)
+        return verdict
+
+    def _ratification(self, i1: int, i2: int, alpha: int) -> bool:
+        """The ratification rule itself, with no kept verdict: _approves(i1,
+        i) inlined, with i1's partners found once."""
         target = self._depth[i1] + alpha
         closure, partners = self._closure, self._partner_mask(i1)
         m2 = closure[i2]
@@ -411,16 +417,11 @@ class BlockStore:
 
     def ratifying_creators(self, cand: bytes, d: int, alpha: int) -> set[int]:
         """The creators of the round-d blocks that ratify cand, skipping a
-        creator already counted. The table keeps each verdict: it is fixed
-        once both blocks are accepted, for every store that shares it."""
-        i1, creators, verdicts = self.index_of(cand), self._creator, self.table.verdicts
+        creator already counted."""
+        i1, creators = self.index_of(cand), self._creator
         out: set[int] = set()
         for i in self._by_depth.get(d, ()):
-            if creators[i] in out:
-                continue
-            if (key := (i1, i, alpha)) not in verdicts:
-                verdicts[key] = self._ratifies(i1, i, alpha)
-            if verdicts[key]:
+            if creators[i] not in out and self._ratifies(i1, i, alpha):
                 out.add(creators[i])
         return out
 

@@ -4,7 +4,9 @@ blocks that only the table holds."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from blocklace.ordering import (
     MODEL_ASYNC,
     MODEL_ES,
     leader_blocks_at,
-    prev_ratified_leader,
 )
 from blocklace.simnet import ByzSpec, Scenario, Simulation
 from blocklace.store import BlockStore, BlockTable, UnknownBlock
@@ -141,24 +142,43 @@ def test_shared_table_stores_answer_like_private_ones(sim):
 @settings(max_examples=25, deadline=None)
 @given(faulty_runs(((4, 1), (7, 2), (16, 5))))
 def test_table_memos_match_a_memo_free_replay(sim):
-    """Every verdict, predecessor and fragment the run's table kept is what
-    the memo-free functions answer on a replay of the whole table into a
-    store with a private one: each answer reads only table facts, never the
-    store that asked. Table order is parents-first, so the replay accepts
-    each block on arrival and its indices are the table's."""
-    table, params = sim.miners[0].store.table, sim.params
+    """Every verdict and fragment the run's table kept is what the memo-free
+    rule answers on a replay of the whole table into a store with a private
+    one: each answer reads only table facts, never the store that asked.
+    Table order is parents-first, so the replay accepts each block on
+    arrival and its indices are the table's."""
+    table = sim.miners[0].store.table
     replay = BlockStore(sim.scenario.n, sim.scenario.f, sim.keyring)
     for bid, blk in zip(table.ids, table.blocks):
         assert replay.insert(blk).newly_accepted == (bid,)
     assert replay.table.ids == table.ids
     if any(m.log.delivered for m in sim.miners):
-        assert table.verdicts and table.predecessor and table.fragments
+        assert table.verdicts and table.fragments
     for (cand, i, alpha), verdict in table.verdicts.items():
-        assert replay._ratifies(cand, i, alpha) == verdict
-    for i, prev in table.predecessor.items():
-        assert prev_ratified_leader(replay, sim.schedule, params, table.ids[i]) == prev
+        assert replay._ratification(cand, i, alpha) == verdict
+    assert not replay.table.verdicts
     for i, (placed, delivered, suppressed) in table.fragments.items():
         assert replay.fragment(table.ids[i], placed) == (delivered, suppressed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_each_verdict_is_computed_once_per_table(data):
+    """The decision rule, the walk back through ratified leaders and the
+    public ratifies all read one kept verdict: over a whole run, the rule is
+    evaluated at most once per (candidate, block, alpha) and table."""
+    calls: Counter = Counter()
+    rule = BlockStore._ratification
+
+    def counted(store, i1, i2, alpha):
+        calls[store.table, i1, i2, alpha] += 1
+        return rule(store, i1, i2, alpha)
+
+    with patch.object(BlockStore, "_ratification", counted):
+        sim = data.draw(faulty_runs(((4, 1), (7, 2))))
+    table = sim.miners[0].store.table
+    assert set(table.verdicts) == {key[1:] for key in calls}
+    assert all(count == 1 for count in calls.values())
 
 
 def shared_pair(keyring: Keyring) -> tuple[BlockStore, BlockStore]:

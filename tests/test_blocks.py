@@ -107,20 +107,23 @@ def test_make_block_rejects_bad_pointer():
 LOW, HIGH = bytes([1]) * 32, bytes([2]) * 32
 
 
-@pytest.mark.parametrize("fields", [
-    {"creator": -1},
-    {"creator": 2 ** 32},
-    {"pointers": (b"short",)},
-    {"pointers": (HIGH, LOW)},
-    {"pointers": (LOW, LOW)},
-], ids=["negative-creator", "wide-creator", "short-pointer", "unsorted", "duplicate"])
-def test_block_constructor_rejects_malformed_fields(fields):
+@pytest.mark.parametrize("fields, message", [
+    ({"creator": -1}, "creator outside the u32 range"),
+    ({"creator": 2 ** 32}, "creator outside the u32 range"),
+    ({"pointers": (b"short",)}, "pointer is not a 32-byte digest"),
+    ({"pointers": (HIGH, LOW)}, "pointers not sorted and unique"),
+    ({"pointers": (LOW, LOW)}, "pointers not sorted and unique"),
+    ({"pointers": tuple(i.to_bytes(32, "big") for i in range(0x10000))}, "too many pointers"),
+], ids=["negative-creator", "wide-creator", "short-pointer", "unsorted", "duplicate",
+        "too-many-pointers"])
+def test_block_constructor_rejects_malformed_fields(fields, message):
     """Every Block is well formed: building or rebuilding one that breaks a
-    structural limit raises, so no receiver needs to check structure."""
+    structural limit raises, so no receiver needs to check structure. The
+    pointer count is encoded in two bytes."""
     base = {"creator": 0, "payload": b"x", "pointers": (LOW, HIGH)}
-    with pytest.raises(BlockError):
+    with pytest.raises(BlockError, match=f"^{message}$"):
         Block(**{**base, **fields})
-    with pytest.raises(BlockError):
+    with pytest.raises(BlockError, match=f"^{message}$"):
         dataclasses.replace(Block(**base), **fields)
 
 

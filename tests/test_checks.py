@@ -276,6 +276,25 @@ def test_model_conformance_catches_delivery_before_its_send():
     assert v.detail.startswith("delivery at -5 before its send at ")
 
 
+def test_model_conformance_matches_repeated_sends_first_in_first_out():
+    """A package sent twice to one peer is matched to its deliveries in send
+    order: the first delivery, before the second send, takes the first send.
+    A second send that is never delivered is counted."""
+    t = run(Scenario(rounds=4, seed=0))
+    send = next(e for e in t.events if e["e"] == "send")
+    deliver = next(e for e in t.events if e["e"] == "deliver" and
+                   (e["from"], e["to"], e["ids"]) == (send["from"], send["to"], send["ids"]))
+    end, events = t.events[-1]["t"], t.events
+    delivered = sum(e["e"] == "deliver" for e in events)
+    again = [{**send, "t": end + 1}, {**deliver, "t": end + 2}]
+    t.events = events + again
+    v = checks.check_model_conformance(checks.RunView(t))
+    assert (v.passed, v.detail) == (True, f"{delivered + 1} deliveries matched")
+    t.events = events + again[:1]
+    v = checks.check_model_conformance(checks.RunView(t))
+    assert (v.passed, v.detail) == (False, "1 sends never delivered")
+
+
 def test_common_core_on_async_run():
     t = healthy_transcript(model="asynchrony", rounds=30)
     v = checks.check_common_core(checks.RunView(t))

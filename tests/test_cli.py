@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blocklace.blocks import Keyring, block_id, decode_block, encode_block, make_block
+from blocklace import simnet
 from blocklace.cli import main
 from blocklace.simnet import Scenario, run
 
@@ -101,6 +102,7 @@ def test_run_rejects_meaningless_byzantine_spec(tmp_path, capsys, spec):
     {"delays": {"kind": "fixed", "ticks": -1}},
     {"delays": {"kind": "uniform", "min": -2, "max": 3}},
     {"adversary": {"kind": "corrupt-leader", "miner": "3"}},
+    {"adversary": {"kind": "corrupt-leader", "miner": True}},
     {"adversary": {"kind": "corrupt-leader", "miner": 9}},
     {"gst": 5, "adversary": {"kind": "pre-gst", "max_delay": 0}},
     {"delta": -1},
@@ -119,7 +121,7 @@ def test_run_rejects_meaningless_byzantine_spec(tmp_path, capsys, spec):
     {"adversary": {"kind": "pre-gst"}},
     {"model": "asynchrony", "adversary": {"kind": "pre-gst"}},
     {"gst": -1},
-], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string",
+], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string", "miner-bool",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
         "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
         "random-delay", "fractional-rounds", "bool-n", "fractional-ticks",
@@ -132,8 +134,8 @@ def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, o
     delays of adversary kind none (the removed random-delay, and pre-gst
     with gst 0, which asynchrony forces), a GST before the run's start
     (every delay bounded, as at gst 0), an int read from a bool or truncated
-    from a fraction (2 rounds for 2.7, one miner for true, 1-tick delays
-    for 1.9 while the header records 1.9), a seed the keyring cannot
+    from a fraction (2 rounds for 2.7, one miner for true, miner 1 as the
+    victim for true, 1-tick delays for 1.9 while the header records 1.9), a seed the keyring cannot
     encode in 8 bytes, or one miner named by two Byzantine specs, the
     later one silently winning."""
     cfg = write_config(tmp_path, **overrides)
@@ -187,6 +189,30 @@ def test_sweep_csv(tmp_path):
     assert len(agg) == 2
     assert {r["n"] for r in agg} == {"4", "7"}
     assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_point_that_raises_is_an_error_row(tmp_path, monkeypatch):
+    """A sweep point whose run raises is written as a row with its error,
+    and the aggregate row of its point counts only the runs that finished."""
+    real = simnet.run
+
+    def run_or_fail(sc):
+        if sc.seed == 1:
+            raise RuntimeError("simulation did not quiesce")
+        return real(sc)
+
+    monkeypatch.setattr(simnet, "run", run_or_fail)
+    cfg = write_config(tmp_path, rounds=8, sweep={"seeds": [0, 1]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
+    with out.open() as fh:
+        ok, failed, agg = csv.DictReader(fh)
+    assert (ok["seed"], ok["error"]) == ("0", "")
+    assert (failed["seed"], failed["error"], failed["decisions"]) == (
+        "1", "simulation did not quiesce", "")
+    assert agg["seed"] == "*"
+    assert [agg[k] for k in ("decisions", "messages", "bytes")] == [
+        ok[k] for k in ("decisions", "messages", "bytes")]
 
 
 def test_check_command_roundtrip(tmp_path, capsys):
@@ -403,6 +429,15 @@ def test_check_of_a_huge_header_n_stops_at_the_first_missing_log(tmp_path, capsy
     assert capsys.readouterr().err == f"error reading {path}: no log line for miner 4\n"
 
 
+def test_check_of_a_transcript_without_its_last_log_line_is_a_read_error(tmp_path, capsys):
+    rows = [json.loads(ln) for ln in SHORT_RUN]
+    del rows[max(k for k, r in enumerate(rows) if r.get("e") == "log")]
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error reading {path}: no log line for miner 3\n"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(MUTATIONS + STREAM_MUTATIONS), st.integers(0, 10_000),
        st.sampled_from([SHORT_RUN, ASYNC_SHORT_RUN]))
@@ -425,23 +460,41 @@ def test_check_on_a_mutated_transcript_never_raises(mutation, k, source):
         assert json.loads(out.getvalue())["all_passed"] is (code == 0)
 
 
-def test_trace_of_an_inadmissible_create_is_an_error(tmp_path, capsys):
-    """A create whose block no store admits (a depth-2 block over one
-    depth-1 block: not cordial), with its id, creator, depth and signature
-    consistent, cannot be replayed, so trace says so instead of drawing it."""
-    rows = [json.loads(ln) for ln in SHORT_RUN]
+def with_inadmissible_create(source, path) -> str:
+    """Writes to path the source run (seed 0, n=4) with a create, before the
+    first log line, whose block no store admits (a depth-2 block over one
+    depth-1 block: not cordial), its id, creator, depth and signature
+    consistent; returns the replay error that block makes."""
+    rows = [json.loads(ln) for ln in source]
     first = rows[_nth(rows, "create", 0)]
     blk = Keyring(0, 4).sign(make_block(first["c"], b"", [bytes.fromhex(first["id"])]))
     bad = {"e": "create", "t": first["t"], "m": first["m"], "id": block_id(blk).hex(),
            "c": blk.creator, "d": 2, "enc": encode_block(blk).hex(),
            "sig": blk.signature.hex()}
     rows.insert(_nth(rows, "log", 0), bad)
-    path = tmp_path / "transcript.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return (f"transcript replay failed for the created blocks: "
+            f"{bad['id'][:12]} -> rejected non-cordial")
+
+
+def test_trace_of_an_inadmissible_create_is_an_error(tmp_path, capsys):
+    """A create whose block cannot be replayed is not drawn: trace says why."""
+    path = tmp_path / "transcript.jsonl"
+    error = with_inadmissible_create(SHORT_RUN, path)
     assert main(["trace", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        f"error reading {path}: transcript replay failed for the created blocks: "
-        f"{bad['id'][:12]} -> rejected non-cordial\n")
+    assert capsys.readouterr().err == f"error reading {path}: {error}\n"
+
+
+def test_common_core_of_an_inadmissible_create_fails(tmp_path, capsys):
+    """The common-core verifier replays every created block, so under
+    asynchrony a create no store admits is its failing verdict."""
+    path = tmp_path / "transcript.jsonl"
+    error = with_inadmissible_create(ASYNC_SHORT_RUN, path)
+    assert main(["check", str(path)]) == 1
+    verdicts = {v["name"]: v for v in json.loads(capsys.readouterr().out)
+                ["transcripts"][str(path)]}
+    assert (verdicts["common-core"]["passed"], verdicts["common-core"]["detail"]) == (
+        False, error)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

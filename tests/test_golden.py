@@ -55,7 +55,7 @@ SCENARIOS = {
     "async-zero-equivocate": Scenario(n=7, f=2, model=ASYNC, rounds=15, seed=16, delays=ZERO,
                                       byzantine={4: ByzSpec("equivocate", rate=0.5)}),
     # The largest committees: their miners share the most table-kept
-    # verdicts, predecessors and fragments (a twin's suppression included).
+    # verdicts and fragments (a twin's suppression included).
     "es-n31": Scenario(n=31, f=10, rounds=10, seed=17),
     "async-n16-equivocate-crash": Scenario(n=16, f=5, model=ASYNC, rounds=20, seed=2,
                                            delays=UNIFORM,

@@ -18,6 +18,7 @@ from blocklace.ordering import (
     WaveParams,
     extend_delivery,
     leader_blocks_at,
+    params_for,
     prev_ratified_leader,
     reference_order,
     super_ratified_leader,
@@ -53,6 +54,10 @@ def test_wave_params_pinned():
         WaveParams(1, 1, 2, "eventual-synchrony")
     with pytest.raises(ValueError):
         WaveParams(1, 2, 2, "bizarre")
+    assert (params_for("eventual-synchrony"), params_for("asynchrony")) == (
+        ES_PARAMS, ASYNC_PARAMS)
+    with pytest.raises(ValueError, match="^unknown model 'bizarre'$"):
+        params_for("bizarre")
 
 
 def test_topo_sort_cases(full_lattice):
@@ -229,23 +234,20 @@ def test_logs_with_different_placed_masks_cut_their_own_fragments():
 
 def test_a_predecessor_past_an_unrevealed_coin_is_not_kept():
     """While round 4's leader is unknown, the round-6 anchor's walk passes
-    over round 4 to round 2. The table does not keep that answer, so once
-    the coin is revealed another log's walk finds the round-4 leader and
-    agrees with the reference."""
+    over round 4 to round 2. No walk is kept, so once the coin is revealed
+    another log's walk finds the round-4 leader and agrees with the
+    reference."""
     store, _ = fresh_store()
     made = grow_full(store, 8)
     leaders = {2: 1, 6: 3, 8: 0}
     sched = LeaderSchedule(4, 2, leaders.get)
     early = DeliveryLog()
     extend_delivery(store, early, sched, ES_PARAMS)
-    anchor = store.index_of(made[(3, 6)])
     assert early.current_leader == made[(3, 6)] and set(early.leader_rounds) == {2, 6}
-    assert anchor not in store.table.predecessor
     leaders[4] = 2
     late = DeliveryLog()
     extend_delivery(store, late, sched, ES_PARAMS)
     assert set(late.leader_rounds) == {2, 4, 6}
-    assert store.table.predecessor[anchor] == made[(2, 4)]
     assert (late.delivered, late.suppressed) == reference_order(store, sched, ES_PARAMS)
 
 

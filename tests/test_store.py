@@ -451,6 +451,45 @@ def test_create_block_picks_one_tip_per_creator(fork_fixture):
     assert len(creators) == len(set(creators))
 
 
+def test_create_block_points_at_a_latest_block_no_tip_acknowledges():
+    """Round 2 has blocks by miners 1 and 2 over {a1, a2, a3}, and miner 3's
+    twins over {a0, a1, a3} and over {a1, a2, a3}, the second with the
+    greater id. Only the first twin acknowledges a0, and tips(2) chooses the
+    second, so miner 0's next block points at a0 besides the tips."""
+    store, keyring = fresh_store()
+    a = [block_id(store.create_block(p, f"p{p}r1".encode(), 0)) for p in range(4)]
+    for p in (1, 2):
+        forge(store, keyring, p, f"p{p}r2".encode(), [a[1], a[2], a[3]])
+    seen = forge(store, keyring, 3, b"twin-a", [a[0], a[1], a[3]])
+    chosen = forge(store, keyring, 3, b"twin-b", [a[1], a[2], a[3]])
+    assert store.tips(2)[3] == chosen > seen and 0 not in store.tips(2)
+    blk = store.create_block(0, b"p0r3", 2)
+    assert len(blk.pointers) == 4 and a[0] in blk.pointers
+    assert store.depth_of(block_id(blk)) == 3
+
+
+def test_create_block_refuses_a_tip_that_is_not_the_latest():
+    """Miner 3's twins at round 1: its latest block is acknowledged only by
+    miner 2's unchosen twin, and its other one is a tip. Pointing at the tip
+    and at the latest block would be two blocks by one creator."""
+    store, keyring = fresh_store()
+    a = [block_id(store.create_block(p, f"p{p}r1".encode(), 0)) for p in range(4)]
+    latest = forge(store, keyring, 3, b"twin", [])
+    for p in (0, 1):
+        forge(store, keyring, p, f"p{p}r2".encode(), [a[0], a[1], a[2]])
+    hidden = forge(store, keyring, 2, b"x", [a[1], a[2], latest])
+    chosen = forge(store, keyring, 2, b"y", [a[0], a[1], a[2]])
+    assert latest > a[3] and chosen > hidden
+    assert store.tips(2)[3] == a[3] and store.tips(2)[2] == chosen
+    with pytest.raises(WouldEquivocate, match="^prefix tip by miner 3 is not its latest block$"):
+        store.create_block(3, b"p3r3", 2)
+
+
+def test_store_refuses_a_committee_without_a_quorum():
+    with pytest.raises(ValueError, match=r"^n=4 violates n >= 3f\+1 for f=2$"):
+        BlockStore(4, 2)
+
+
 # -- structural invariants -----------------------------------------------------
 
 def test_acyclicity_and_depth_consistency():
