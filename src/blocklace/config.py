@@ -35,6 +35,8 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     out_dir = doc.pop("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"{path}: out_dir must be a string, got {out_dir!r}")
     sweep = doc.pop("sweep", {})
     if not isinstance(sweep, dict) or set(sweep) - SWEEP_KEYS:
         raise ConfigError(f"{path}: bad sweep section")

@@ -30,7 +30,8 @@ class Package:
     """Blocks sorted parents-first so a receiver can cascade in one pass,
     with the package's wire size and its blocks' hex ids, worked out once
     for every send of it. ids is one tuple of strings, so the send and
-    deliver events that hold it need no tracking by the cyclic GC."""
+    deliver events that hold it are untracked by the cyclic GC after the
+    first full collection, not before."""
 
     blocks: tuple[Block, ...]
     size: int
@@ -81,10 +82,7 @@ class MinerState:
         electable, and re-run delivery once it can decide something.
         """
         for block in pkg.blocks:
-            res = self.store.insert(block)
-            if res.status != "rejected" and block.creator != self.id:
-                self._heard_since_send[block.creator] = True
-            for bid in res.newly_accepted:
+            for bid in self.store.insert(block).newly_accepted:
                 self.note_accept(bid, now)
         for bid, reason in self.store.violations:
             # A rejected block may be missing from the table: name it afresh.
@@ -102,8 +100,12 @@ class MinerState:
         self.note_accept(bid, now)
 
     def note_accept(self, bid: bytes, now: int) -> None:
-        """Bookkeeping for a newly accepted block, received or own."""
-        self.events.append({"e": "accept", "t": now, "m": self.id, "id": self.store.get(bid)._hex})
+        """Bookkeeping for a newly accepted block, received or own: a
+        peer's block marks its creator heard (see responsive)."""
+        blk = self.store.get(bid)
+        if blk.creator != self.id:
+            self._heard_since_send[blk.creator] = True
+        self.events.append({"e": "accept", "t": now, "m": self.id, "id": blk._hex})
         self._advance(bid, now)
 
     def poke(self, now: int) -> None:
@@ -220,10 +222,18 @@ class MinerState:
         return pkg
 
     def responsive(self, q: MinerId) -> bool:
-        """q has responded to the last block sent to it: either something
-        arrived from q since, or an accepted q-block acknowledges the last
-        own block sent (own blocks form a chain, so the last one decides).
-        Vacuously true before any send."""
+        """Whether q gets the backlog rather than the bare block. q is
+        responsive before any send to it. After one, it is responsive if
+        one of its blocks was newly accepted here since the last send, or
+        if an accepted block of its own acknowledges the last own block
+        sent (own blocks form a chain, so the last one decides).
+
+        Only a newly accepted block counts. A duplicate shows nothing new:
+        peers relay q's blocks, so copies of old q-blocks keep arriving
+        after q has crashed. A buffered block counts when the cascade
+        accepts it, not when it arrives, so it counts once, and never if
+        its pointees never come. Each q-block is newly accepted once, so a
+        crashed q stops counting as heard when its last blocks are in."""
         sent = self._last_sent[q]
         if sent is None or self._heard_since_send[q]:
             return True

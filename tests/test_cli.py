@@ -160,6 +160,15 @@ def test_sweep_rejects_mistyped_value(tmp_path, capsys, sweep):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_string_out_dir_refused_before_any_run(tmp_path, capsys, command):
+    """Without --out, both commands join paths onto out_dir; a number used
+    to end them in a TypeError only after every simulation had run."""
+    cfg = write_config(tmp_path, out_dir=5)
+    assert main([command, cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: out_dir must be a string, got 5\n"
+
+
 def test_sweep_rejects_point_invalid_for_its_n(tmp_path, capsys):
     cfg = write_config(tmp_path, n=7, f=2, byzantine={"6": {"behavior": "silent"}},
                        sweep={"n": [4, 7]})

@@ -13,6 +13,10 @@ from blocklace.config import ConfigError, expand_sweep, load_config
     pytest.param("{oops", "{path}:1: Expecting property name enclosed in double quotes",
                  id="bad-json"),
     pytest.param("[1]", "{path}: top level must be an object", id="top-level-not-an-object"),
+    pytest.param('{"out_dir": 5}', "{path}: out_dir must be a string, got 5",
+                 id="out-dir-a-number"),
+    pytest.param('{"out_dir": null}', "{path}: out_dir must be a string, got None",
+                 id="out-dir-null"),
     pytest.param('{"sweep": [4]}', "{path}: bad sweep section", id="sweep-not-an-object"),
     pytest.param('{"sweep": {"batches": 2}}', "{path}: bad sweep section",
                  id="sweep-unknown-axis"),

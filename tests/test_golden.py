@@ -65,28 +65,28 @@ SCENARIOS = {
 
 DIGESTS = {
     "es-n4": "40f398681a4c0e0a1449d3d129b8146a75431ff41b9c83388f80e8c7c2eb5802",
-    "es-n7": "8d4fa7a33dc4fc95d531aa1b975106667ec2bfd068041435ab03ef9fa80608dd",
+    "es-n7": "21db183493d0bfca3489a8599580c2c292276a647253492054d83e5d6813c947",
     "es-n10-timer": "ea8f4777f7ccfaa0503e6aa45a2a751a5bc37488933fe6618aa9a44bc569a48d",
     "es-n16": "59550095506ad499e9b10410a9c3f341b512700b922e3440966d7d0a32408fc0",
-    "async-n4": "d5365f38b33e4eb04c5402f7eff616b709aa3f09dd6a3234936e67a81bfb6f5b",
+    "async-n4": "4fd7f94536278aa0847df1817445d3449e1250a7c9a108fa91f8605f3650f8c7",
     "async-n7": "b25e2fbfa389bdb2b2d16177bd37a54dba7bb01858df37f03a2bc406b6d2536b",
-    "async-n10": "538feb3c4375a5f4ecded967ebe4d141ef437e08fd8688f9f483ddb8f8d9c567",
+    "async-n10": "c4d4903f4efce30975282f2f3caa04ef06c05c7c21f0813a8255b5768b7c527c",
     "async-n16": "f4063f0c0ec2c7eb192a296c76b505d837c237da9d3bf101c70c00b971246719",
-    "es-uniform-0-4": "f0c59d59cabc751dc4850bb7504841070ce3954fc8052fb424350c0d0fef76d9",
-    "es-pre-gst": "2cde3885e13ec0364fa3f45a2445470b2b441223587cb8e284f29c4af00406a7",
-    "es-corrupt-leader": "61f54226a8b3981da8d6218ed9fa2000f36abf674f144cfbdb1ad74bce50773c",
-    "async-reorder": "061c053b28ed2f2022f66790b8dcc839e7aedb257cb1cb1bc4c64072295ba603",
-    "async-n7-uniform": "a3fd64f540cd2c4952a23b323e777514f83ea50fb727321d9b1159d3929b0317",
-    "es-equivocate-0.5": "bbaa10b5aeb0ec51f8a71ad03cb6f43e31827090463fc4fb86962f8376699f6b",
-    "async-equivocate-1.0": "c95d1c9a57eb42714ad63a27d2006f5ef91289df44942508d269f379170e9745",
-    "es-equivocate-1.0": "59d369f1ce89082420f67f9fedb9d071592c46bd44e6c02720892be510486621",
-    "es-crash": "301ff8a6eda712d20cb9dd8993a523f3647096132c7518b4c34a1a7a6977b581",
+    "es-uniform-0-4": "19ba895d77cd81825d7a69c1b443ca04fc24d9fbd8a1434f9f44188e998eee48",
+    "es-pre-gst": "bead11807febe3282aeb1f515eb14a596962bb02782cd918db79dfaea0328b04",
+    "es-corrupt-leader": "24246122fb4ac7c63cde9459e56e41437ba961179cdc27e551eb2f128a28abe9",
+    "async-reorder": "d45098a81760956ac63e5431f09f1497d975302b18152b5961e9711f1d4f0cb8",
+    "async-n7-uniform": "5aec0acf2d7cae8198881397723e8d8d8715af24f3335918044e729704175955",
+    "es-equivocate-0.5": "ddbcd05061f5509b942b8e1e5a71eba9512662556fae0981989b17351accac8f",
+    "async-equivocate-1.0": "0ab1d925654c8f9f4e7cfded961cb072271c5e7f913bad0389ec82d70564d737",
+    "es-equivocate-1.0": "23ddf9435b9b2c7938b8216036c7513eec0cd784050eef82d387eabf2949f2d7",
+    "es-crash": "84939a944e7168fe37e15732212f5fa9fe66da883683c8b652cdaf97bd295a9a",
     "async-silent": "755365113cd11580d65a9eed8a07f9b74006ed3a6504c8952d0637a3fec6bd2c",
     "es-zero-timer": "49d2ece13fdf0e1716d97ad533f34373b8d1f43c72cc68db99deff268991767a",
     "async-zero-equivocate": "25b0f73a27995bb0552687cee90c86474061f328bdb16fd69127fe46d39141c9",
     "es-n31": "126ec988fd526a1b800803b3bd8937b710518dbf7863dc443c8f02c2c69dab46",
     "async-n16-equivocate-crash":
-        "217aecde1792e52d9d2f448e07927f55a22798bcabf7f7db978dc9a40592412e",
+        "12810415eefcdbd82d3f94841f7906e1a9f021ee57988a562b3e1dce71018a2e",
 }
 
 

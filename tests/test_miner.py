@@ -265,6 +265,55 @@ def test_responsive_by_acknowledgement():
     assert miner.responsive(1)
 
 
+def test_duplicate_block_leaves_its_creator_nonresponsive():
+    """A copy of a q-block already held shows nothing new: peers relay a
+    crashed q's blocks, so such copies keep arriving after q is gone."""
+    store, made = lattice_blocks(1)
+    miner = make_miner(0)
+    miner.on_receive(Package(tuple(store.get(b) for b in store.accepted_ids())), 0)
+    proceed(miner, 0, b"r2")
+    assert not miner.responsive(1)
+    miner.on_receive(Package((store.get(made[(1, 1)]),)), 1)
+    assert accepts(miner)[-1] != made[(1, 1)]
+    assert not miner.responsive(1)
+
+
+def test_buffered_block_marks_its_creator_once_accepted():
+    """A q-block waiting in the buffer for a pointee does not count; the
+    cascade that accepts it does."""
+    store, made = lattice_blocks(2)
+    miner = make_miner(0)
+    held = [made[(p, 1)] for p in (0, 1, 3)]
+    miner.on_receive(Package(tuple(store.get(b) for b in held)), 0)
+    proceed(miner, 0, b"r2")
+    miner.on_receive(Package((store.get(made[(1, 2)]),)), 1)
+    assert made[(1, 2)] in miner.store.buffer
+    assert not miner.responsive(1)
+    miner.on_receive(Package((store.get(made[(2, 1)]),)), 2)
+    assert accepts(miner)[-2:] == [made[(2, 1)], made[(1, 2)]]
+    assert not miner.store.acknowledged_by(1, miner._last_sent[1])
+    assert miner.responsive(1)
+
+
+def test_own_block_and_twin_never_mark_the_miner_itself(fork_fixture):
+    """Equivocator 3 holds its twin e1 and builds on it. Its other twin e2,
+    relayed back, releases peer 1's buffered block that points at e2:
+    that acceptance marks 1 heard, and no own block marks 3."""
+    src = fork_fixture["store"]
+    miner = make_miner(3)
+    held = [*fork_fixture["round1"], fork_fixture["e1"], *fork_fixture["r2"].values()]
+    miner.on_receive(Package(tuple(src.get(b) for b in held)), 0)
+    miner.on_receive(Package((src.get(fork_fixture["sees_e2"]),)), 0)
+    assert fork_fixture["sees_e2"] in miner.store.buffer
+    blk, _ = proceed(miner, 0, b"r3")
+    assert fork_fixture["e1"] in blk.pointers
+    assert miner._heard_since_send == [False] * 4
+    miner.on_receive(Package((src.get(fork_fixture["e2"]),)), 1)
+    assert accepts(miner)[-2:] == [fork_fixture["e2"], fork_fixture["sees_e2"]]
+    assert miner.store.is_faulty(3)
+    assert miner._heard_since_send == [False, True, False, False]
+
+
 
 def test_step_builds_each_distinct_package_once(monkeypatch):
     """Miners 0, 2 and 3 build two quorum rounds over each other's blocks;
