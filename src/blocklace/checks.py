@@ -215,13 +215,17 @@ def check_coin_blindness(view: RunView) -> Verdict:
 
 def check_model_conformance(view: RunView) -> Verdict:
     """Every send has a matching delivery; under eventual synchrony no
-    delivery after GST exceeds the configured bound."""
-    pending: dict[tuple, list[int]] = {}
+    delivery after GST exceeds the configured bound. A pending send is kept
+    as its time; only a (from, to, ids) sent again before its delivery
+    keeps a list of times, matched first in, first out."""
+    pending: dict[tuple, int | list[int]] = {}
     for ev in view.sends:
-        key = (ev["from"], ev["to"], tuple(ev["ids"]))  # a tuple is not copied
+        key = (ev["from"], ev["to"], ev["ids"])
         times = pending.get(key)
         if times is None:
-            pending[key] = [ev["t"]]
+            pending[key] = ev["t"]
+        elif type(times) is int:
+            pending[key] = [times, ev["t"]]
         else:
             times.append(ev["t"])
     sc = view.scenario
@@ -229,11 +233,14 @@ def check_model_conformance(view: RunView) -> Verdict:
     gst = sc.gst if sc.model == MODEL_ES else float("inf")
     bound = sc.delay_bound
     for ev in view.delivers:
-        key = (ev["from"], ev["to"], tuple(ev["ids"]))
-        times = pending.get(key)
-        if not times:
+        key = (ev["from"], ev["to"], ev["ids"])
+        t0 = pending.pop(key, None)
+        if t0 is None:
             return Verdict("model-conformance", False, f"delivery without send: {key[:2]}")
-        t0 = times.pop(0)
+        if type(t0) is not int:
+            times, t0 = t0, t0.pop(0)
+            if times:
+                pending[key] = times
         t = ev["t"]
         if t < t0:
             return Verdict("model-conformance", False,
@@ -241,7 +248,7 @@ def check_model_conformance(view: RunView) -> Verdict:
         if t0 >= gst and t - t0 > bound:
             return Verdict("model-conformance", False,
                            f"post-GST delay {t - t0} exceeds bound {bound}")
-    left = sum(map(len, pending.values()))
+    left = sum(1 if type(times) is int else len(times) for times in pending.values())
     if left:
         return Verdict("model-conformance", False, f"{left} sends never delivered")
     return Verdict("model-conformance", True, f"{len(view.delivers)} deliveries matched")

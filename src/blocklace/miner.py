@@ -29,18 +29,20 @@ class ProtocolConfig:
 class Package:
     """Blocks sorted parents-first so a receiver can cascade in one pass,
     with the package's wire size and its blocks' hex ids, worked out once
-    for every send of it. ids is one tuple of strings, so the send and
-    deliver events that hold it are untracked by the cyclic GC after the
-    first full collection, not before."""
+    for every send of it. ids is one string, the hex ids joined in package
+    order, so a one-block package's is its block's own hex id. The send and
+    deliver events that hold it hold only strings and ints, so the cyclic
+    GC never tracks them, from birth; Transcript.lines() writes the array
+    of ids."""
 
     blocks: tuple[Block, ...]
     size: int
-    ids: tuple[str, ...]
+    ids: str
 
     def __init__(self, blocks: tuple[Block, ...]):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "size", package_size(blocks))
-        object.__setattr__(self, "ids", tuple(b._hex for b in blocks))
+        object.__setattr__(self, "ids", "".join(b._hex for b in blocks))
 
 
 class MinerState:

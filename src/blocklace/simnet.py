@@ -10,7 +10,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 
-from .blocks import Block, Keyring, block_id, decode_block, make_block
+from .blocks import DIGEST_SIZE, Block, Keyring, block_id, decode_block, make_block
 from .leaders import CoinOracle, LeaderSchedule
 from .miner import MinerState, Package, ProtocolConfig
 from .ordering import MODEL_ASYNC, MODEL_ES, params_for
@@ -22,6 +22,10 @@ SCHEMA_METRICS = "blocklace-metrics/1"
 # One compact, key-sorted line of JSON; one encoder serves every line, where
 # each json.dumps call with these settings would build its own.
 json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The length of one hex block id: a send or deliver event's ids string is
+# its package's hex ids joined, and is written as their array.
+HEX_ID = 2 * DIGEST_SIZE
 
 # Hard ceiling on adversarial delay so every message is eventually delivered.
 MAX_DELAY = 64
@@ -295,7 +299,11 @@ class Transcript:
 
     def lines(self) -> list[str]:
         out = [json_line(self.header)]
-        out.extend(map(json_line, self.events))
+        for ev in self.events:
+            ids = ev.get("ids")
+            if ids is not None:
+                ev = {**ev, "ids": [ids[k:k + HEX_ID] for k in range(0, len(ids), HEX_ID)]}
+            out.append(json_line(ev))
         for mid in sorted(self.logs):
             row = {"e": "log", "m": mid}
             row.update(self.logs[mid])
@@ -323,15 +331,17 @@ _LINE_KEYS = {
     "log": ("m", "records", "suppressed"), "end": ("metrics",),
     "decide": (), "reject": (),
 }
-_KEY_TYPES = {"t": int, "r": int, "d": int, "id": str, "sig": str, "enc": str,
-              "metrics": dict}
+_KEY_TYPES = {"id": str, "sig": str, "enc": str, "metrics": dict}
 
 
 def _field_ok(row: dict, key: str, n: int) -> bool:
-    """Whether row[key] holds what the verifiers read it as."""
+    """Whether row[key] holds what the verifiers read it as. No integer is
+    read from a bool."""
     value = row[key]
     if key in ("m", "c", "from", "to", "leader"):
         return type(value) is int and 0 <= value < n
+    if key in ("t", "r", "d"):
+        return type(value) is int
     if key == "records":
         return isinstance(value, list) and all(
             isinstance(r, dict) and isinstance(r.get("block"), str) for r in value)
@@ -396,13 +406,14 @@ def load_transcript(text: str) -> Transcript:
         if problem:
             raise ValueError(f"line {k}: create event {problem}")
         if kind in ("send", "deliver"):
-            # A tuple, as the simulator records it: JSON writes it back as the
-            # same array, and the event holds nothing the cyclic GC must track.
-            ids = row["ids"] = tuple(row["ids"])
+            ids = row["ids"]
             if not all(map(transcript.blocks.__contains__, ids)):
                 gone = next(i for i in ids if i not in transcript.blocks)
                 raise ValueError(f"line {k}: {kind} event names block {gone[:12]} "
                                  f"that no earlier create defines")
+            # One string, as the simulator records it: each id is a created
+            # block's, HEX_ID long, so lines() splits it back into this array.
+            row["ids"] = "".join(ids)
         elif kind == "accept":
             if (row["m"], row["id"]) in accepted:
                 raise ValueError(f"line {k}: accept event repeats miner {row['m']}'s "

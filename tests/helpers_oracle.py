@@ -4,7 +4,8 @@ Everything here works on plain dicts extracted from blocks (id -> pointers,
 id -> creator) and recomputes reachability from scratch, deliberately
 sharing no code with the store's bitmask machinery. The exceptions are
 `bf_rebuild_store`, `bf_parents_first`, `bf_ordering_equivalence`,
-`bf_reference_order` and `bf_cordial_round`, copies of retired library code
+`bf_model_conformance`, `bf_reference_order` and `bf_cordial_round`, copies
+of retired library code
 kept to check their replacements, and the store queries at the end, which
 only tests need and which read a store through its public API.
 """
@@ -16,6 +17,7 @@ from itertools import combinations, product
 from blocklace.blocks import block_id
 from blocklace.checks import ReplayError, Verdict, prefix_divergence
 from blocklace.ordering import (
+    MODEL_ES,
     _super_ratified,
     prev_ratified_leader,
     reference_order,
@@ -261,6 +263,34 @@ def bf_ordering_equivalence(view):
                            f"miner {mid}: suppressed-set mismatch")
     return Verdict("ordering-equivalence", True,
                    f"{len(view.correct)} miners match the reference order")
+
+
+def bf_model_conformance(view):
+    """The model-conformance verifier as it was before it kept a pending
+    send as its time: one list of send times per (from, to, ids)."""
+    pending: dict[tuple, list[int]] = {}
+    for ev in view.sends:
+        pending.setdefault((ev["from"], ev["to"], ev["ids"]), []).append(ev["t"])
+    sc = view.scenario
+    gst = sc.gst if sc.model == MODEL_ES else float("inf")
+    bound = sc.delay_bound
+    for ev in view.delivers:
+        key = (ev["from"], ev["to"], ev["ids"])
+        times = pending.get(key)
+        if not times:
+            return Verdict("model-conformance", False, f"delivery without send: {key[:2]}")
+        t0 = times.pop(0)
+        t = ev["t"]
+        if t < t0:
+            return Verdict("model-conformance", False,
+                           f"delivery at {t} before its send at {t0}: {key[:2]}")
+        if t0 >= gst and t - t0 > bound:
+            return Verdict("model-conformance", False,
+                           f"post-GST delay {t - t0} exceeds bound {bound}")
+    left = sum(map(len, pending.values()))
+    if left:
+        return Verdict("model-conformance", False, f"{left} sends never delivered")
+    return Verdict("model-conformance", True, f"{len(view.delivers)} deliveries matched")
 
 
 def bf_reference_order(store, schedule, params):

@@ -6,6 +6,7 @@ import copy
 import functools
 import gc
 import random
+import re
 import sys
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from blocklace.store import BlockStore
 from conftest import fresh_store, grow_random
 from helpers_oracle import (
     bf_common_core,
+    bf_model_conformance,
     bf_ordering_equivalence,
     bf_parents_first,
     graph_of,
@@ -263,7 +265,7 @@ def test_model_conformance_catches_unmatched_delivery():
     t = healthy_transcript()
     broken = copy.deepcopy(t)
     broken.events.append({"e": "deliver", "t": 999, "from": 0, "to": 1,
-                          "ids": ["ab" * 32]})
+                          "ids": "ab" * 32})
     v = checks.check_model_conformance(checks.RunView(broken))
     assert not v.passed
 
@@ -293,6 +295,81 @@ def test_model_conformance_matches_repeated_sends_first_in_first_out():
     t.events = events + again[:1]
     v = checks.check_model_conformance(checks.RunView(t))
     assert (v.passed, v.detail) == (False, "1 sends never delivered")
+
+
+# Healthy runs to mutate: one whose post-GST delays are clamped to the
+# bound, one under asynchrony, and one whose equivocator's twins travel in
+# multi-block packages.
+CONFORMANCE_RUNS = (
+    Scenario(rounds=8, seed=3, gst=5, delay_bound=3,
+             delays={"kind": "uniform", "min": 1, "max": 10}),
+    Scenario(model="asynchrony", rounds=10, seed=2,
+             delays={"kind": "uniform", "min": 1, "max": 3}),
+    Scenario(n=7, f=2, rounds=8, seed=4, delays={"kind": "uniform", "min": 1, "max": 3},
+             byzantine={6: ByzSpec("equivocate", rate=1.0)}),
+)
+TRANSCRIPT_MUTATIONS = ("drop-deliver", "repeat-send", "deliver-before-send",
+                        "deliver-past-bound", "duplicate-deliver")
+
+
+@functools.cache
+def message_pairs(k: int):
+    """Run k's transcript and the event indices of each (send, deliver)
+    pair, matched by (from, to, ids) first in, first out."""
+    t = run(CONFORMANCE_RUNS[k])
+    pending: dict[tuple, list[int]] = {}
+    pairs = []
+    for i, ev in enumerate(t.events):
+        if ev["e"] in ("send", "deliver"):
+            key = (ev["from"], ev["to"], ev["ids"])
+            if ev["e"] == "send":
+                pending.setdefault(key, []).append(i)
+            else:
+                pairs.append((pending[key].pop(0), i))
+    return t, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(CONFORMANCE_RUNS) - 1),
+       st.lists(st.integers(0, 10 ** 6), min_size=3, max_size=3),
+       st.lists(st.tuples(st.sampled_from(TRANSCRIPT_MUTATIONS), st.integers(0, 2),
+                          st.integers(0, 4)), min_size=1, max_size=4))
+def test_model_conformance_matches_the_list_per_key_oracle(k, picks, mutations):
+    """With deliveries dropped, moved before their sends or past the
+    post-GST bound, or duplicated, and sends repeated two or three times,
+    the verifier that keeps a pending send as its time gives the very
+    verdict of the one that kept a list per (from, to, ids). Each mutation
+    takes one of three messages, so mutations often meet on one."""
+    t, pairs = message_pairs(k)
+    bound = t.scenario.delay_bound
+    drop: set[int] = set()
+    moved: dict[int, int] = {}
+    after: dict[int, list[dict]] = {}
+    for kind, which, amount in mutations:
+        s, d = pairs[picks[which] % len(pairs)]
+        send, deliver = t.events[s], t.events[d]
+        if kind == "drop-deliver":
+            drop.add(d)
+        elif kind == "repeat-send":
+            after.setdefault(s, []).extend({**send, "t": send["t"] + r * amount}
+                                           for r in range(1, 3 + amount % 2))
+        elif kind == "deliver-before-send":
+            moved[d] = send["t"] - 1 - amount
+        elif kind == "deliver-past-bound":
+            moved[d] = send["t"] + bound + 1 + amount
+        else:
+            after.setdefault(d, []).append({**deliver, "t": deliver["t"] + amount})
+    events = []
+    for i, ev in enumerate(t.events):
+        if i not in drop:
+            events.append({**ev, "t": moved[i]} if i in moved else ev)
+        events += after.get(i, ())
+    broken = copy.copy(t)
+    broken.events = events
+    view = checks.RunView(broken)
+    want = bf_model_conformance(view)
+    event(re.sub(r"-?\d+", "#", want.detail.split(":")[0]))
+    assert checks.check_model_conformance(view) == want
 
 
 def test_common_core_on_async_run():

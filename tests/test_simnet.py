@@ -11,7 +11,7 @@ import pytest
 from blocklace import checks
 from blocklace.blocks import Keyring, decode_block, encode_block, encode_package, make_block
 from blocklace.simnet import (
-    MAX_DELAY, ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run)
+    HEX_ID, MAX_DELAY, ByzSpec, Scenario, ScenarioError, Simulation, load_transcript, run)
 
 from helpers_oracle import acknowledges, blocks_by
 
@@ -64,6 +64,18 @@ def _not_json_line() -> str:
     return json.dumps(_short_run_lines()[0]) + "\noops\n"
 
 
+def _short_run_with(line: int, **values) -> str:
+    """A short run's transcript with the given values set on one line."""
+    rows = _short_run_lines()
+    rows[line - 1].update(values)
+    return "".join(json.dumps(r) + "\n" for r in rows)
+
+
+def split_ids(ids: str) -> list[str]:
+    """The hex ids an event's ids string joins, in package order."""
+    return [ids[k:k + HEX_ID] for k in range(0, len(ids), HEX_ID)]
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: Scenario(model="asynchrony", gst=5).validate(), ScenarioError,
                  "gst applies to eventual synchrony only", id="gst-under-asynchrony"),
@@ -94,6 +106,11 @@ def _not_json_line() -> str:
     pytest.param(lambda: load_transcript(_creator_out_of_range()), ValueError,
                  "line 2: create event with a signature its creator's key did not make",
                  id="create-creator-out-of-range"),
+    # Each equals the simulator's own value, 1 or 0, as an int.
+    pytest.param(lambda: load_transcript(_short_run_with(2, d=True)), ValueError,
+                 "line 2: create event with a missing or malformed 'd'", id="create-d-bool"),
+    pytest.param(lambda: load_transcript(_short_run_with(4, t=False)), ValueError,
+                 "line 4: send event with a missing or malformed 't'", id="send-t-bool"),
 ])
 def test_simnet_refuses_with_its_reason(call, error, message):
     """Each refusal the simulator's scenario and transcript readers make,
@@ -123,18 +140,27 @@ def test_transcript_roundtrip():
 
 
 def test_send_and_deliver_events_are_untracked_by_the_gc():
-    """Each package's ids are one tuple of strings, which its sends and
-    their delivers share, so after a collection the cyclic GC tracks no
-    send or deliver event, neither of a run nor of its transcript read back."""
-    t = run(Scenario(n=7, f=2, rounds=8, seed=1, delays={"kind": "uniform", "min": 1, "max": 3},
-                     byzantine={6: ByzSpec("equivocate", rate=1.0)}))
+    """Each package's ids are one string, which its sends and their
+    delivers share, so every event of a run holds only strings and ints and
+    the cyclic GC tracks none of them from birth, with no collection. A
+    transcript read back holds the dicts JSON built, tracked until a
+    collection, which then untracks its send and deliver events."""
+    gc.collect()
+    gc.disable()
+    try:
+        t = run(Scenario(n=7, f=2, rounds=8, seed=1,
+                         delays={"kind": "uniform", "min": 1, "max": 3},
+                         byzantine={6: ByzSpec("equivocate", rate=1.0)}))
+        assert not any(map(gc.is_tracked, t.events))
+    finally:
+        gc.enable()
     again = load_transcript(t.jsonl())
     gc.collect()
     for transcript in (t, again):
         moves = [e for e in transcript.events if e["e"] in ("send", "deliver")]
-        assert moves and all(type(e["ids"]) is tuple for e in moves)
+        assert moves and all(type(e["ids"]) is str for e in moves)
         assert not any(map(gc.is_tracked, moves))
-    sent: dict[tuple, list[tuple]] = {}
+    sent: dict[tuple, list[str]] = {}
     for e in t.events:
         if e["e"] == "send":
             sent.setdefault((e["from"], e["to"], e["ids"]), []).append(e["ids"])
@@ -315,9 +341,10 @@ def test_payload_drawn_only_for_blocks_made():
 
 def test_each_block_id_is_one_string():
     """A block's hex id is made once, with the block: every event and log
-    record naming the block holds the very string keying transcript.blocks.
-    A reject event names its block afresh, as the table may lack it; no
-    simulated run rejects a block."""
+    record naming the block holds the very string keying transcript.blocks,
+    and so does the ids of a send or deliver of a one-block package; a
+    longer package's ids joins its blocks' hex ids. A reject event names its
+    block afresh, as the table may lack it; no simulated run rejects a block."""
     sc = Scenario(n=7, f=2, rounds=16, seed=5,
                   delays={"kind": "uniform", "min": 1, "max": 3},
                   byzantine={1: ByzSpec("equivocate", rate=0.5),
@@ -326,7 +353,9 @@ def test_each_block_id_is_one_string():
     key = {h: h for h in t.blocks}
     assert not [e for e in t.events if e["e"] == "reject"]
     named = [e["id"] for e in t.events if e["e"] in ("create", "accept")]
-    named += [h for e in t.events if e["e"] in ("send", "deliver") for h in e["ids"]]
+    moves = [e["ids"] for e in t.events if e["e"] in ("send", "deliver")]
+    named += [ids for ids in moves if len(ids) == HEX_ID]
+    assert all(h in key for ids in moves for h in split_ids(ids))
     for log in t.logs.values():
         named += [r["block"] for r in log["records"]] + log["suppressed"]
     assert {e["e"] for e in t.events} >= {"accept", "send", "deliver"}
@@ -443,14 +472,14 @@ def test_message_counters_consistent():
 def test_send_bytes_are_the_encoded_package(sc):
     """Each send's bytes are its package's encoding, however many peers
     share the package, and bytes_sent is their sum. Each deliver holds the
-    very ids tuple of its send: the package's own."""
+    very ids string of its send: the package's own."""
     t = run(sc)
     sends = [e for e in t.events if e["e"] == "send"]
     assert sends
     for ev in sends:
-        assert ev["bytes"] == len(encode_package([t.blocks[i] for i in ev["ids"]]))
+        assert ev["bytes"] == len(encode_package([t.blocks[i] for i in split_ids(ev["ids"])]))
     assert t.metrics["bytes_sent"] == sum(e["bytes"] for e in sends)
-    pending: dict[tuple[int, int], list[tuple]] = {}
+    pending: dict[tuple[int, int], list[str]] = {}
     for ev in sends:
         pending.setdefault((ev["from"], ev["to"]), []).append(ev["ids"])
     for ev in t.events:
@@ -488,7 +517,7 @@ def test_no_duplicate_sends():
     sent: dict[tuple[int, int], list[str]] = {}
     for ev in t.events:
         if ev["e"] == "send":
-            sent.setdefault((ev["from"], ev["to"]), []).extend(ev["ids"])
+            sent.setdefault((ev["from"], ev["to"]), []).extend(split_ids(ev["ids"]))
     for (frm, to), ids in sent.items():
         assert len(ids) == len(set(ids)), f"{frm}->{to} resent a block"
 
