@@ -107,14 +107,13 @@ def prev_ratified_leader(store: BlockStore, schedule, params: WaveParams,
 @dataclass
 class DeliveryLog:
     """A miner's final output: the delivered order with each block's leader
-    round, permanently suppressed equivocation blocks, their union placed as
-    the store's mask of them, and the current super-ratified anchor with
-    its round (0 before the first)."""
+    round, permanently suppressed equivocation blocks, and the current
+    super-ratified anchor with its round (0 before the first). Together the
+    delivered and suppressed blocks are exactly the anchor's closure."""
 
     delivered: list[bytes] = field(default_factory=list)
     leader_rounds: list[int] = field(default_factory=list)
     suppressed: set[bytes] = field(default_factory=set)
-    placed: int = 0
     current_leader: bytes | None = None
     current_round: int = 0
 
@@ -122,11 +121,12 @@ class DeliveryLog:
 def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
                     params: WaveParams) -> list[bytes]:
     """Incremental delivery: when a new super-ratified leader appears, walk
-    back through ratified leaders to the first one placed and emit each
-    newer one's fragment in topological order, filtering non-approved blocks.
-    The walk asks prev_ratified_leader at every step: the store keeps each
-    ratification verdict, and a leader round whose coin is unrevealed now
-    may be known at the next walk.
+    back through ratified leaders to the anchor's round and emit each newer
+    one's fragment, what its closure adds to its predecessor's, in
+    topological order, filtering non-approved blocks. The walk asks
+    prev_ratified_leader at every step: the store keeps each ratification
+    verdict, and a leader round whose coin is unrevealed now may be known
+    at the next walk.
 
     Returns the newly delivered ids in delivery order. While quorum_round
     - beta is below the first leader round above the anchor's, no round is
@@ -137,17 +137,17 @@ def extend_delivery(store: BlockStore, log: DeliveryLog, schedule,
         return []
     chain: list[bytes] = []
     cur: bytes | None = anchor
-    while cur is not None and not store.covers(log.placed, cur):
+    while cur is not None and store.depth_of(cur) > log.current_round:
         chain.append(cur)
         cur = prev_ratified_leader(store, schedule, params, cur)
-    new: list[bytes] = []
+    prev, new = log.current_leader, []
     for b1 in reversed(chain):
-        out, suppressed = store.fragment(b1, log.placed)
-        log.placed |= store.closure_mask(b1)
+        out, suppressed = store.fragment(b1, prev)
         log.suppressed.update(suppressed)
         log.delivered += out
         log.leader_rounds += [store.depth_of(b1)] * len(out)
         new += out
+        prev = b1
     log.current_leader = anchor
     log.current_round = store.depth_of(anchor)
     return new

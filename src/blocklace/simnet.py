@@ -140,8 +140,8 @@ class Scenario:
         if self.adversary["kind"] == "corrupt-leader" and (
                 isinstance(v["miner"], bool) or v["miner"] not in range(self.n)):
             raise ScenarioError(f"adversary.miner must be a miner index, got {v['miner']!r}")
-        if min(self.delta, self.delay_bound, self.gst) < 0:
-            raise ScenarioError("negative delta, delay_bound or gst")
+        if min(self.delta, self.delay_bound, self.gst, self.settle) < 0:
+            raise ScenarioError("negative delta, delay_bound, gst or settle_rounds")
         if self.rounds < 1:
             raise ScenarioError("rounds must be positive")
         if not 0 <= self.seed < 2 ** 64:
@@ -292,7 +292,7 @@ class Adversary:
 class Transcript:
     header: dict
     events: list[dict]
-    logs: dict[int, list[dict]]
+    logs: dict[int, dict]  # miner -> {"records": [...], "suppressed": [hex ids]}
     metrics: dict
     # Each create's block by hex id, in create order, so no verifier decodes it again.
     blocks: dict[str, Block] = field(default_factory=dict, init=False)
@@ -529,8 +529,6 @@ class Simulation:
 
     def next_payload(self, mid: int) -> bytes:
         size = self.scenario.batch_size * self.scenario.payload_size
-        if size == 0:
-            return b""
         return self._mempool[mid].randbytes(size)
 
     def send(self, now: int, frm: int, to: int, pkg: Package) -> None:

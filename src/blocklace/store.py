@@ -53,8 +53,8 @@ class BlockTable:
     The ordering answers that read only table facts are kept here once,
     and the stores fill them: ``verdicts``, which maps (candidate, block,
     alpha) to the ratification rule's answer, in _ratifies, and
-    ``fragments``, which maps a leader block to the (placed, delivered,
-    suppressed) of the fragment it cut from that placed mask, in fragment.
+    ``fragments``, which maps a leader block to the (predecessor's index or
+    -1, delivered, suppressed) of the first fragment cut, in fragment.
     """
 
     def __init__(self):
@@ -76,10 +76,10 @@ class BlockStore:
     acknowledgement, approval and set-difference queries cheap enough for
     thousand-run sweeps. A mask is opaque outside this module: callers get
     masks from closure_mask, mask_of, own_masks and unshown, combine them
-    with & and |, and ask covers, blocks_in_mask or fragment what they
-    hold. The accepted set is append-only; every accepted block satisfied
-    the signature and cordiality guards at acceptance time (its own blocks
-    the cordiality guard alone).
+    with & and |, and ask covers or blocks_in_mask what they hold. The
+    accepted set is append-only; every accepted block satisfied the
+    signature and cordiality guards at acceptance time (its own blocks the
+    cordiality guard alone).
     """
 
     def __init__(self, n: int, f: int, keyring: Keyring | None = None,
@@ -425,22 +425,24 @@ class BlockStore:
                 out.add(creators[i])
         return out
 
-    def fragment(self, b1: bytes, placed: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        """What b1's closure adds to the mask placed, in topological order
-        (depth, creator, id): the blocks b1 approves, and the rest. The cut
-        reads only table facts and placed, so the table keeps the first one
-        and hands it to each caller with the same placed mask."""
-        i1 = self.index_of(b1)
+    def fragment(self, b1: bytes, prev: bytes | None) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        """What b1's closure adds to the closure of prev, the leader block
+        delivered before it (None for none), in topological order (depth,
+        creator, id): the blocks b1 approves, and the rest. The cut reads
+        only table facts, so the table keeps the first one and hands it to
+        each caller with the same predecessor."""
+        i1, ip = self.index_of(b1), -1 if prev is None else self.index_of(prev)
         cut = self.table.fragments.get(i1)
-        if cut is None or cut[0] != placed:
+        if cut is None or cut[0] != ip:
             ids, creators, depths = self._ids, self._creator, self._depth
             out, suppressed = [], []
+            placed = 0 if prev is None else self._closure[ip]
             # b1 acknowledges every fragment block, so only an equivocator's can fail.
             for i in sorted(bits(self._closure[i1] & ~placed),
                             key=lambda i: (depths[i], creators[i], ids[i])):
                 ok = creators[i] not in self._equivocators or self._approves(i, i1)
                 (out if ok else suppressed).append(ids[i])
-            cut = (placed, tuple(out), tuple(suppressed))
+            cut = (ip, tuple(out), tuple(suppressed))
             self.table.fragments.setdefault(i1, cut)
         return cut[1:]
 

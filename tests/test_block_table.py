@@ -146,7 +146,10 @@ def test_table_memos_match_a_memo_free_replay(sim):
     rule answers on a replay of the whole table into a store with a private
     one: each answer reads only table facts, never the store that asked.
     Table order is parents-first, so the replay accepts each block on
-    arrival and its indices are the table's."""
+    arrival and its indices are the table's. A fragment is kept with the
+    index of the leader block delivered before it, which its leader
+    acknowledges, or -1. Each miner's log has delivered or suppressed
+    exactly its anchor's closure."""
     table = sim.miners[0].store.table
     replay = BlockStore(sim.scenario.n, sim.scenario.f, sim.keyring)
     for bid, blk in zip(table.ids, table.blocks):
@@ -157,8 +160,14 @@ def test_table_memos_match_a_memo_free_replay(sim):
     for (cand, i, alpha), verdict in table.verdicts.items():
         assert replay._ratification(cand, i, alpha) == verdict
     assert not replay.table.verdicts
-    for i, (placed, delivered, suppressed) in table.fragments.items():
-        assert replay.fragment(table.ids[i], placed) == (delivered, suppressed)
+    for i, (prev, delivered, suppressed) in table.fragments.items():
+        assert -1 <= prev < i
+        before = None if prev < 0 else table.ids[prev]
+        assert replay.fragment(table.ids[i], before) == (delivered, suppressed)
+    for m in sim.miners:
+        anchor, store = m.log.current_leader, m.store
+        want = 0 if anchor is None else store.closure_mask(anchor)
+        assert store.mask_of([*m.log.delivered, *m.log.suppressed]) == want
 
 
 @settings(max_examples=25, deadline=None)

@@ -121,12 +121,13 @@ def test_run_rejects_meaningless_byzantine_spec(tmp_path, capsys, spec):
     {"adversary": {"kind": "pre-gst"}},
     {"model": "asynchrony", "adversary": {"kind": "pre-gst"}},
     {"gst": -1},
+    {"rounds": 200, "settle_rounds": -300},
 ], ids=["min-above-max", "negative-ticks", "negative-min", "miner-string", "miner-bool",
         "miner-out-of-range", "pre-gst-max-delay-0", "negative-delta",
         "negative-delay-bound", "delays-tick", "adversary-lags", "byzantine-rnd",
         "random-delay", "fractional-rounds", "bool-n", "fractional-ticks",
         "negative-seed", "seed-above-64-bits", "byzantine-named-twice",
-        "pre-gst-gst-0", "pre-gst-asynchrony", "negative-gst"])
+        "pre-gst-gst-0", "pre-gst-asynchrony", "negative-gst", "negative-settle-rounds"])
 def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, overrides):
     """Each of these used to crash mid-run or silently run something else:
     delays before sends, a failed liveness check, no victim at all, a
@@ -136,8 +137,9 @@ def test_run_rejects_value_that_would_run_another_experiment(tmp_path, capsys, o
     (every delay bounded, as at gst 0), an int read from a bool or truncated
     from a fraction (2 rounds for 2.7, one miner for true, miner 1 as the
     victim for true, 1-tick delays for 1.9 while the header records 1.9), a seed the keyring cannot
-    encode in 8 bytes, or one miner named by two Byzantine specs, the
-    later one silently winning."""
+    encode in 8 bytes, one miner named by two Byzantine specs, the
+    later one silently winning, or a negative settle_rounds (no block
+    created, nothing decided, and every verifier passing)."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
@@ -183,6 +185,60 @@ def test_run_is_reproducible(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
     for name in ("transcript.jsonl", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Runs that must finish with every verifier passing, each on a path that
+# shorter runs miss.
+CHECKED_RUNS = {
+    # A fault-free run whose quorum is above 2f+1.
+    "f0": {"n": 4, "f": 0, "model": "asynchrony", "rounds": 20, "seed": 0},
+    # An equivocator with empty payloads.
+    "twin": {"n": 7, "f": 2, "rounds": 12, "seed": 0, "payload_size": 0,
+             "byzantine": {"6": {"behavior": "equivocate", "rate": 1.0}}},
+    # Live only if correct miners' backlogs and bare packages carry each twin
+    # to the peers its creator skipped.
+    "twin4": {"n": 4, "f": 1, "model": "asynchrony", "rounds": 25, "seed": 784,
+              "delays": {"kind": "uniform", "min": 1, "max": 2},
+              "byzantine": {"0": {"behavior": "equivocate", "rate": 0.445, "round": 4}}},
+    # 14 correct stores share one block table through buffered inserts and
+    # cascades.
+    "wide16": {"n": 16, "f": 5, "model": "asynchrony", "rounds": 20, "seed": 2,
+               "delays": {"kind": "uniform", "min": 1, "max": 3},
+               "byzantine": {"3": {"behavior": "equivocate", "rate": 0.5},
+                             "9": {"behavior": "crash", "round": 6}}},
+    # Timer and coin-reveal pokes fall on the tick that pushed them.
+    "zero-es": {"n": 4, "rounds": 16, "seed": 15, "delta": 2, "delays": {"kind": "zero"}},
+    "zero-async": {"n": 7, "f": 2, "model": "asynchrony", "rounds": 15, "seed": 16,
+                   "delays": {"kind": "zero"},
+                   "byzantine": {"4": {"behavior": "equivocate", "rate": 0.5}}},
+    # 31 stores share each ratification verdict and fragment the table keeps.
+    "wide31": {"n": 31, "f": 10, "rounds": 24, "seed": 1,
+               "delays": {"kind": "fixed", "ticks": 1}},
+    # The adversaries read a package's depths from the block table.
+    "corrupt-es": {"n": 4, "rounds": 20, "seed": 7,
+                   "delays": {"kind": "uniform", "min": 1, "max": 3},
+                   "adversary": {"kind": "corrupt-leader", "miner": 1, "lag": 3}},
+    "reorder7": {"n": 7, "f": 2, "model": "asynchrony", "rounds": 20, "seed": 8,
+                 "delays": {"kind": "uniform", "min": 1, "max": 3},
+                 "adversary": {"kind": "reorder", "lag": 2},
+                 "byzantine": {"5": {"behavior": "equivocate", "rate": 0.5}}},
+    # Post-GST sends clamped to delay_bound.
+    "clamp-es": {"n": 4, "rounds": 16, "seed": 3, "gst": 5, "delay_bound": 3,
+                 "delays": {"kind": "uniform", "min": 1, "max": 10}},
+    # A silent miner and one that crashes at round 5.
+    "silent7": {"n": 7, "f": 2, "rounds": 16, "seed": 14,
+                "delays": {"kind": "uniform", "min": 1, "max": 3},
+                "byzantine": {"3": {"behavior": "silent"},
+                              "5": {"behavior": "crash", "round": 5}}},
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_RUNS)
+def test_run_and_check_pass(tmp_path, name):
+    cfg, out = tmp_path / f"{name}.json", tmp_path / name
+    cfg.write_text(json.dumps(CHECKED_RUNS[name]))
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert main(["check", str(out / "transcript.jsonl")]) == 0
 
 
 def test_sweep_csv(tmp_path):

@@ -218,18 +218,18 @@ def test_prev_ratified_leader_chain(full_lattice):
     assert prev_ratified_leader(store, ES_SCHED, ES_PARAMS, prev) is None
 
 
-def test_logs_with_different_placed_masks_cut_their_own_fragments():
+def test_logs_with_different_predecessors_cut_their_own_fragments():
     """The table keeps the first fragment cut of a leader block, and hands it
-    only to a caller whose placed mask it was cut from: one that has placed
-    more gets its own, smaller fragment."""
+    only to a caller with the predecessor it was cut after: one whose
+    predecessor is deeper gets its own, smaller fragment."""
     store, _ = fresh_store()
     made = grow_full(store, 4)
     leader, below = made[(2, 4)], made[(1, 2)]
     whole = topo_sorted(store, closure(store, [leader]))
     rest = topo_sorted(store, closure(store, [leader]) - closure(store, [below]))
-    assert store.fragment(leader, 0) == (tuple(whole), ())
-    assert store.fragment(leader, store.closure_mask(below)) == (tuple(rest), ())
-    assert store.table.fragments[store.index_of(leader)] == (0, tuple(whole), ())
+    assert store.fragment(leader, None) == (tuple(whole), ())
+    assert store.fragment(leader, below) == (tuple(rest), ())
+    assert store.table.fragments[store.index_of(leader)] == (-1, tuple(whole), ())
 
 
 def test_a_predecessor_past_an_unrevealed_coin_is_not_kept():
@@ -306,10 +306,12 @@ def test_tallied_anchor_matches_brute_force_rule(nf, seed, rounds, equivocate, p
        st.integers(1, 14), st.booleans(),
        st.sampled_from([ES_PARAMS, ASYNC_PARAMS]))
 @example((7, 2), 4, 12, True, ES_PARAMS)  # suppresses 15 blocks
-def test_placed_mask_is_delivered_and_suppressed(nf, seed, rounds, equivocate, params):
-    """Fed a blocklace block by block, extend_delivery keeps log.placed equal
-    to the store indices of what it delivered or suppressed, delivers no
-    block twice and gives each delivered block one leader round."""
+def test_delivered_and_suppressed_are_the_anchors_closure(nf, seed, rounds, equivocate,
+                                                          params):
+    """Fed a blocklace block by block, extend_delivery has delivered or
+    suppressed exactly its anchor's closure (nothing before the first
+    anchor), delivers no block twice and gives each delivered block one
+    leader round."""
     n, f = nf
     grown, keyring = fresh_store(n=n, f=f, seed=seed)
     forkers = {p: 0.5 for p in range(n - f, n)} if equivocate else {}
@@ -319,7 +321,9 @@ def test_placed_mask_is_delivered_and_suppressed(nf, seed, rounds, equivocate, p
     for bid in grown.accepted_ids():
         store.insert(grown.get(bid))
         extend_delivery(store, log, sched, params)
-        assert log.placed == store.mask_of([*log.delivered, *log.suppressed])
+        anchor = log.current_leader
+        want = 0 if anchor is None else store.closure_mask(anchor)
+        assert store.mask_of([*log.delivered, *log.suppressed]) == want
         assert len(set(log.delivered)) == len(log.delivered)
         assert len(log.leader_rounds) == len(log.delivered)
 
