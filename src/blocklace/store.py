@@ -427,7 +427,7 @@ class BlockStore:
 
     def fragment(self, b1: bytes, prev: bytes | None) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
         """What b1's closure adds to the closure of prev, the leader block
-        delivered before it (None for none), in topological order (depth,
+        delivered before it (None before any), in topological order (depth,
         creator, id): the blocks b1 approves, and the rest. The cut reads
         only table facts, so the table keeps the first one and hands it to
         each caller with the same predecessor."""
